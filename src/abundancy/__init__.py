@@ -40,7 +40,7 @@ from .interval import (
     IntervalReal,
     PrecisionConfig,
     decide,
-    decide_order,
+    escalate,
     exp_interval,
     exp_ratio,
     ln_interval,

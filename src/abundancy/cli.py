@@ -5,6 +5,7 @@ undecided."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -33,13 +34,9 @@ from .report import ReportSizes, run_report
 ENV_BITS = "ABUNDANCY_BITS"
 
 
-def _default_bits() -> int:
-    return int(os.environ.get(ENV_BITS, "256"))
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--bits", type=int, default=_default_bits(),
+    common.add_argument("--bits", type=int, default=os.environ.get(ENV_BITS, "256"),
                         help="working precision in bits (default 256, env %s)" % ENV_BITS)
     common.add_argument("--max-bits", type=int, default=4096,
                         help="precision ceiling for escalation (default 4096)")
@@ -99,17 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", parents=[common], help="full reproduction document")
     p.add_argument("--seed", type=int, default=42)
-    for name, default in (
-        ("oracle-limit", 10_000),
-        ("sandwich-pairs", 1_000),
-        ("grid-prime-limit", 100),
-        ("grid-exponent-max", 10),
-        ("chain-prime-limit", 1_000),
-        ("order-candidates", 2_000),
-        ("scan-limit", 10_000),
-        ("mersenne-limit", 2_500),
-    ):
-        p.add_argument(f"--{name}", type=int, default=default)
+    for field in dataclasses.fields(ReportSizes):
+        p.add_argument("--" + field.name.replace("_", "-"), type=int, default=field.default)
 
     return parser
 
@@ -223,16 +211,7 @@ def _cmd_mersenne(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    sizes = ReportSizes(
-        oracle_limit=args.oracle_limit,
-        sandwich_pairs=args.sandwich_pairs,
-        grid_prime_limit=args.grid_prime_limit,
-        grid_exponent_max=args.grid_exponent_max,
-        chain_prime_limit=args.chain_prime_limit,
-        order_candidates=args.order_candidates,
-        scan_limit=args.scan_limit,
-        mersenne_limit=args.mersenne_limit,
-    )
+    sizes = ReportSizes(**{f.name: getattr(args, f.name) for f in dataclasses.fields(ReportSizes)})
     report = run_report(args.seed, _cfg(args), sizes)
     if args.json:
         print(report.to_json())
@@ -260,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, ZeroDivisionError, FactorizationBudgetError) as exc:
+    except (ValueError, ArithmeticError, FactorizationBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

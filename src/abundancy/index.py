@@ -16,12 +16,14 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 from .arith import Factorization, gcd, is_prime, primes_up_to, sigma
 from .interval import (
     DEFAULT_PRECISION,
     IntervalReal,
     PrecisionConfig,
+    escalate,
     ln_ratio,
     pow_interval,
 )
@@ -79,6 +81,15 @@ def _exponent_interval(f: Factorization, bits: int) -> IntervalReal:
     return ln_ratio(abundancy_index(f.squared()), bits) / ln_ratio(abundancy_index(f), bits)
 
 
+def _certified_exponent(
+    evaluate: Callable[[int], IntervalReal], of: Factorization, cfg: PrecisionConfig
+) -> ExponentValue:
+    certified, enclosure = escalate(evaluate, lambda x: (x.lo > 1 and x.hi < 2) or None, cfg)
+    if certified is None:
+        raise ArithmeticError(f"could not certify 1 < x < 2 for {of} at {cfg.max_bits} bits")
+    return ExponentValue(enclosure, of)
+
+
 def abundancy_exponent(f: Factorization, cfg: PrecisionConfig = DEFAULT_PRECISION) -> ExponentValue:
     """Enclosure of x(n) = ln(I(n^2))/ln(I(n)), certified to lie in (1, 2).
 
@@ -86,11 +97,7 @@ def abundancy_exponent(f: Factorization, cfg: PrecisionConfig = DEFAULT_PRECISIO
     """
     if not f.factors:
         raise ValueError("abundancy exponent is undefined for 1")
-    for bits in cfg.ladder():
-        enclosure = _exponent_interval(f, bits)
-        if enclosure.lo > 1 and enclosure.hi < 2:
-            return ExponentValue(enclosure, f)
-    raise ArithmeticError(f"could not certify 1 < x < 2 for {f} at {cfg.max_bits} bits")
+    return _certified_exponent(lambda bits: _exponent_interval(f, bits), f, cfg)
 
 
 def prime_power_exponent(r: int, s: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> ExponentValue:
@@ -101,11 +108,9 @@ def prime_power_exponent(r: int, s: int, cfg: PrecisionConfig = DEFAULT_PRECISIO
     base = prime_power_index(r, s)
     rs = r**s
     growth = 1 + Fraction(rs - 1, rs * (r ** (s + 1) - 1))  # I(r^(2s)) / I(r^s)
-    for bits in cfg.ladder():
-        enclosure = IntervalReal.exact(1, bits) + ln_ratio(growth, bits) / ln_ratio(base, bits)
-        if enclosure.lo > 1 and enclosure.hi < 2:
-            return ExponentValue(enclosure, Factorization(((r, s),)))
-    raise ArithmeticError(f"could not certify 1 < x < 2 for {r}^{s} at {cfg.max_bits} bits")
+    return _certified_exponent(
+        lambda bits: 1 + ln_ratio(growth, bits) / ln_ratio(base, bits), Factorization(((r, s),)), cfg
+    )
 
 
 class SandwichStatus(Enum):
@@ -139,17 +144,23 @@ def sandwich_check(
     if gcd(a, b) != 1:
         raise ValueError(f"inputs must be coprime, gcd({a}, {b}) > 1")
     fab = fa * fb
-    for bits in cfg.ladder():
-        x_a = _exponent_interval(fa, bits)
-        x_b = _exponent_interval(fb, bits)
-        x_ab = _exponent_interval(fab, bits)
-        above_a, below_a = x_a.hi < x_ab.lo, x_ab.hi < x_a.lo
-        above_b, below_b = x_b.hi < x_ab.lo, x_ab.hi < x_b.lo
-        if (above_a and below_b) or (above_b and below_a):
-            return SandwichResult(SandwichStatus.HOLDS, x_a, x_b, x_ab)
-        if (below_a and below_b) or (above_a and above_b):
-            return SandwichResult(SandwichStatus.VIOLATED, x_a, x_b, x_ab)
-    return SandwichResult(SandwichStatus.UNDECIDED, x_a, x_b, x_ab)
+    status, (x_a, x_b, x_ab) = escalate(
+        lambda bits: tuple(_exponent_interval(f, bits) for f in (fa, fb, fab)),
+        _sandwich_verdict,
+        cfg,
+    )
+    return SandwichResult(status or SandwichStatus.UNDECIDED, x_a, x_b, x_ab)
+
+
+def _sandwich_verdict(xs: tuple[IntervalReal, IntervalReal, IntervalReal]) -> SandwichStatus | None:
+    x_a, x_b, x_ab = xs
+    above_a, below_a = x_a.hi < x_ab.lo, x_ab.hi < x_a.lo
+    above_b, below_b = x_b.hi < x_ab.lo, x_ab.hi < x_b.lo
+    if (above_a and below_b) or (above_b and below_a):
+        return SandwichStatus.HOLDS
+    if (below_a and below_b) or (above_a and above_b):
+        return SandwichStatus.VIOLATED
+    return None
 
 
 @lru_cache(maxsize=None)

@@ -9,10 +9,11 @@ division rounded outward (floor for lower bounds, ceil for upper bounds) and
 the series truncation remainder folded into the upper bound. Containment is
 therefore unconditional; no floating point is involved anywhere.
 
-Strict inequalities are decided only by enclosure separation. When an
-enclosure straddles the threshold, `decide`/`decide_order` re-evaluate at
-doubled precision up to the configured ceiling and report UNDECIDED only
-there; UNDECIDED is a value, never an exception.
+Strict inequalities are decided only by enclosure separation. Every verdict
+escalates by one rule, `escalate`: re-evaluate at doubled precision up to the
+configured ceiling (also past a divisor enclosure touching zero, re-raised
+only at the ceiling) and report UNDECIDED only there; UNDECIDED is a value,
+never an exception. `decide` is its form for a rational threshold.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator, Optional, TypeVar, Union
 
 __all__ = [
     "Comparison",
@@ -31,7 +32,7 @@ __all__ = [
     "IntervalReal",
     "PrecisionConfig",
     "decide",
-    "decide_order",
+    "escalate",
     "exp_interval",
     "exp_ratio",
     "ln_interval",
@@ -43,6 +44,8 @@ __all__ = [
 GUARD_BITS = 32
 
 RatioLike = Union[Fraction, int]
+T = TypeVar("T")
+V = TypeVar("V")
 
 
 class Comparison(Enum):
@@ -109,9 +112,6 @@ class IntervalReal:
     def contains(self, value: RatioLike) -> bool:
         v = Fraction(value)
         return self.lo <= v <= self.hi
-
-    def encloses(self, other: "IntervalReal") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
 
     def overlaps(self, other: "IntervalReal") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
@@ -385,40 +385,45 @@ def sqrt_ratio(r: RatioLike, bits: int = DEFAULT_PRECISION.initial_bits) -> Inte
     return _from_scaled(lo, hi, w, bits)
 
 
+def escalate(
+    evaluate: Callable[[int], T],
+    verdict: Callable[[T], Optional[V]],
+    cfg: PrecisionConfig = DEFAULT_PRECISION,
+) -> tuple[Optional[V], T]:
+    """Evaluate at each rung of cfg's precision ladder and return (verdict,
+    value) at the first rung where verdict(value) is not None, or (None, last
+    value) at the ceiling. A ZeroDivisionError from evaluate (a divisor
+    enclosure touching zero) moves on to the next rung; at the ceiling it is
+    re-raised, since there is no enclosure to report."""
+    for bits in cfg.ladder():
+        try:
+            value = evaluate(bits)
+        except ZeroDivisionError:
+            if bits >= cfg.max_bits:
+                raise
+            continue
+        found = verdict(value)
+        if found is not None:
+            return found, value
+    return None, value
+
+
 def decide(
     evaluate: Callable[[int], IntervalReal],
     threshold: RatioLike,
     cfg: PrecisionConfig = DEFAULT_PRECISION,
 ) -> tuple[Comparison, IntervalReal]:
     """Compare an enclosure-valued evaluation against an exact rational,
-    re-evaluating at doubled precision while the enclosure straddles it.
-    Returns UNDECIDED only at the precision ceiling."""
+    escalating precision while the enclosure straddles it. Returns UNDECIDED
+    only at the precision ceiling."""
     t = Fraction(threshold)
-    enclosure = None
-    for bits in cfg.ladder():
-        enclosure = evaluate(bits)
+
+    def against(enclosure: IntervalReal) -> Optional[Comparison]:
         verdict = enclosure.compare(t)
-        if verdict is not Comparison.UNDECIDED:
-            return verdict, enclosure
-    return Comparison.UNDECIDED, enclosure
+        return None if verdict is Comparison.UNDECIDED else verdict
 
-
-def decide_order(
-    eval_a: Callable[[int], IntervalReal],
-    eval_b: Callable[[int], IntervalReal],
-    cfg: PrecisionConfig = DEFAULT_PRECISION,
-) -> tuple[Comparison, IntervalReal, IntervalReal]:
-    """Certified order of two enclosure-valued evaluations: LESS iff a < b is
-    certified by disjoint enclosures, escalating precision as in `decide`."""
-    a = b = None
-    for bits in cfg.ladder():
-        a = eval_a(bits)
-        b = eval_b(bits)
-        if a.hi < b.lo:
-            return Comparison.LESS, a, b
-        if b.hi < a.lo:
-            return Comparison.GREATER, a, b
-    return Comparison.UNDECIDED, a, b
+    verdict, enclosure = escalate(evaluate, against, cfg)
+    return verdict or Comparison.UNDECIDED, enclosure
 
 
 # ---------------------------------------------------------------------------

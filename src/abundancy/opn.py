@@ -17,7 +17,16 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import Factorization, factorize, gcd, is_prime, omega, primes_up_to, sigma
+from .arith import (
+    Factorization,
+    FactorizationBudgetError,
+    factorize,
+    gcd,
+    is_prime,
+    omega,
+    primes_up_to,
+    sigma,
+)
 from .index import (
     abundancy_index,
     index_lower_bound,
@@ -29,6 +38,8 @@ from .interval import (
     DEFAULT_PRECISION,
     IntervalReal,
     PrecisionConfig,
+    decide,
+    escalate,
     pow_interval,
     sqrt_ratio,
 )
@@ -149,13 +160,14 @@ class EulerianCandidate:
         """True when the Euler exponent k equals 1 (the conjectured value)."""
         return self.k == 1
 
+    def euler_factorization(self) -> Factorization:
+        """Factorization of q^k (q need not be prime)."""
+        return Factorization(tuple((p, e * self.k) for p, e in factorize(self.q).factors))
+
     def full_factorization(self) -> Factorization:
         """Factorization of N (works even when q is composite or shares a
         prime with n; exponents merge)."""
-        q_part = Factorization(
-            tuple((p, e * self.k) for p, e in factorize(self.q).factors)
-        )
-        return q_part * self.n.squared()
+        return self.euler_factorization() * self.n.squared()
 
     def least_prime(self) -> int:
         return self.full_factorization().least_prime()
@@ -189,6 +201,10 @@ def _flag(name: str, ok: bool, witness: str) -> Check:
     return Check(name, CheckStatus.PASS if ok else CheckStatus.FAIL, witness)
 
 
+# The checks that need q factored, UNDECIDED when that exhausts the budget.
+_FACTORED_CHECKS = ("omega(N) >= 10", "I(q^k) < 5/4", "I(n) > index lower bound", "sigma(N) = 2N")
+
+
 def validate_eulerian(
     candidate: EulerianCandidate,
     cfg: PrecisionConfig = DEFAULT_PRECISION,
@@ -197,49 +213,50 @@ def validate_eulerian(
 
     Form checks and literature bounds are exact integer comparisons; the index
     lower bound is decided by certified enclosures with automatic precision
-    escalation. Failures are report entries, never exceptions.
+    escalation. q is factored once; if that exhausts the factoring budget, the
+    checks that need the factorization are UNDECIDED. Failures are report
+    entries, never exceptions.
     """
     q, k = candidate.q, candidate.k
     n = candidate.root
     big_n = candidate.value
-    full = candidate.full_factorization()
-    checks: list[Check] = []
-
-    checks.append(_flag("q prime", is_prime(q), f"q = {q}"))
-    checks.append(_flag("q = 1 (mod 4)", q % 4 == 1, f"q mod 4 = {q % 4}"))
-    checks.append(_flag("k = 1 (mod 4)", k % 4 == 1, f"k mod 4 = {k % 4}"))
     g = gcd(q, n)
-    checks.append(_flag("gcd(q, n) = 1", g == 1, f"gcd(q, n) = {g}"))
-    checks.append(_flag("n odd", n % 2 == 1, f"n mod 2 = {n % 2}"))
-    checks.append(
+    checks = [
+        _flag("q prime", is_prime(q), f"q = {q}"),
+        _flag("q = 1 (mod 4)", q % 4 == 1, f"q mod 4 = {q % 4}"),
+        _flag("k = 1 (mod 4)", k % 4 == 1, f"k mod 4 = {k % 4}"),
+        _flag("gcd(q, n) = 1", g == 1, f"gcd(q, n) = {g}"),
+        _flag("n odd", n % 2 == 1, f"n mod 2 = {n % 2}"),
         _flag(
             "N > 10^1500",
             big_n > OCHEM_RAO_FLOOR,
             f"N has {_digit_count(big_n)} digits; needs more than 1500",
-        )
-    )
-    om = omega(full)
-    checks.append(_flag("omega(N) >= 10", om >= NIELSEN_MIN_OMEGA, f"omega(N) = {om}"))
-
-    euler_index = abundancy_index(
-        Factorization(tuple((p, e * k) for p, e in factorize(q).factors))
-    )
-    checks.append(
-        _flag(
-            "I(q^k) < 5/4",
-            euler_index < Fraction(5, 4),
-            f"I(q^k) = {euler_index}",
-        )
-    )
-
-    checks.append(_index_bound_check(candidate, cfg))
-
-    if k > 1:
-        checks.append(
-            _flag("q < n for k > 1", q < n, f"k = {k}, q = {q}, n = {n}")
-        )
+        ),
+    ]
+    try:
+        euler = candidate.euler_factorization()
+    except FactorizationBudgetError as exc:
+        factored = [Check(name, CheckStatus.UNDECIDED, str(exc)) for name in _FACTORED_CHECKS]
     else:
-        checks.append(Check("q < n for k > 1", CheckStatus.PASS, "k = 1, not applicable"))
+        factored = _factored_checks(candidate, euler, cfg)
+    *bounds, residual = factored
+    if k > 1:
+        order = _flag("q < n for k > 1", q < n, f"k = {k}, q = {q}, n = {n}")
+    else:
+        order = Check("q < n for k > 1", CheckStatus.PASS, "k = 1, not applicable")
+    return ConstraintReport(tuple(checks + bounds + [order, residual]))
+
+
+def _factored_checks(
+    candidate: EulerianCandidate,
+    euler: Factorization,
+    cfg: PrecisionConfig,
+) -> list[Check]:
+    """The checks of _FACTORED_CHECKS, in order, from the factorization of q^k."""
+    big_n = candidate.value
+    full = euler * candidate.n.squared()
+    om = omega(full)
+    euler_index = abundancy_index(euler)
 
     residual = abundancy_index(full)
     if big_n < 10**30:
@@ -250,31 +267,30 @@ def validate_eulerian(
         witness = f"sigma(N) != 2N (N has {_digit_count(big_n)} digits)"
         if residual == 2:
             witness = "sigma(N) = 2N"
-    checks.append(_flag("sigma(N) = 2N", residual == 2, witness))
+    return [
+        _flag("omega(N) >= 10", om >= NIELSEN_MIN_OMEGA, f"omega(N) = {om}"),
+        _flag("I(q^k) < 5/4", euler_index < Fraction(5, 4), f"I(q^k) = {euler_index}"),
+        _index_bound_check(candidate, full.least_prime(), cfg),
+        _flag("sigma(N) = 2N", residual == 2, witness),
+    ]
 
-    return ConstraintReport(tuple(checks))
+
+# bound < I(n) passes, bound > I(n) fails
+_BOUND_STATUS = {Comparison.LESS: CheckStatus.PASS, Comparison.GREATER: CheckStatus.FAIL}
 
 
-def _index_bound_check(candidate: EulerianCandidate, cfg: PrecisionConfig) -> Check:
+def _index_bound_check(candidate: EulerianCandidate, u: int, cfg: PrecisionConfig) -> Check:
     name = "I(n) > index lower bound"
-    u = candidate.least_prime()
     if u == 2:
         return Check(name, CheckStatus.FAIL, "N is even; the bound assumes odd N")
     root_index = abundancy_index(candidate.n)
-    enclosure = None
-    for bits in cfg.ladder():
-        enclosure = index_lower_bound(Fraction(8, 5), u, PrecisionConfig(bits, bits))
-        verdict = enclosure.compare(root_index)
-        if verdict is Comparison.LESS:  # bound < I(n)
-            status = CheckStatus.PASS
-            break
-        if verdict is Comparison.GREATER:
-            status = CheckStatus.FAIL
-            break
-    else:
-        status = CheckStatus.UNDECIDED
+    verdict, enclosure = decide(
+        lambda bits: index_lower_bound(Fraction(8, 5), u, PrecisionConfig(bits, bits)),
+        root_index,
+        cfg,
+    )
     witness = f"I(n) = {root_index} vs (8/5)^(1/x({u})) = {enclosure.render()}"
-    return Check(name, status, witness)
+    return Check(name, _BOUND_STATUS.get(verdict, CheckStatus.UNDECIDED), witness)
 
 
 # ---------------------------------------------------------------------------
@@ -397,36 +413,38 @@ def ceiling_scan(
     if u < 3 or u % 2 == 0 or not is_prime(u):
         raise ValueError(f"u must be an odd prime, got {u}")
     expect_greater = u >= 5
+
+    def side(pair: tuple[IntervalReal, IntervalReal]) -> CheckStatus | None:
+        value, ceiling = pair
+        if value.lo > ceiling.hi:
+            return CheckStatus.PASS if expect_greater else CheckStatus.FAIL
+        if value.hi < ceiling.lo:
+            return CheckStatus.FAIL if expect_greater else CheckStatus.PASS
+        return None
+
+    def clears_margin(pair: tuple[IntervalReal, IntervalReal]) -> CheckStatus | None:
+        bound, ceiling = pair
+        if bound.lo - ceiling.hi >= required_margin:
+            return CheckStatus.PASS
+        if bound.hi - ceiling.lo < required_margin:
+            return CheckStatus.FAIL
+        return None
+
+    per_q = clears_margin if expect_greater else side
+    relation = ">" if expect_greater else "<"
     checks: list[Check] = []
     minimum: IntervalReal | None = None
     minimum_q = None
     for q in primes_up_to(q_limit):
         if q < 5 or q % 4 != 1:
             continue
-        status = CheckStatus.UNDECIDED
-        bound = ceiling = None
-        for bits in cfg.ladder():
-            bound = _euler_sum_bound_bits(q, u, bits)
-            ceiling = ceiling_interval(bits)
-            if expect_greater:
-                if bound.lo - ceiling.hi >= required_margin:
-                    status = CheckStatus.PASS
-                    break
-                if bound.hi - ceiling.lo < required_margin:
-                    status = CheckStatus.FAIL
-                    break
-            else:
-                if bound.hi < ceiling.lo:
-                    status = CheckStatus.PASS
-                    break
-                if bound.lo > ceiling.hi:
-                    status = CheckStatus.FAIL
-                    break
-        relation = ">" if expect_greater else "<"
+        status, (bound, ceiling) = escalate(
+            lambda bits: (_euler_sum_bound_bits(q, u, bits), ceiling_interval(bits)), per_q, cfg
+        )
         checks.append(
             Check(
                 f"f({q}, {u}) {relation} 1+sqrt(3)",
-                status,
+                status or CheckStatus.UNDECIDED,
                 f"f = {bound.render()} vs ceiling = {ceiling.render()}",
             )
         )
@@ -440,21 +458,13 @@ def ceiling_scan(
                 f"q = {minimum_q}: f = {minimum.render()}",
             )
         )
-    limit_status = CheckStatus.UNDECIDED
-    limit = None
-    for bits in cfg.ladder():
-        limit = _limit_bits(u, bits)
-        ceiling = ceiling_interval(bits)
-        if limit.lo > ceiling.hi:
-            limit_status = CheckStatus.PASS if expect_greater else CheckStatus.FAIL
-            break
-        if limit.hi < ceiling.lo:
-            limit_status = CheckStatus.FAIL if expect_greater else CheckStatus.PASS
-            break
+    limit_status, (limit, _) = escalate(
+        lambda bits: (_limit_bits(u, bits), ceiling_interval(bits)), side, cfg
+    )
     checks.append(
         Check(
             "limit as q grows",
-            limit_status,
+            limit_status or CheckStatus.UNDECIDED,
             f"1 + 2^(1/x({u})) = {limit.render()}",
         )
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .arith import Factorization, factorize, primes_up_to, sigma, sigma_oracle
@@ -278,13 +278,6 @@ def run_report(
         "seed": seed,
         "initial_bits": cfg.initial_bits,
         "max_bits": cfg.max_bits,
-        "oracle_limit": sizes.oracle_limit,
-        "sandwich_pairs": sizes.sandwich_pairs,
-        "grid_prime_limit": sizes.grid_prime_limit,
-        "grid_exponent_max": sizes.grid_exponent_max,
-        "chain_prime_limit": sizes.chain_prime_limit,
-        "order_candidates": sizes.order_candidates,
-        "scan_limit": sizes.scan_limit,
-        "mersenne_limit": sizes.mersenne_limit,
+        **asdict(sizes),
     }
     return ReproductionReport(constants, suites, environment)

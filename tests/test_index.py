@@ -91,6 +91,20 @@ def test_abundancy_exponent_certified_range():
         assert x.lo > 1 and x.hi < 2
 
 
+# The least prime above 2^300. At 256 bits ln I(p) ~ 1/p is not separated from
+# zero, so the exponent's divisor touches zero until the ladder reaches 1024.
+BIG_PRIME = 2**300 + 157
+
+
+def test_exponent_of_big_prime_escalates_past_zero_divisor():
+    for x in (
+        abundancy_exponent(Factorization(((BIG_PRIME, 1),))).value,
+        prime_power_exponent(BIG_PRIME, 1).value,
+    ):
+        assert x.bits == 1024
+        assert x.lo > 1 and x.hi < 2
+
+
 def test_prime_power_exponent_frozen_values():
     assert_consistent(prime_power_exponent(3, 1).value, "x(3)")
     assert_consistent(prime_power_exponent(3, 2).value, "x(9)")

@@ -10,7 +10,7 @@ from abundancy.interval import (
     IntervalReal,
     PrecisionConfig,
     decide,
-    decide_order,
+    escalate,
     exp_interval,
     exp_ratio,
     ln_ratio,
@@ -180,12 +180,37 @@ def test_decide_against_rational_proxy():
 
 
 def test_decide_order():
-    verdict, a, b = decide_order(
-        lambda bits: ln_ratio(Fraction(4, 3), bits),
-        lambda bits: ln_ratio(Fraction(13, 9), bits),
+    # ln(4/3) < ln(13/9), certified as a strictly negative difference
+    verdict, gap = decide(
+        lambda bits: ln_ratio(Fraction(4, 3), bits) - ln_ratio(Fraction(13, 9), bits), 0
     )
     assert verdict is Comparison.LESS
-    assert a.hi < b.lo
+    assert gap.hi < 0
+
+
+def _touches_zero_below(threshold_bits):
+    """An evaluation whose divisor enclosure touches zero below threshold_bits."""
+
+    def evaluate(bits):
+        width = Fraction(1, 2**threshold_bits) if bits >= threshold_bits else Fraction(1)
+        return IntervalReal.exact(1, bits) / IntervalReal(1 - width, 1 + width, bits)
+
+    return evaluate
+
+
+def test_escalate_moves_past_zero_divisor():
+    verdict, value = escalate(
+        _touches_zero_below(512), lambda x: x.compare(2), PrecisionConfig(128, 2048)
+    )
+    assert verdict is Comparison.LESS
+    assert value.bits == 512
+
+
+def test_escalate_reraises_zero_divisor_at_ceiling():
+    with pytest.raises(ZeroDivisionError):
+        escalate(_touches_zero_below(4096), lambda x: x.compare(2), PrecisionConfig(128, 2048))
+    with pytest.raises(ZeroDivisionError):
+        decide(_touches_zero_below(4096), 2, PrecisionConfig(128, 2048))
 
 
 def test_render_format():

@@ -166,6 +166,40 @@ def test_cli_env_default_bits(capsys, monkeypatch):
     assert code == 0 and "@128b" in out
 
 
+def test_cli_env_invalid_bits_is_an_argument_error(capsys, monkeypatch):
+    monkeypatch.setenv("ABUNDANCY_BITS", "abc")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sigma", "45"])
+    assert exit_info.value.code == 2
+    assert "error: argument --bits: invalid int value: 'abc'" in capsys.readouterr().err
+
+
+def test_cli_exponent_of_big_prime_escalates(capsys):
+    code, out = run_cli(capsys, "exponent", str(2**300 + 157))
+    assert code == 0 and out.endswith("@1024b\n")
+
+
+def test_cli_uncertified_exponent_is_an_error(capsys):
+    code = main(["exponent", "3^5000"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: could not certify 1 < x < 2 for 3^5000")
+
+
+def test_cli_check_budget_exhausted_is_undecided(capsys):
+    # factoring 10^105 + 1 exhausts the rho budget: the report still prints,
+    # with the four checks that need the factorization UNDECIDED
+    code, out = run_cli(capsys, "check", f"q={10**105 + 1}", "k=1", "n=3^2", "--json")
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    undecided = [c for c in checks if c["status"] == "UNDECIDED"]
+    assert [c["name"] for c in undecided] == [
+        "omega(N) >= 10", "I(q^k) < 5/4", "I(n) > index lower bound", "sigma(N) = 2N",
+    ]
+    assert all(c["witness"].startswith("factoring budget exhausted on ") for c in undecided)
+    assert [c["name"] for c in checks][-2:] == ["q < n for k > 1", "sigma(N) = 2N"]
+
+
 def test_precision_config_guard():
     with pytest.raises(ValueError):
         PrecisionConfig(0, 10)
