@@ -61,8 +61,10 @@ def _small_primes() -> tuple[int, ...]:
 
 
 def is_prime(n: int) -> bool:
-    """Primality test: deterministic Miller-Rabin below ~3.3e24, the same
-    witnesses plus a fixed extra schedule above (no randomness anywhere)."""
+    """Primality test: deterministic Miller-Rabin below ~3.3e24, a proof there.
+    Above that bound True is only a probable-prime claim: strong pseudoprime to
+    20 fixed prime bases (2 to 71), which constructed composites can pass. No
+    randomness anywhere."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -230,11 +232,11 @@ def _brent_rho(n: int, effort: list[int]) -> int:
             return g
 
 
-def parse_factored(text: str, budget: int = DEFAULT_BUDGET) -> Factorization:
+def parse_factored(text: str) -> Factorization:
     """Parse either a bare integer or the ``p1^e1*p2^e2`` factored form."""
     text = text.strip()
     if text.isdigit():
-        return factorize(int(text), budget=budget)
+        return factorize(int(text))
     return Factorization.parse(text)
 
 
@@ -246,12 +248,12 @@ def sigma(f: Factorization) -> int:
     return out
 
 
-def sigma_oracle(n: int, cap: int = ORACLE_CAP) -> int:
+def sigma_oracle(n: int) -> int:
     """Sum of divisors by direct enumeration (independent of factorize/sigma)."""
     if n < 1:
         raise ValueError(f"sigma_oracle needs n >= 1, got {n}")
-    if n > cap:
-        raise ValueError(f"sigma_oracle cap {cap} exceeded by {n}")
+    if n > ORACLE_CAP:
+        raise ValueError(f"sigma_oracle cap {ORACLE_CAP} exceeded by {n}")
     total = 0
     root = isqrt(n)
     for d in range(1, root + 1):

@@ -21,6 +21,7 @@ from typing import Callable
 from .arith import Factorization, gcd, is_prime, primes_up_to, sigma
 from .interval import (
     DEFAULT_PRECISION,
+    Comparison,
     IntervalReal,
     PrecisionConfig,
     escalate,
@@ -81,10 +82,14 @@ def _exponent_interval(f: Factorization, bits: int) -> IntervalReal:
     return ln_ratio(abundancy_index(f.squared()), bits) / ln_ratio(abundancy_index(f), bits)
 
 
+def _within_one_and_two(x: IntervalReal) -> bool | None:
+    return (x.compare(1) is Comparison.GREATER and x.compare(2) is Comparison.LESS) or None
+
+
 def _certified_exponent(
     evaluate: Callable[[int], IntervalReal], of: Factorization, cfg: PrecisionConfig
 ) -> ExponentValue:
-    certified, enclosure = escalate(evaluate, lambda x: (x.lo > 1 and x.hi < 2) or None, cfg)
+    certified, enclosure = escalate(evaluate, _within_one_and_two, cfg)
     if certified is None:
         raise ArithmeticError(f"could not certify 1 < x < 2 for {of} at {cfg.max_bits} bits")
     return ExponentValue(enclosure, of)
@@ -154,11 +159,10 @@ def sandwich_check(
 
 def _sandwich_verdict(xs: tuple[IntervalReal, IntervalReal, IntervalReal]) -> SandwichStatus | None:
     x_a, x_b, x_ab = xs
-    above_a, below_a = x_a.hi < x_ab.lo, x_ab.hi < x_a.lo
-    above_b, below_b = x_b.hi < x_ab.lo, x_ab.hi < x_b.lo
-    if (above_a and below_b) or (above_b and below_a):
+    sides = {x_ab.compare(x_a), x_ab.compare(x_b)}
+    if sides == {Comparison.LESS, Comparison.GREATER}:
         return SandwichStatus.HOLDS
-    if (below_a and below_b) or (above_a and above_b):
+    if len(sides) == 1 and Comparison.UNDECIDED not in sides:
         return SandwichStatus.VIOLATED
     return None
 

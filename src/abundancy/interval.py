@@ -9,11 +9,15 @@ division rounded outward (floor for lower bounds, ceil for upper bounds) and
 the series truncation remainder folded into the upper bound. Containment is
 therefore unconditional; no floating point is involved anywhere.
 
-Strict inequalities are decided only by enclosure separation. Every verdict
-escalates by one rule, `escalate`: re-evaluate at doubled precision up to the
-configured ceiling (also past a divisor enclosure touching zero, re-raised
-only at the ceiling) and report UNDECIDED only there; UNDECIDED is a value,
-never an exception. `decide` is its form for a rational threshold.
+Strict inequalities are decided only by enclosure separation, and one method
+spells it out: `IntervalReal.compare`, against another enclosure or an exact
+rational (the degenerate enclosure). `contains`, `overlaps` and every verdict
+elsewhere map its result; the one non-strict test is `ceiling_scan`'s margin,
+f - ceiling >= required_margin. Every verdict escalates by one rule,
+`escalate`: re-evaluate at doubled precision up to the configured ceiling
+(also past a divisor enclosure touching zero, re-raised only at the ceiling)
+and report UNDECIDED only there; UNDECIDED is a value, never an exception.
+`decide` is its form for a rational threshold.
 """
 
 from __future__ import annotations
@@ -109,21 +113,25 @@ class IntervalReal:
     def radius(self) -> Fraction:
         return self.width / 2
 
-    def contains(self, value: RatioLike) -> bool:
-        v = Fraction(value)
-        return self.lo <= v <= self.hi
-
-    def overlaps(self, other: "IntervalReal") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
-    def compare(self, threshold: RatioLike) -> Comparison:
-        """LESS iff hi < threshold, GREATER iff lo > threshold, else UNDECIDED."""
-        t = Fraction(threshold)
-        if self.hi < t:
+    def compare(self, other: Union["IntervalReal", RatioLike]) -> Comparison:
+        """Separation test against an enclosure or an exact rational (the
+        degenerate enclosure [t, t]): LESS iff hi < other.lo, GREATER iff
+        lo > other.hi, else UNDECIDED (touching or overlapping)."""
+        if isinstance(other, IntervalReal):
+            other_lo, other_hi = other.lo, other.hi
+        else:
+            other_lo = other_hi = Fraction(other)
+        if self.hi < other_lo:
             return Comparison.LESS
-        if self.lo > t:
+        if self.lo > other_hi:
             return Comparison.GREATER
         return Comparison.UNDECIDED
+
+    def contains(self, value: RatioLike) -> bool:
+        return self.compare(value) is Comparison.UNDECIDED
+
+    def overlaps(self, other: "IntervalReal") -> bool:
+        return self.compare(other) is Comparison.UNDECIDED
 
     # Endpoint arithmetic is exact, so these operations are themselves exact
     # enclosures of the pointwise image; no rounding happens here.
@@ -176,11 +184,11 @@ class IntervalReal:
     def __str__(self) -> str:
         return self.render()
 
-    def render(self, digits: int = 10) -> str:
-        """Decimal rendering: midpoint with explicit radius and achieved
-        precision, e.g. ``1.444405574 ± 2e-87 @256b``."""
+    def render(self) -> str:
+        """Decimal rendering: midpoint to 10 significant digits with explicit
+        radius and achieved precision, e.g. ``1.444405574 ± 2e-87 @256b``."""
         mid = self.midpoint
-        mid_text = _decimal(mid, digits)
+        mid_text = _decimal(mid, 10)
         rad_text = _radius_text(self.radius)
         return f"{mid_text} ± {rad_text} @{self.bits}b"
 
@@ -336,12 +344,13 @@ def ln_ratio(r: RatioLike, bits: int = DEFAULT_PRECISION.initial_bits) -> Interv
 
 
 def ln_interval(x: IntervalReal, bits: int = DEFAULT_PRECISION.initial_bits) -> IntervalReal:
-    """Enclosure of ln over an enclosure (ln is increasing)."""
+    """Enclosure of ln over an enclosure (ln is increasing); one log if exact."""
     if x.lo <= 0:
         raise ValueError("ln requires a strictly positive interval")
     w = bits + GUARD_BITS
-    lo = _ln_scaled(x.lo.numerator, x.lo.denominator, w)[0]
-    hi = _ln_scaled(x.hi.numerator, x.hi.denominator, w)[1]
+    lo, hi = _ln_scaled(x.lo.numerator, x.lo.denominator, w)
+    if x.hi != x.lo:
+        hi = _ln_scaled(x.hi.numerator, x.hi.denominator, w)[1]
     return _from_scaled(lo, hi, w, bits)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import factorize, is_prime, sigma
+from .arith import is_perfect, is_prime
 
 __all__ = [
     "DESK_SCALE_CAP",
@@ -61,7 +61,7 @@ def even_perfect_from_exponent(p: int) -> EuclideanForm:
     mersenne = (1 << p) - 1
     form = EuclideanForm(p, mersenne, mersenne << (p - 1))
     # construction contract: the divisor-sum closed form confirms perfection
-    if sigma(factorize(form.perfect)) != 2 * form.perfect:
+    if not is_perfect(form.perfect):
         raise ArithmeticError(f"sigma check failed for p = {p}")
     return form
 

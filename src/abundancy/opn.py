@@ -24,6 +24,7 @@ from .arith import (
     gcd,
     is_prime,
     omega,
+    parse_factored,
     primes_up_to,
     sigma,
 )
@@ -92,9 +93,6 @@ class ConstraintReport:
             if check.name == name:
                 return check.status
         raise KeyError(name)
-
-    def count(self, status: CheckStatus) -> int:
-        return sum(1 for check in self.checks if check.status is status)
 
     @property
     def all_pass(self) -> bool:
@@ -177,14 +175,17 @@ class EulerianCandidate:
 
     @classmethod
     def parse(cls, line: str) -> "EulerianCandidate":
-        """Parse the candidate line format ``q=<int> k=<int> n=<factored>``."""
-        from .arith import parse_factored
-
+        """Parse the candidate line format ``q=<int> k=<int> n=<factored>``;
+        each key exactly once, no other keys."""
         fields: dict[str, str] = {}
         for token in line.split():
             if "=" not in token:
                 raise ValueError(f"expected key=value tokens, got {token!r}")
             key, _, text = token.partition("=")
+            if key not in ("q", "k", "n"):
+                raise ValueError(f"unknown key {key!r} in candidate line; expected q, k and n")
+            if key in fields:
+                raise ValueError(f"duplicate key {key!r} in candidate line")
             fields[key] = text
         missing = {"q", "k", "n"} - fields.keys()
         if missing:
@@ -361,32 +362,20 @@ def order_predicates(candidate: EulerianCandidate) -> OrderPredicates:
 # ---------------------------------------------------------------------------
 
 
-def _require_scan_primes(q: int, u: int) -> None:
+def euler_sum_bound(q: int, u: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> IntervalReal:
+    """Enclosure of f(q, u) = (q+1)/q + (2q/(q+1))**(1/x(u)): a lower bound
+    for I(q) + I(n) when q is the Euler prime and u the least prime of N."""
     if not is_prime(q) or q % 4 != 1:
         raise ValueError(f"q must be a prime with q = 1 (mod 4), got {q}")
-    if u < 3 or u % 2 == 0 or not is_prime(u):
-        raise ValueError(f"u must be an odd prime, got {u}")
-
-
-def _euler_sum_bound_bits(q: int, u: int, bits: int) -> IntervalReal:
+    bits = cfg.initial_bits
     base = IntervalReal.exact(Fraction(2 * q, q + 1), bits)
     return pow_interval(base, reciprocal_exponent(u, bits), bits) + Fraction(q + 1, q)
 
 
-def euler_sum_bound(q: int, u: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> IntervalReal:
-    """Enclosure of f(q, u) = (q+1)/q + (2q/(q+1))**(1/x(u)): a lower bound
-    for I(q) + I(n) when q is the Euler prime and u the least prime of N."""
-    _require_scan_primes(q, u)
-    return _euler_sum_bound_bits(q, u, cfg.initial_bits)
-
-
-def _limit_bits(u: int, bits: int) -> IntervalReal:
-    return pow_interval(IntervalReal.exact(2, bits), reciprocal_exponent(u, bits), bits) + 1
-
-
 def euler_sum_bound_limit(u: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> IntervalReal:
     """Enclosure of the q -> infinity limit 1 + 2**(1/x(u)) of f(q, u)."""
-    return _limit_bits(u, cfg.initial_bits)
+    bits = cfg.initial_bits
+    return pow_interval(IntervalReal.exact(2, bits), reciprocal_exponent(u, bits), bits) + 1
 
 
 @lru_cache(maxsize=None)
@@ -410,17 +399,16 @@ def ceiling_scan(
     with the scan minimum and the q -> infinity limit; UNDECIDED entries only
     appear after precision escalation up to cfg.max_bits.
     """
-    if u < 3 or u % 2 == 0 or not is_prime(u):
-        raise ValueError(f"u must be an odd prime, got {u}")
     expect_greater = u >= 5
+    # the side of 1 + sqrt(3) that passes; touching it decides nothing
+    if expect_greater:
+        sides = {Comparison.GREATER: CheckStatus.PASS, Comparison.LESS: CheckStatus.FAIL}
+    else:
+        sides = {Comparison.LESS: CheckStatus.PASS, Comparison.GREATER: CheckStatus.FAIL}
 
     def side(pair: tuple[IntervalReal, IntervalReal]) -> CheckStatus | None:
         value, ceiling = pair
-        if value.lo > ceiling.hi:
-            return CheckStatus.PASS if expect_greater else CheckStatus.FAIL
-        if value.hi < ceiling.lo:
-            return CheckStatus.FAIL if expect_greater else CheckStatus.PASS
-        return None
+        return sides.get(value.compare(ceiling))
 
     def clears_margin(pair: tuple[IntervalReal, IntervalReal]) -> CheckStatus | None:
         bound, ceiling = pair
@@ -439,7 +427,12 @@ def ceiling_scan(
         if q < 5 or q % 4 != 1:
             continue
         status, (bound, ceiling) = escalate(
-            lambda bits: (_euler_sum_bound_bits(q, u, bits), ceiling_interval(bits)), per_q, cfg
+            lambda bits: (
+                euler_sum_bound(q, u, PrecisionConfig(bits, bits)),
+                ceiling_interval(bits),
+            ),
+            per_q,
+            cfg,
         )
         checks.append(
             Check(
@@ -459,7 +452,12 @@ def ceiling_scan(
             )
         )
     limit_status, (limit, _) = escalate(
-        lambda bits: (_limit_bits(u, bits), ceiling_interval(bits)), side, cfg
+        lambda bits: (
+            euler_sum_bound_limit(u, PrecisionConfig(bits, bits)),
+            ceiling_interval(bits),
+        ),
+        side,
+        cfg,
     )
     checks.append(
         Check(
@@ -523,13 +521,13 @@ def residual_case_classify(q: int) -> ResidualClassification:
 _SURROGATE_Q_POOL = tuple(p for p in primes_up_to(5000) if p % 4 == 1)
 
 
-def sample_surrogate(rng: random.Random, max_root: int = 10**6) -> EulerianCandidate:
+def sample_surrogate(rng: random.Random) -> EulerianCandidate:
     """Random premise-satisfying candidate: q prime = 1 (mod 4), k = 1 (mod 4),
     n odd and coprime to q with I(n)^3 > 2 (the I(q^k)^3 < 2 side holds for
     every q >= 5 since I(q^k) < q/(q-1) <= 5/4)."""
     while True:
         q = rng.choice(_SURROGATE_Q_POOL)
         k = rng.choice((1, 1, 1, 5, 9))
-        n = sample_odd_factorization(rng, max_root, exclude=(q,))
+        n = sample_odd_factorization(rng, exclude=(q,))
         if abundancy_index(n) ** 3 > 2:
             return EulerianCandidate(q, k, n)

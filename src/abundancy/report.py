@@ -24,6 +24,7 @@ from .index import (
 )
 from .interval import (
     DEFAULT_PRECISION,
+    Comparison,
     IntervalReal,
     PrecisionConfig,
 )
@@ -81,15 +82,6 @@ class SuiteSummary:
     undecided: int
     detail: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "cases": self.cases,
-            "failures": self.failures,
-            "undecided": self.undecided,
-            "detail": self.detail,
-        }
-
 
 @dataclass(frozen=True)
 class ReportSizes:
@@ -121,7 +113,7 @@ class ReproductionReport:
     def to_dict(self) -> dict:
         return {
             "constants": [c.to_dict() for c in self.constants],
-            "suites": [s.to_dict() for s in self.suites],
+            "suites": [asdict(s) for s in self.suites],
             "environment": self.environment,
         }
 
@@ -146,12 +138,12 @@ class ReproductionReport:
         return "\n".join(lines)
 
 
-def _reference_window(text: str) -> tuple[Fraction, Fraction]:
+def _reference_window(text: str) -> IntervalReal:
     """The printed decimal read as an interval of one unit in its last digit."""
     value = Fraction(text)
     places = len(text.partition(".")[2])
     ulp = Fraction(1, 10**places)
-    return value - ulp, value + ulp
+    return IntervalReal(value - ulp, value + ulp, DEFAULT_PRECISION.initial_bits)
 
 
 def reference_constants(cfg: PrecisionConfig = DEFAULT_PRECISION) -> tuple[ConstantEntry, ...]:
@@ -165,8 +157,7 @@ def reference_constants(cfg: PrecisionConfig = DEFAULT_PRECISION) -> tuple[Const
     )
     entries = []
     for (label, reference), value in zip(REFERENCE_DECIMALS, values):
-        ref_lo, ref_hi = _reference_window(reference)
-        match = value.lo <= ref_hi and ref_lo <= value.hi
+        match = value.overlaps(_reference_window(reference))
         entries.append(ConstantEntry(label, value, reference, match))
     return tuple(entries)
 
@@ -197,31 +188,26 @@ def _sandwich_suite(seed: int, sizes: ReportSizes, cfg: PrecisionConfig) -> Suit
 
 
 def _monotonicity_suite(sizes: ReportSizes, cfg: PrecisionConfig) -> SuiteSummary:
-    cases = failures = undecided = 0
+    """x(r^s) must decrease in s for each odd prime r, and x(p) along the odd
+    primes: a certified increase is a failure, touching enclosures undecided."""
+
+    def x(r: int, s: int) -> IntervalReal:
+        return prime_power_exponent(r, s, cfg).value
+
+    pairs: list[tuple[IntervalReal, IntervalReal]] = []
     for r in primes_up_to(sizes.grid_prime_limit):
-        if r == 2:
-            continue
-        previous = prime_power_exponent(r, 1, cfg).value
-        for s in range(2, sizes.grid_exponent_max + 1):
-            current = prime_power_exponent(r, s, cfg).value
-            cases += 1
-            if previous.lo <= current.hi:  # not certified decreasing
-                if current.lo > previous.hi:
-                    failures += 1
-                else:
-                    undecided += 1
-            previous = current
-    chain = [p for p in primes_up_to(sizes.chain_prime_limit) if p != 2]
-    for left, right in zip(chain, chain[1:]):
-        x_left = prime_power_exponent(left, 1, cfg).value
-        x_right = prime_power_exponent(right, 1, cfg).value
-        cases += 1
-        if x_right.hi >= x_left.lo:
-            if x_right.lo > x_left.hi:
-                failures += 1
-            else:
-                undecided += 1
-    return SuiteSummary("monotonicity grids", cases, failures, undecided)
+        if r != 2:
+            grid = [x(r, s) for s in range(1, sizes.grid_exponent_max + 1)]
+            pairs += zip(grid, grid[1:])
+    chain = [x(p, 1) for p in primes_up_to(sizes.chain_prime_limit) if p != 2]
+    pairs += zip(chain, chain[1:])
+    verdicts = [later.compare(earlier) for earlier, later in pairs]
+    return SuiteSummary(
+        "monotonicity grids",
+        len(verdicts),
+        verdicts.count(Comparison.GREATER),
+        verdicts.count(Comparison.UNDECIDED),
+    )
 
 
 def _order_suite(seed: int, sizes: ReportSizes) -> SuiteSummary:

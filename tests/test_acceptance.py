@@ -7,6 +7,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines live.
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -276,3 +277,6 @@ def test_criterion_9_report_determinism(capsys):
     assert code_first == 0
     assert code_second == 0
     assert first == second
+    # the seed-42 document is pinned: refactors must keep it byte-identical
+    golden = (Path(__file__).parent / "data" / "report-seed42.json").read_text()
+    assert first == golden

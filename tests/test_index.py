@@ -7,6 +7,7 @@ from conftest import assert_consistent
 from abundancy.arith import Factorization, factorize, primes_up_to
 from abundancy.index import (
     SandwichStatus,
+    _sandwich_verdict,
     abundancy_exponent,
     abundancy_index,
     index_lower_bound,
@@ -18,7 +19,7 @@ from abundancy.index import (
     sandwich_check,
     square_index_relation,
 )
-from abundancy.interval import sqrt_ratio
+from abundancy.interval import IntervalReal, sqrt_ratio
 
 
 def test_abundancy_index_examples():
@@ -133,6 +134,21 @@ def test_sandwich_examples():
     assert result.status is SandwichStatus.HOLDS
     assert_consistent(result.x_a, "x(9)")
     assert_consistent(result.x_ab, "x(45)")
+
+
+def test_sandwich_verdict_truth_table():
+    def x(lo, hi):
+        return IntervalReal(Fraction(lo), Fraction(hi), 256)
+
+    low, high = x(1, 2), x(5, 6)
+    assert _sandwich_verdict((low, high, x(3, 4))) is SandwichStatus.HOLDS
+    assert _sandwich_verdict((high, low, x(3, 4))) is SandwichStatus.HOLDS
+    assert _sandwich_verdict((low, high, x(7, 8))) is SandwichStatus.VIOLATED
+    assert _sandwich_verdict((high, low, x(-1, 0))) is SandwichStatus.VIOLATED
+    # x(ab) touching either enclosure, or overlapping both, decides nothing
+    assert _sandwich_verdict((low, high, x(2, 3))) is None
+    assert _sandwich_verdict((low, high, x(4, 5))) is None
+    assert _sandwich_verdict((low, high, x(0, 9))) is None
 
 
 def test_sandwich_rejects_bad_inputs():

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import assert_consistent
+from abundancy import interval
+from abundancy.index import index_lower_bound
 from abundancy.interval import (
     Comparison,
     IntervalReal,
@@ -13,6 +15,7 @@ from abundancy.interval import (
     escalate,
     exp_interval,
     exp_ratio,
+    ln_interval,
     ln_ratio,
     pow_interval,
     sqrt_ratio,
@@ -155,6 +158,21 @@ def test_compare_one_shot():
     assert IntervalReal.exact(0).compare(0) is Comparison.UNDECIDED  # touching
 
 
+def test_compare_against_enclosures():
+    x = IntervalReal(Fraction(1), Fraction(2), 256)
+    assert x.compare(IntervalReal(Fraction(3), Fraction(4), 64)) is Comparison.LESS
+    assert x.compare(IntervalReal(Fraction(-1), Fraction(1, 2), 64)) is Comparison.GREATER
+    # touching endpoints on either side, and nesting, separate nothing
+    assert x.compare(IntervalReal(Fraction(2), Fraction(3), 64)) is Comparison.UNDECIDED
+    assert x.compare(IntervalReal(Fraction(0), Fraction(1), 64)) is Comparison.UNDECIDED
+    assert x.compare(IntervalReal(Fraction(0), Fraction(5), 64)) is Comparison.UNDECIDED
+    # a rational and its exact enclosure give the same verdict
+    for t in (0, 1, Fraction(3, 2), 2, Fraction(5, 2)):
+        assert x.compare(t) is x.compare(IntervalReal.exact(t))
+    assert x.contains(2) and not x.contains(Fraction(5, 2))
+    assert x.overlaps(IntervalReal.exact(1)) and not x.overlaps(IntervalReal.exact(3))
+
+
 def test_decide_escalates():
     base = sqrt_ratio(2, 256)
     threshold = base.midpoint  # straddles at 256 bits by construction
@@ -211,6 +229,22 @@ def test_escalate_reraises_zero_divisor_at_ceiling():
         escalate(_touches_zero_below(4096), lambda x: x.compare(2), PrecisionConfig(128, 2048))
     with pytest.raises(ZeroDivisionError):
         decide(_touches_zero_below(4096), 2, PrecisionConfig(128, 2048))
+
+
+def test_ln_of_exact_enclosure_takes_one_log(monkeypatch):
+    r = Fraction(8, 5)
+    assert ln_interval(IntervalReal.exact(r)) == ln_ratio(r)
+    index_lower_bound(r, 3)  # warm reciprocal_exponent's cache
+    kernel = interval._ln_scaled
+    calls = []
+
+    def counted(num, den, w):
+        calls.append((num, den))
+        return kernel(num, den, w)
+
+    monkeypatch.setattr(interval, "_ln_scaled", counted)
+    index_lower_bound(r, 3)
+    assert calls == [(8, 5)]
 
 
 def test_render_format():

@@ -54,6 +54,16 @@ def test_candidate_parse_round_trip():
         EulerianCandidate.parse("5 1 9")
 
 
+def test_candidate_parse_rejects_duplicate_key():
+    with pytest.raises(ValueError, match="duplicate key 'q'"):
+        EulerianCandidate.parse("q=5 k=1 n=3^2 q=13")
+
+
+def test_candidate_parse_rejects_unknown_key():
+    with pytest.raises(ValueError, match="unknown key 'm'"):
+        EulerianCandidate.parse("q=5 k=1 n=3^2 m=7")
+
+
 def test_candidate_syntax_validation():
     with pytest.raises(ValueError):
         EulerianCandidate(1, 1, factorize(3))
@@ -265,6 +275,14 @@ def test_ceiling_scan_empty_grid():
     report = ceiling_scan(4, 5)
     per_q = [c for c in report.checks if c.name.startswith("f(")]
     assert per_q == []
+
+
+@pytest.mark.parametrize("u", [9, 2])
+@pytest.mark.parametrize("q_limit", [4, 30])
+def test_ceiling_scan_rejects_bad_u(q_limit, u):
+    # q_limit = 4 leaves the grid empty: only the limit sees u
+    with pytest.raises(ValueError, match=f"u must be an odd prime, got {u}"):
+        ceiling_scan(q_limit, u)
 
 
 def test_ceiling_scan_margin_failure_is_certified():

@@ -2,9 +2,14 @@ import json
 
 import pytest
 
+from fractions import Fraction
+
+from abundancy import report
+from abundancy.arith import Factorization
 from abundancy.cli import main
-from abundancy.interval import PrecisionConfig
-from abundancy.report import ReportSizes, reference_constants, run_report
+from abundancy.index import ExponentValue
+from abundancy.interval import IntervalReal, PrecisionConfig
+from abundancy.report import ReportSizes, SuiteSummary, reference_constants, run_report
 
 SMALL = ReportSizes(
     oracle_limit=500,
@@ -51,6 +56,24 @@ def test_report_mersenne_detail():
     mersenne = next(s for s in report.suites if s.name == "mersenne scan")
     assert mersenne.detail == "p = 2,3,5,7,13,17,19,31,61,89,107,127"
     assert mersenne.failures == 0
+
+
+def test_monotonicity_suite_counts_increases_and_overlaps(monkeypatch):
+    crafted = {
+        (3, 1): (Fraction(15, 10), Fraction(16, 10)),
+        (3, 2): (Fraction(17, 10), Fraction(18, 10)),  # certified increase: a failure
+        (5, 1): (Fraction(155, 100), Fraction(165, 100)),  # overlaps x(3): undecided
+        (5, 2): (Fraction(11, 10), Fraction(12, 10)),  # certified decrease
+    }
+
+    def fake(r, s, cfg):
+        enclosure = IntervalReal(*crafted[(r, s)], cfg.initial_bits)
+        return ExponentValue(enclosure, Factorization(((r, s),)))
+
+    monkeypatch.setattr(report, "prime_power_exponent", fake)
+    sizes = ReportSizes(grid_prime_limit=5, grid_exponent_max=2, chain_prime_limit=5)
+    summary = report._monotonicity_suite(sizes, PrecisionConfig())
+    assert summary == SuiteSummary("monotonicity grids", 3, 1, 1)
 
 
 def test_report_render_mentions_constants():
@@ -103,6 +126,14 @@ def test_cli_check(capsys):
     assert payload["candidate"] == "q=5 k=1 n=3"
     statuses = {c["name"]: c["status"] for c in payload["checks"]}
     assert statuses["sigma(N) = 2N"] == "FAIL"
+
+
+@pytest.mark.parametrize("extra", ["q=13", "m=7"])
+def test_cli_check_rejects_malformed_line(capsys, extra):
+    code = main(["check", "q=5", "k=1", "n=3^2", extra])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_cli_bound_and_f(capsys):
