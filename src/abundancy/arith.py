@@ -108,6 +108,13 @@ class Factorization:
                 raise ValueError(f"{p} is not prime")
             prev = p
 
+    @classmethod
+    def _derived(cls, factors: tuple[tuple[int, int], ...]) -> "Factorization":
+        """Canonical factors derived from validated ones (squared, *): no re-proof."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "factors", factors)
+        return out
+
     def value(self) -> int:
         out = 1
         for p, e in self.factors:
@@ -116,7 +123,7 @@ class Factorization:
 
     def squared(self) -> "Factorization":
         """Factorization of value()**2 (exponents doubled, never refactored)."""
-        return Factorization(tuple((p, 2 * e) for p, e in self.factors))
+        return Factorization._derived(tuple((p, 2 * e) for p, e in self.factors))
 
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
@@ -131,7 +138,7 @@ class Factorization:
         merged: dict[int, int] = dict(self.factors)
         for p, e in other.factors:
             merged[p] = merged.get(p, 0) + e
-        return Factorization(tuple(sorted(merged.items())))
+        return Factorization._derived(tuple(sorted(merged.items())))
 
     def __str__(self) -> str:
         if not self.factors:

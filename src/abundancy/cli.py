@@ -34,6 +34,13 @@ from .report import ReportSizes, run_report
 ENV_BITS = "ABUNDANCY_BITS"
 
 
+def _exact_rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a finite exact rational: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--bits", type=int, default=os.environ.get(ENV_BITS, "256"),
@@ -69,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", parents=[common],
                        help="certified lower bound L^(1/x(u))")
-    p.add_argument("--L", required=True, help="exact rational, e.g. 8/5")
+    p.add_argument("--L", required=True, type=_exact_rational, help="exact rational, e.g. 8/5")
     p.add_argument("--u", required=True, type=int, help="odd prime")
 
     p = sub.add_parser("f", parents=[common],
@@ -81,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="certify f(q,u) against 1+sqrt(3) over primes q = 1 (mod 4)")
     p.add_argument("--qmax", required=True, type=int)
     p.add_argument("--u", required=True, type=int)
-    p.add_argument("--margin", default="1/1000",
+    p.add_argument("--margin", type=_exact_rational, default="1/1000",
                    help="required clearance for u >= 5 (exact rational)")
     p.add_argument("--verbose", action="store_true", help="print every grid entry")
 
@@ -103,6 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cfg(args: argparse.Namespace) -> PrecisionConfig:
+    if max(args.bits, args.max_bits) > 16384:  # `bound` takes 6.5 s there; 100000 never ends
+        raise ValueError("--bits and --max-bits must not exceed 16384")
     return PrecisionConfig(args.bits, max(args.max_bits, args.bits))
 
 
@@ -165,9 +174,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    value = index_lower_bound(Fraction(args.L), args.u, _cfg(args))
+    value = index_lower_bound(args.L, args.u, _cfg(args))
     text = f"({args.L})^(1/x({args.u})) = {value.render()}"
-    _emit(args, {"L": args.L, "u": args.u, "bound": value.render()}, text)
+    _emit(args, {"L": str(args.L), "u": args.u, "bound": value.render()}, text)
     return 0
 
 
@@ -179,7 +188,7 @@ def _cmd_f(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    report = ceiling_scan(args.qmax, args.u, _cfg(args), Fraction(args.margin))
+    report = ceiling_scan(args.qmax, args.u, _cfg(args), args.margin)
     per_q = [c for c in report.checks if c.name.startswith("f(")]
     bad = [c for c in report.checks if c.status is not CheckStatus.PASS]
     summaries = [c for c in report.checks if not c.name.startswith("f(")]

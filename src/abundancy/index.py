@@ -7,6 +7,11 @@ lies strictly between 1 and 2 and, for coprime a and b, x(ab) falls strictly
 between x(a) and x(b). This module evaluates I exactly, encloses x
 rigorously, certifies the sandwich property, and builds the certified lower
 bound L**(1/x(u)) used to constrain odd perfect numbers.
+
+ln I is additive over coprime parts, so ln I(n) and ln I(n^2) are sums of
+logs ln I(p^e), each kept in a fixed-size LRU cache per prime power and
+precision; x(ab) = (A2 + B2)/(A1 + B1), with A1 = ln I(a), A2 = ln I(a^2) and
+B1, B2 likewise, is then the mediant of x(a) = A2/A1 and x(b) = B2/B1.
 """
 
 from __future__ import annotations
@@ -21,9 +26,11 @@ from typing import Callable
 from .arith import Factorization, gcd, is_prime, primes_up_to, sigma
 from .interval import (
     DEFAULT_PRECISION,
+    GUARD_BITS,
     Comparison,
     IntervalReal,
     PrecisionConfig,
+    _ln_scaled,
     escalate,
     ln_ratio,
     pow_interval,
@@ -77,9 +84,26 @@ class ExponentValue:
     of: Factorization
 
 
-def _exponent_interval(f: Factorization, bits: int) -> IntervalReal:
-    # ln I(n^2) / ln I(n); both logs are exact-rational inputs > 0
-    return ln_ratio(abundancy_index(f.squared()), bits) / ln_ratio(abundancy_index(f), bits)
+@lru_cache(maxsize=512)  # fixed; the sandwich corpora use 130 entries per precision
+def _ln_prime_power_index(p: int, e: int, w: int) -> tuple[int, int]:
+    """ln I(p^e) scaled by 2^w, outward rounded; sigma(p^e) and p^e are coprime."""
+    return _ln_scaled((p ** (e + 1) - 1) // (p - 1), p**e, w)
+
+
+def _ln_indices(f: Factorization, bits: int) -> tuple[int, int, int, int]:
+    """Sums of per-prime-power enclosures (lo, hi) of ln I(n) and ln I(n^2), scaled by 2^w."""
+    w, lo1, hi1, lo2, hi2 = bits + GUARD_BITS, 0, 0, 0, 0
+    for p, e in f.factors:
+        (l1, h1), (l2, h2) = _ln_prime_power_index(p, e, w), _ln_prime_power_index(p, 2 * e, w)
+        lo1, hi1, lo2, hi2 = lo1 + l1, hi1 + h1, lo2 + l2, hi2 + h2
+    return lo1, hi1, lo2, hi2
+
+
+def _log_quotient(lo1: int, hi1: int, lo2: int, hi2: int, bits: int) -> IntervalReal:
+    """ln I(n^2) / ln I(n); a lower end <= 0 raises to move the ladder on."""
+    if lo1 <= 0 or lo2 <= 0:
+        raise ZeroDivisionError("divisor interval touches zero")
+    return IntervalReal(Fraction(lo2, hi1), Fraction(hi2, lo1), bits)
 
 
 def _within_one_and_two(x: IntervalReal) -> bool | None:
@@ -102,7 +126,7 @@ def abundancy_exponent(f: Factorization, cfg: PrecisionConfig = DEFAULT_PRECISIO
     """
     if not f.factors:
         raise ValueError("abundancy exponent is undefined for 1")
-    return _certified_exponent(lambda bits: _exponent_interval(f, bits), f, cfg)
+    return _certified_exponent(lambda bits: _log_quotient(*_ln_indices(f, bits), bits), f, cfg)
 
 
 def prime_power_exponent(r: int, s: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> ExponentValue:
@@ -148,12 +172,12 @@ def sandwich_check(
         raise ValueError("sandwich_check needs both values > 1")
     if gcd(a, b) != 1:
         raise ValueError(f"inputs must be coprime, gcd({a}, {b}) > 1")
-    fab = fa * fb
-    status, (x_a, x_b, x_ab) = escalate(
-        lambda bits: tuple(_exponent_interval(f, bits) for f in (fa, fb, fab)),
-        _sandwich_verdict,
-        cfg,
-    )
+    def evaluate(bits: int) -> tuple[IntervalReal, ...]:
+        logs_a, logs_b = _ln_indices(fa, bits), _ln_indices(fb, bits)
+        logs_ab = [x + y for x, y in zip(logs_a, logs_b)]  # x(ab) is their mediant
+        return tuple(_log_quotient(*logs, bits) for logs in (logs_a, logs_b, logs_ab))
+
+    status, (x_a, x_b, x_ab) = escalate(evaluate, _sandwich_verdict, cfg)
     return SandwichResult(status or SandwichStatus.UNDECIDED, x_a, x_b, x_ab)
 
 

@@ -112,6 +112,21 @@ def test_squared_doubles_exponents():
     assert f.squared().value() == 45**2
 
 
+def test_derived_factorizations_skip_primality(monkeypatch):
+    import abundancy.arith as arith
+
+    a, b = Factorization.parse("3^2*5"), Factorization.parse("5*7")
+    calls = []
+    monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or True)
+    product, square = a * b, a.squared()
+    assert calls == []
+    monkeypatch.undo()
+    assert product == Factorization.parse("3^2*5^2*7")
+    assert square == Factorization.parse("3^4*5^2")
+    with pytest.raises(ValueError):
+        Factorization(((4, 1),))
+
+
 def test_sigma_examples():
     assert sigma(Factorization(((3, 2),))) == 13
     assert sigma(Factorization(())) == 1

@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import assert_consistent
+from abundancy import index
 from abundancy.arith import Factorization, factorize, primes_up_to
 from abundancy.index import (
     SandwichStatus,
@@ -19,7 +22,7 @@ from abundancy.index import (
     sandwich_check,
     square_index_relation,
 )
-from abundancy.interval import IntervalReal, sqrt_ratio
+from abundancy.interval import IntervalReal, PrecisionConfig, sqrt_ratio
 
 
 def test_abundancy_index_examples():
@@ -134,6 +137,69 @@ def test_sandwich_examples():
     assert result.status is SandwichStatus.HOLDS
     assert_consistent(result.x_a, "x(9)")
     assert_consistent(result.x_ab, "x(45)")
+
+
+_ODD_PRIMES = tuple(p for p in primes_up_to(1000) if p != 2)
+
+
+@st.composite
+def coprime_odd_pairs(draw):
+    primes = draw(st.lists(st.sampled_from(_ODD_PRIMES), min_size=2, max_size=8, unique=True))
+    cut = draw(st.integers(1, len(primes) - 1))
+
+    def factorization(chosen):
+        return Factorization(tuple((p, draw(st.integers(1, 6))) for p in sorted(chosen)))
+
+    return factorization(primes[:cut]), factorization(primes[cut:])
+
+
+def _exponent_oracle(f: Factorization, prec: int) -> Fraction:
+    """x(n) = sum ln I(p^2e) / sum ln I(p^e) by mpmath at prec bits."""
+    with mpmath.workprec(prec):
+
+        def ln_index(k):
+            return mpmath.fsum(
+                mpmath.log(mpmath.mpf(p ** (k * e + 1) - 1) / (mpmath.mpf(p) ** (k * e) * (p - 1)))
+                for p, e in f.factors
+            )
+
+        man, exp = (ln_index(2) / ln_index(1)).man_exp
+        return Fraction(man) * Fraction(2) ** exp
+
+
+@settings(max_examples=60, deadline=None)
+@given(coprime_odd_pairs(), st.integers(8, 1024))
+def test_exponents_contain_mpmath_value(pair, bits):
+    fa, fb = pair
+    cfg = PrecisionConfig(bits, bits)
+    result = sandwich_check(fa, fb, cfg)
+    assert result.x_ab.bits == bits
+    # x(n) - 1 can be as small as p^-e, too close to 1 to certify at 8 bits,
+    # so the exponent may escalate: the oracle follows its deciding rung
+    exponent = abundancy_exponent(fa * fb, PrecisionConfig(bits, max(bits, 4096))).value
+    for x, f in ((result.x_a, fa), (result.x_b, fb), (result.x_ab, fa * fb), (exponent, fa * fb)):
+        prec = 2 * x.bits + 64
+        ref = _exponent_oracle(f, prec)
+        slack = ref / 2 ** (prec - 24)  # the oracle's own rounding, far below x's width
+        assert x.lo - slack <= ref <= x.hi + slack, (str(f), x.bits)
+
+
+def test_sandwich_reuses_cached_prime_power_logs(monkeypatch):
+    kernel = index._ln_scaled
+    calls = []
+
+    def counted(num, den, w):
+        calls.append((num, den))
+        return kernel(num, den, w)
+
+    monkeypatch.setattr(index, "_ln_scaled", counted)
+    index._ln_prime_power_index.cache_clear()
+    sandwich_check(Factorization(((3, 2), (5, 1))), Factorization(((7, 1), (11, 3))))
+    assert len(calls) == 8  # warm-up: ln I(p^e) and ln I(p^2e) per prime power
+    calls.clear()
+    result = sandwich_check(Factorization(((3, 2), (7, 1))), Factorization(((5, 1), (11, 3))))
+    assert result.status is SandwichStatus.HOLDS
+    assert calls == []
 
 
 def test_sandwich_verdict_truth_table():

@@ -231,6 +231,27 @@ def test_cli_check_budget_exhausted_is_undecided(capsys):
     assert [c["name"] for c in checks][-2:] == ["q < n for k > 1", "sigma(N) = 2N"]
 
 
+@pytest.mark.parametrize("flag", ["--bits", "--max-bits"])
+def test_cli_rejects_precision_above_cap(capsys, flag):
+    code = main(["bound", "--L", "8/5", "--u", "3", flag, "16385"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: --bits and --max-bits must not exceed 16384\n"
+
+
+@pytest.mark.parametrize("text", ["1/0", "abc"])
+@pytest.mark.parametrize("argv", [
+    ["bound", "--u", "3", "--L"],
+    ["scan", "--qmax", "100", "--u", "3", "--margin"],
+])
+def test_cli_rational_option_is_an_argument_error(capsys, argv, text):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + [text])
+    assert exit_info.value.code == 2
+    option = argv[-1]
+    assert f"error: argument {option}: not a finite exact rational: '{text}'" in capsys.readouterr().err
+
+
 def test_precision_config_guard():
     with pytest.raises(ValueError):
         PrecisionConfig(0, 10)
