@@ -1,7 +1,8 @@
 """Exact integer arithmetic and multiplicative number theory primitives.
 
 Everything here is pure and exact: arbitrary-precision integers, canonical
-prime factorizations, the divisor-sum function computed from the closed form
+prime factorizations, primality (with the Lucas-Lehmer proof for Mersenne
+numbers), the divisor-sum function computed from the closed form
 sigma(p^e) = (p^(e+1) - 1)/(p - 1), and an independent brute-force divisor
 oracle for cross-checking it.
 """
@@ -10,19 +11,23 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
 __all__ = [
     "Factorization",
     "FactorizationBudgetError",
+    "digit_count",
     "factorize",
     "gcd",
     "is_perfect",
     "is_prime",
+    "lucas_lehmer",
     "omega",
     "parse_factored",
     "primes_up_to",
+    "render_exact",
     "sigma",
     "sigma_oracle",
     "valuation",
@@ -36,6 +41,8 @@ _TRIAL_LIMIT = 1 << 16
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_EXTRA_BASES = (41, 43, 47, 53, 59, 61, 67, 71)
+# Lucas-Lehmer first tries the candidate factors of 2^p - 1 below this bound.
+_LL_TRIAL_LIMIT = 1 << 18
 
 
 class FactorizationBudgetError(Exception):
@@ -61,15 +68,21 @@ def _small_primes() -> tuple[int, ...]:
 
 
 def is_prime(n: int) -> bool:
-    """Primality test: deterministic Miller-Rabin below ~3.3e24, a proof there.
-    Above that bound True is only a probable-prime claim: strong pseudoprime to
-    20 fixed prime bases (2 to 71), which constructed composites can pass. No
-    randomness anywhere."""
+    """Primality test, deterministic (no randomness anywhere).
+
+    A Mersenne-shaped n = 2^p - 1 is decided by the Lucas-Lehmer test, a proof
+    at every size. Other n are tested by Miller-Rabin: below ~3.3e24 its first
+    twelve prime bases make the answer a proof; above that bound True is only a
+    probable-prime claim (a strong pseudoprime to 20 fixed prime bases, 2 to
+    71, which constructed composites can pass).
+    """
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n & (n + 1) == 0:
+        return lucas_lehmer(n.bit_length())
     d = n - 1
     r = (d & -d).bit_length() - 1
     d >>= r
@@ -85,6 +98,43 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def lucas_lehmer(p: int) -> bool:
+    """True iff 2^p - 1 is prime, proven either way.
+
+    p = 2 is the conventional special case (the recurrence starts at p = 3);
+    composite p short-circuits to False since 2^p - 1 is then composite.
+    Before the recurrence, a trial-factoring pre-pass tries the only possible
+    factors of 2^p - 1, q = 2kp + 1 with q = +-1 (mod 8), below a fixed bound
+    of 2^18 and below 2^p - 1 itself (so 7 and 127 are not their own
+    witnesses); a divisor found is an exact composite verdict. Every True is a
+    full Lucas-Lehmer proof.
+    """
+    if p < 2:
+        raise ValueError(f"exponent must be >= 2, got {p}")
+    if p == 2:
+        return True
+    if not is_prime(p):
+        return False
+    if _small_mersenne_factor(p) is not None:
+        return False
+    m = (1 << p) - 1
+    s = 4
+    for _ in range(p - 2):
+        s = s * s - 2
+        s = (s & m) + (s >> p)  # reduction mod 2^p - 1
+        if s >= m:
+            s -= m
+    return s == 0
+
+
+def _small_mersenne_factor(p: int) -> int | None:
+    """A divisor q of 2^p - 1 (odd prime p) with 1 < q < min(2^18, 2^p - 1),
+    or None. Every prime factor of 2^p - 1 is 2kp + 1 and +-1 (mod 8), so only
+    those q are tried; pow(2, p, q) == 1 is exactly q | 2^p - 1."""
+    candidates = range(2 * p + 1, min(_LL_TRIAL_LIMIT, (1 << p) - 1), 2 * p)
+    return next((q for q in candidates if (q & 7) in (1, 7) and pow(2, p, q) == 1), None)
 
 
 @dataclass(frozen=True)
@@ -110,7 +160,8 @@ class Factorization:
 
     @classmethod
     def _derived(cls, factors: tuple[tuple[int, int], ...]) -> "Factorization":
-        """Canonical factors derived from validated ones (squared, *): no re-proof."""
+        """Canonical factors whose primes are already proven (**, *, factorize):
+        no re-proof."""
         out = object.__new__(cls)
         object.__setattr__(out, "factors", factors)
         return out
@@ -123,7 +174,13 @@ class Factorization:
 
     def squared(self) -> "Factorization":
         """Factorization of value()**2 (exponents doubled, never refactored)."""
-        return Factorization._derived(tuple((p, 2 * e) for p, e in self.factors))
+        return self**2
+
+    def __pow__(self, k: int) -> "Factorization":
+        """Factorization of value()**k for k >= 1 (exponents scaled, no re-proof)."""
+        if k < 1:
+            raise ValueError(f"power must be >= 1, got {k}")
+        return Factorization._derived(tuple((p, k * e) for p, e in self.factors))
 
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
@@ -165,10 +222,12 @@ class Factorization:
 def factorize(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
     """Canonical factorization of n >= 1.
 
-    Trial division below 2^16, then Miller-Rabin plus Brent-rho splitting with
+    Trial division below 2^16, then is_prime plus Brent-rho splitting with
     a fixed parameter schedule. Deterministic. Raises FactorizationBudgetError
     once `budget` rho iterations are spent, so pathological inputs fail
-    cleanly instead of hanging.
+    cleanly instead of hanging. Each reported prime is proven once, by the
+    trial division, by the 2^32 rule below or by its own is_prime call, so the
+    result is not validated again.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}; need n >= 1")
@@ -184,14 +243,14 @@ def factorize(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
         stack = [n]
         while stack:
             m = stack.pop()
-            if m < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(m):
+            if m in found or m < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(m):
                 # below the trial limit squared anything surviving is prime
                 found[m] = found.get(m, 0) + 1
                 continue
             d = _brent_rho(m, effort)
             stack.append(d)
             stack.append(m // d)
-    return Factorization(tuple(sorted(found.items())))
+    return Factorization._derived(tuple(sorted(found.items())))
 
 
 def _brent_rho(n: int, effort: list[int]) -> int:
@@ -245,6 +304,31 @@ def parse_factored(text: str) -> Factorization:
     if text.isdigit():
         return factorize(int(text))
     return Factorization.parse(text)
+
+
+def digit_count(n: int) -> int:
+    """Number of decimal digits of n >= 1, without str(n) (which Python caps
+    for huge integers)."""
+    if n <= 0:
+        raise ValueError("positive input required")
+    d = max((n.bit_length() - 1) * 30103 // 100000, 0)
+    while 10 ** (d + 1) <= n:
+        d += 1
+    return d + 1
+
+
+def render_exact(x: int | Fraction) -> str:
+    """str(x), except that an integer past Python's int-to-str digit limit is
+    shown as its first and last 20 digits and its digit count."""
+    if isinstance(x, Fraction) and x.denominator != 1:
+        return f"{render_exact(x.numerator)}/{render_exact(x.denominator)}"
+    n = int(x)
+    try:
+        return str(n)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        digits = digit_count(abs(n))
+        head, tail = abs(n) // 10 ** (digits - 20), abs(n) % 10**20
+        return f"{'-' if n < 0 else ''}{head}...{tail:020d} ({digits} digits)"
 
 
 def sigma(f: Factorization) -> int:

@@ -11,7 +11,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .arith import FactorizationBudgetError, parse_factored, sigma
+from .arith import Factorization, FactorizationBudgetError, parse_factored, render_exact, sigma
 from .index import (
     SandwichStatus,
     abundancy_exponent,
@@ -32,6 +32,11 @@ from .opn import (
 from .report import ReportSizes, run_report
 
 ENV_BITS = "ABUNDANCY_BITS"
+# Input caps, so that every command ends in bounded time and memory.
+# On a 2-core x86-64 VM, `exponent 3^32768` gives up after 5 s at 4096 bits and
+# `scan --qmax 1000000 --u 5` takes 25 s; the sieve holds one byte per integer.
+MAX_INPUT_BITS = 1 << 16
+MAX_SCAN_LIMIT = 10**6
 
 
 def _exact_rational(text: str) -> Fraction:
@@ -115,6 +120,27 @@ def _cfg(args: argparse.Namespace) -> PrecisionConfig:
     return PrecisionConfig(args.bits, max(args.max_bits, args.bits))
 
 
+def _require_size(what: str, bits: int) -> None:
+    if bits > MAX_INPUT_BITS:
+        raise ValueError(f"{what} has about {bits} bits; inputs are capped at {MAX_INPUT_BITS} bits")
+
+
+def _input_bits(f: Factorization) -> int:
+    """An upper bound on the bit length of f.value(), without computing it."""
+    return sum(e * p.bit_length() for p, e in f.factors)
+
+
+def _parse(text: str) -> Factorization:
+    f = parse_factored(text)
+    _require_size(text, _input_bits(f))
+    return f
+
+
+def _require_scan_limit(limit: int) -> None:
+    if limit > MAX_SCAN_LIMIT:
+        raise ValueError(f"scan limit {limit} exceeds the cap {MAX_SCAN_LIMIT}")
+
+
 def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -123,29 +149,29 @@ def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
 
 
 def _cmd_sigma(args) -> int:
-    f = parse_factored(args.value)
-    value = sigma(f)
-    _emit(args, {"input": str(f), "sigma": str(value)}, f"sigma({f}) = {value}")
+    f = _parse(args.value)
+    value = render_exact(sigma(f))
+    _emit(args, {"input": str(f), "sigma": value}, f"sigma({f}) = {value}")
     return 0
 
 
 def _cmd_abundancy(args) -> int:
-    f = parse_factored(args.value)
-    index = abundancy_index(f)
-    _emit(args, {"input": str(f), "index": str(index)}, f"I({f}) = {index}")
+    f = _parse(args.value)
+    index = render_exact(abundancy_index(f))
+    _emit(args, {"input": str(f), "index": index}, f"I({f}) = {index}")
     return 0
 
 
 def _cmd_exponent(args) -> int:
-    f = parse_factored(args.value)
+    f = _parse(args.value)
     x = abundancy_exponent(f, _cfg(args)).value
     _emit(args, {"input": str(f), "exponent": x.render()}, f"x({f}) = {x.render()}")
     return 0
 
 
 def _cmd_sandwich(args) -> int:
-    fa = parse_factored(args.a)
-    fb = parse_factored(args.b)
+    fa = _parse(args.a)
+    fb = _parse(args.b)
     result = sandwich_check(fa, fb, _cfg(args))
     payload = {
         "a": str(fa),
@@ -165,6 +191,7 @@ def _cmd_sandwich(args) -> int:
 
 def _cmd_check(args) -> int:
     candidate = EulerianCandidate.parse(" ".join(args.candidate))
+    _require_size("q^k * n^2", candidate.k * candidate.q.bit_length() + 2 * _input_bits(candidate.n))
     report = validate_eulerian(candidate, _cfg(args))
     lines = [f"candidate {candidate}"]
     for check in report.checks:
@@ -188,6 +215,7 @@ def _cmd_f(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    _require_scan_limit(args.qmax)
     report = ceiling_scan(args.qmax, args.u, _cfg(args), args.margin)
     per_q = [c for c in report.checks if c.name.startswith("f(")]
     bad = [c for c in report.checks if c.status is not CheckStatus.PASS]
@@ -221,6 +249,7 @@ def _cmd_mersenne(args) -> int:
 
 def _cmd_report(args) -> int:
     sizes = ReportSizes(**{f.name: getattr(args, f.name) for f in dataclasses.fields(ReportSizes)})
+    _require_scan_limit(sizes.scan_limit)
     report = run_report(args.seed, _cfg(args), sizes)
     if args.json:
         print(report.to_json())

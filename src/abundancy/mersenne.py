@@ -1,16 +1,17 @@
 """Even perfect numbers via Mersenne primes.
 
 Every even perfect number is (2^p - 1) * 2^(p-1) with p and 2^p - 1 prime;
-the Lucas-Lehmer residue recurrence certifies the Mersenne side. This is the
-one corner of the subject where genuine perfect numbers can be constructed
-and verified against the divisor-sum closed form.
+the Lucas-Lehmer residue recurrence certifies the Mersenne side. It lives in
+`arith` (re-exported here) because `is_prime` proves every Mersenne-shaped
+input with it. This is the one corner of the subject where genuine perfect
+numbers can be constructed and verified against the divisor-sum closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import is_perfect, is_prime
+from .arith import is_perfect, lucas_lehmer
 
 __all__ = [
     "DESK_SCALE_CAP",
@@ -30,28 +31,6 @@ class EuclideanForm:
     p: int
     mersenne: int
     perfect: int
-
-
-def lucas_lehmer(p: int) -> bool:
-    """True iff 2^p - 1 is prime.
-
-    p = 2 is the conventional special case (the recurrence starts at p = 3);
-    composite p short-circuits to False since 2^p - 1 is then composite.
-    """
-    if p < 2:
-        raise ValueError(f"exponent must be >= 2, got {p}")
-    if p == 2:
-        return True
-    if not is_prime(p):
-        return False
-    m = (1 << p) - 1
-    s = 4
-    for _ in range(p - 2):
-        s = s * s - 2
-        s = (s & m) + (s >> p)  # reduction mod 2^p - 1
-        if s >= m:
-            s -= m
-    return s == 0
 
 
 def even_perfect_from_exponent(p: int) -> EuclideanForm:

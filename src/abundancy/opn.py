@@ -20,12 +20,14 @@ from functools import lru_cache
 from .arith import (
     Factorization,
     FactorizationBudgetError,
+    digit_count,
     factorize,
     gcd,
     is_prime,
     omega,
     parse_factored,
     primes_up_to,
+    render_exact,
     sigma,
 )
 from .index import (
@@ -110,16 +112,6 @@ class ConstraintReport:
         }
 
 
-def _digit_count(n: int) -> int:
-    # avoids str(n), which Python caps for huge integers
-    if n <= 0:
-        raise ValueError("positive input required")
-    d = max((n.bit_length() - 1) * 30103 // 100000, 0)
-    while 10 ** (d + 1) <= n:
-        d += 1
-    return d + 1
-
-
 @dataclass(frozen=True)
 class EulerianCandidate:
     """A proposed odd-perfect-number shape N = q^k * n^2.
@@ -160,7 +152,7 @@ class EulerianCandidate:
 
     def euler_factorization(self) -> Factorization:
         """Factorization of q^k (q need not be prime)."""
-        return Factorization(tuple((p, e * self.k) for p, e in factorize(self.q).factors))
+        return factorize(self.q) ** self.k
 
     def full_factorization(self) -> Factorization:
         """Factorization of N (works even when q is composite or shares a
@@ -231,7 +223,7 @@ def validate_eulerian(
         _flag(
             "N > 10^1500",
             big_n > OCHEM_RAO_FLOOR,
-            f"N has {_digit_count(big_n)} digits; needs more than 1500",
+            f"N has {digit_count(big_n)} digits; needs more than 1500",
         ),
     ]
     try:
@@ -242,7 +234,7 @@ def validate_eulerian(
         factored = _factored_checks(candidate, euler, cfg)
     *bounds, residual = factored
     if k > 1:
-        order = _flag("q < n for k > 1", q < n, f"k = {k}, q = {q}, n = {n}")
+        order = _flag("q < n for k > 1", q < n, f"k = {k}, q = {q}, n = {render_exact(n)}")
     else:
         order = Check("q < n for k > 1", CheckStatus.PASS, "k = 1, not applicable")
     return ConstraintReport(tuple(checks + bounds + [order, residual]))
@@ -265,12 +257,12 @@ def _factored_checks(
         if residual.denominator != big_n:  # only if it actually reduces
             witness += f" = {residual}"
     else:
-        witness = f"sigma(N) != 2N (N has {_digit_count(big_n)} digits)"
+        witness = f"sigma(N) != 2N (N has {digit_count(big_n)} digits)"
         if residual == 2:
             witness = "sigma(N) = 2N"
     return [
         _flag("omega(N) >= 10", om >= NIELSEN_MIN_OMEGA, f"omega(N) = {om}"),
-        _flag("I(q^k) < 5/4", euler_index < Fraction(5, 4), f"I(q^k) = {euler_index}"),
+        _flag("I(q^k) < 5/4", euler_index < Fraction(5, 4), f"I(q^k) = {render_exact(euler_index)}"),
         _index_bound_check(candidate, full.least_prime(), cfg),
         _flag("sigma(N) = 2N", residual == 2, witness),
     ]
@@ -290,7 +282,7 @@ def _index_bound_check(candidate: EulerianCandidate, u: int, cfg: PrecisionConfi
         root_index,
         cfg,
     )
-    witness = f"I(n) = {root_index} vs (8/5)^(1/x({u})) = {enclosure.render()}"
+    witness = f"I(n) = {render_exact(root_index)} vs (8/5)^(1/x({u})) = {enclosure.render()}"
     return Check(name, _BOUND_STATUS.get(verdict, CheckStatus.UNDECIDED), witness)
 
 

@@ -1,10 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from abundancy import arith
 from abundancy.arith import (
     Factorization,
     FactorizationBudgetError,
+    digit_count,
     factorize,
     gcd,
     is_perfect,
@@ -12,6 +15,7 @@ from abundancy.arith import (
     omega,
     parse_factored,
     primes_up_to,
+    render_exact,
     sigma,
     sigma_oracle,
     valuation,
@@ -113,18 +117,43 @@ def test_squared_doubles_exponents():
 
 
 def test_derived_factorizations_skip_primality(monkeypatch):
-    import abundancy.arith as arith
-
     a, b = Factorization.parse("3^2*5"), Factorization.parse("5*7")
     calls = []
     monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or True)
-    product, square = a * b, a.squared()
+    product, square, cube = a * b, a.squared(), a**3
     assert calls == []
     monkeypatch.undo()
     assert product == Factorization.parse("3^2*5^2*7")
     assert square == Factorization.parse("3^4*5^2")
+    assert cube == Factorization.parse("3^6*5^3")
     with pytest.raises(ValueError):
         Factorization(((4, 1),))
+    with pytest.raises(ValueError):
+        a**0
+
+
+def test_factorize_proves_each_cofactor_once(monkeypatch):
+    # two primes above the 2^32 rule, one of them squared: every cofactor at
+    # least 2^32 is tested once, the repeated prime and the result not again
+    p, q = 4294967311, 1099511627791
+    n = 3 * p**2 * q
+    calls = []
+    original = arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", lambda m: calls.append(m) or original(m))
+    f = factorize(n)
+    assert f.factors == ((3, 1), (p, 2), (q, 1))
+    assert len(calls) == len(set(calls)), calls
+    assert {m for m in calls if original(m)} == {p, q}
+    assert all(m >= 2**32 and n % m == 0 for m in calls)
+
+
+def test_render_exact_past_the_str_limit():
+    assert render_exact(45) == "45"
+    assert render_exact(Fraction(26, 15)) == "26/15"
+    big = 10**5000 + 7
+    assert digit_count(big) == 5001
+    assert render_exact(big) == "10000000000000000000...00000000000000000007 (5001 digits)"
+    assert render_exact(Fraction(big, 3)) == render_exact(big) + "/3"
 
 
 def test_sigma_examples():

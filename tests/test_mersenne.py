@@ -1,6 +1,7 @@
 import pytest
 
-from abundancy.arith import factorize, is_perfect, sigma
+from abundancy import arith, mersenne
+from abundancy.arith import factorize, is_perfect, is_prime, primes_up_to, sigma
 from abundancy.mersenne import (
     DESK_SCALE_CAP,
     even_perfect_from_exponent,
@@ -8,9 +9,16 @@ from abundancy.mersenne import (
     mersenne_scan,
 )
 
+KNOWN_MERSENNE_EXPONENTS = [
+    2, 3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127, 521, 607, 1279, 2203, 2281,
+]
+
 
 def test_lucas_lehmer_examples():
+    # 7 and 127 divide 2^3 - 1 and 2^7 - 1 and have the form 2kp + 1, but the
+    # trial-factoring pre-pass only takes divisors below 2^p - 1
     assert lucas_lehmer(3)  # 7
+    assert lucas_lehmer(7)  # 127
     assert not lucas_lehmer(11)  # 2047 = 23 * 89
     assert lucas_lehmer(13)  # 8191
 
@@ -74,3 +82,36 @@ def test_cross_check_against_sympy():
     sympy = pytest.importorskip("sympy")
     for p in range(2, 131):
         assert lucas_lehmer(p) == sympy.isprime(2**p - 1), p
+
+
+def test_trial_factor_rejections_are_proper_divisors():
+    rejected = 0
+    for p in primes_up_to(2500)[1:]:
+        q = arith._small_mersenne_factor(p)
+        if q is not None:
+            m = 2**p - 1
+            assert 1 < q < m and m % q == 0, (p, q)
+            assert p not in KNOWN_MERSENNE_EXPONENTS
+            rejected += 1
+    assert rejected > 100
+
+
+def test_is_prime_on_mersenne_numbers_matches_known_exponents():
+    assert [p for p in primes_up_to(2500) if is_prime(2**p - 1)] == KNOWN_MERSENNE_EXPONENTS
+
+
+def test_is_prime_on_mersenne_numbers_of_composite_exponent_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    for p in range(4, 201):
+        if not sympy.isprime(p):
+            assert is_prime(2**p - 1) == sympy.isprime(2**p - 1), p
+
+
+def test_is_prime_proves_mersenne_numbers_by_lucas_lehmer(monkeypatch):
+    calls = []
+    original = arith.lucas_lehmer
+    monkeypatch.setattr(arith, "lucas_lehmer", lambda p: calls.append(p) or original(p))
+    assert is_prime(2**2281 - 1)
+    assert not is_prime(2**2267 - 1)
+    assert calls == [2281, 2267]
+    assert mersenne.lucas_lehmer is original  # re-exported, same function

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from fractions import Fraction
 
+import abundancy
 from abundancy import report
 from abundancy.arith import Factorization
 from abundancy.cli import main
@@ -250,6 +254,38 @@ def test_cli_rational_option_is_an_argument_error(capsys, argv, text):
     assert exit_info.value.code == 2
     option = argv[-1]
     assert f"error: argument {option}: not a finite exact rational: '{text}'" in capsys.readouterr().err
+
+
+def test_cli_sigma_past_the_str_limit(capsys):
+    value = (3**10001 - 1) // 2  # 4772 digits, above Python's 4300-digit str limit
+    head, tail = value // 10**4752, value % 10**20
+    code, out = run_cli(capsys, "sigma", "3^10000")
+    assert code == 0
+    assert out == f"sigma(3^10000) = {head}...{tail:020d} (4772 digits)\n"
+
+
+def run_bounded(*argv, seconds=30):
+    """Run the CLI in a fresh interpreter; an input that hangs fails the test."""
+    src = os.path.dirname(os.path.dirname(abundancy.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-m", "abundancy", *argv], env=env,
+                          capture_output=True, text=True, timeout=seconds)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sigma", "3^100000000000"],
+    ["check", "q=5", "k=100000000001", "n=3^2"],
+])
+def test_cli_rejects_oversized_input(argv):
+    done = run_bounded(*argv)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and "capped at 65536 bits" in done.stderr
+
+
+def test_cli_rejects_scan_limit_above_cap():
+    done = run_bounded("scan", "--qmax", str(10**12), "--u", "5")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == f"error: scan limit {10**12} exceeds the cap 1000000\n"
 
 
 def test_precision_config_guard():
