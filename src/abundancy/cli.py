@@ -20,7 +20,7 @@ from .index import (
     sandwich_check,
 )
 from .interval import PrecisionConfig
-from .mersenne import mersenne_scan
+from .mersenne import DESK_SCALE_CAP, mersenne_scan
 from .opn import (
     CheckStatus,
     EulerianCandidate,
@@ -33,10 +33,14 @@ from .report import ReportSizes, run_report
 
 ENV_BITS = "ABUNDANCY_BITS"
 # Input caps, so that every command ends in bounded time and memory.
-# On a 2-core x86-64 VM, `exponent 3^32768` gives up after 5 s at 4096 bits and
+# On a 2-core x86-64 VM, `exponent 3^32768` prints its 4096-bit enclosure after 6 s and
 # `scan --qmax 1000000 --u 5` takes 25 s; the sieve holds one byte per integer.
 MAX_INPUT_BITS = 1 << 16
 MAX_SCAN_LIMIT = 10**6
+# Each report corpus size is capped at or above its full-scale acceptance size.
+MAX_REPORT_SIZES = ReportSizes(oracle_limit=10**5, sandwich_pairs=10**4, grid_prime_limit=10**4,
+                               grid_exponent_max=20, chain_prime_limit=10**4, order_candidates=10**4,
+                               scan_limit=MAX_SCAN_LIMIT, mersenne_limit=DESK_SCALE_CAP)
 
 
 def _exact_rational(text: str) -> Fraction:
@@ -249,7 +253,10 @@ def _cmd_mersenne(args) -> int:
 
 def _cmd_report(args) -> int:
     sizes = ReportSizes(**{f.name: getattr(args, f.name) for f in dataclasses.fields(ReportSizes)})
-    _require_scan_limit(sizes.scan_limit)
+    for name, size in dataclasses.asdict(sizes).items():
+        cap = getattr(MAX_REPORT_SIZES, name)
+        if not 0 <= size <= cap:
+            raise ValueError(f"--{name.replace('_', '-')} {size} is outside the range 0 to {cap}")
     report = run_report(args.seed, _cfg(args), sizes)
     if args.json:
         print(report.to_json())

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
 
 from .arith import Factorization, gcd, is_prime, primes_up_to, sigma
 from .interval import (
@@ -110,36 +109,25 @@ def _within_one_and_two(x: IntervalReal) -> bool | None:
     return (x.compare(1) is Comparison.GREATER and x.compare(2) is Comparison.LESS) or None
 
 
-def _certified_exponent(
-    evaluate: Callable[[int], IntervalReal], of: Factorization, cfg: PrecisionConfig
-) -> ExponentValue:
-    certified, enclosure = escalate(evaluate, _within_one_and_two, cfg)
-    if certified is None:
-        raise ArithmeticError(f"could not certify 1 < x < 2 for {of} at {cfg.max_bits} bits")
-    return ExponentValue(enclosure, of)
-
-
 def abundancy_exponent(f: Factorization, cfg: PrecisionConfig = DEFAULT_PRECISION) -> ExponentValue:
-    """Enclosure of x(n) = ln(I(n^2))/ln(I(n)), certified to lie in (1, 2).
+    """Enclosure of x(n) = ln(I(n^2))/ln(I(n)).
 
-    Undefined for n = 1 (the denominator ln I(1) is zero).
+    1 < x(n) < 2 holds exactly for every n > 1, since sigma(n)*n < sigma(n^2)
+    < sigma(n)^2; precision escalates only until the enclosure shows it too,
+    and at cfg.max_bits the last enclosure is returned as it is. Undefined for
+    n = 1 (the denominator ln I(1) is zero).
     """
     if not f.factors:
         raise ValueError("abundancy exponent is undefined for 1")
-    return _certified_exponent(lambda bits: _log_quotient(*_ln_indices(f, bits), bits), f, cfg)
+    _, enclosure = escalate(
+        lambda bits: _log_quotient(*_ln_indices(f, bits), bits), _within_one_and_two, cfg
+    )
+    return ExponentValue(enclosure, f)
 
 
 def prime_power_exponent(r: int, s: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> ExponentValue:
-    """x(r^s) by the closed form 1 + ln(I(r^(2s))/I(r^s)) / ln(I(r^s)).
-
-    Must agree (as overlapping enclosures) with abundancy_exponent of r^s.
-    """
-    base = prime_power_index(r, s)
-    rs = r**s
-    growth = 1 + Fraction(rs - 1, rs * (r ** (s + 1) - 1))  # I(r^(2s)) / I(r^s)
-    return _certified_exponent(
-        lambda bits: 1 + ln_ratio(growth, bits) / ln_ratio(base, bits), Factorization(((r, s),)), cfg
-    )
+    """x(r^s) for prime r and s >= 1 (checked by the Factorization)."""
+    return abundancy_exponent(Factorization(((r, s),)), cfg)
 
 
 class SandwichStatus(Enum):

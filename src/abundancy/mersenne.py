@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import is_perfect, lucas_lehmer
+from .arith import Factorization, lucas_lehmer, sigma
 
 __all__ = [
     "DESK_SCALE_CAP",
@@ -38,9 +38,11 @@ def even_perfect_from_exponent(p: int) -> EuclideanForm:
     if not lucas_lehmer(p):
         raise ValueError(f"2^{p} - 1 is not prime")
     mersenne = (1 << p) - 1
-    form = EuclideanForm(p, mersenne, mersenne << (p - 1))
-    # construction contract: the divisor-sum closed form confirms perfection
-    if not is_perfect(form.perfect):
+    # the factorization is known and Lucas-Lehmer has just proven its Mersenne
+    # factor: the divisor-sum closed form confirms perfection with no re-proof
+    known = Factorization._derived(((2, p - 1), (mersenne, 1)))
+    form = EuclideanForm(p, mersenne, known.value())
+    if sigma(known) != 2 * form.perfect:
         raise ArithmeticError(f"sigma check failed for p = {p}")
     return form
 

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import mpmath
+
 # 40-digit reference values, frozen from an independent high-precision
 # evaluation (mpmath at 40 dps) before the library was written.
 ORACLE = {
@@ -33,3 +35,17 @@ def assert_consistent(enclosure, key, tol=ORACLE_TOL):
     ref = Fraction(ORACLE[key])
     assert ref - tol <= enclosure.lo, f"{key}: lo {float(enclosure.lo)} below window"
     assert enclosure.hi <= ref + tol, f"{key}: hi {float(enclosure.hi)} above window"
+
+
+def exponent_oracle(f, prec: int) -> Fraction:
+    """x(n) = sum ln I(p^2e) / sum ln I(p^e) by mpmath at prec bits."""
+    with mpmath.workprec(prec):
+
+        def ln_index(k):
+            return mpmath.fsum(
+                mpmath.log(mpmath.mpf(p ** (k * e + 1) - 1) / (mpmath.mpf(p) ** (k * e) * (p - 1)))
+                for p, e in f.factors
+            )
+
+        man, exp = (ln_index(2) / ln_index(1)).man_exp
+        return Fraction(man) * Fraction(2) ** exp

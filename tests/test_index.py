@@ -5,9 +5,9 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import assert_consistent
+from conftest import assert_consistent, exponent_oracle
 from abundancy import index
-from abundancy.arith import Factorization, factorize, primes_up_to
+from abundancy.arith import Factorization, factorize, primes_up_to, sigma
 from abundancy.index import (
     SandwichStatus,
     _sandwich_verdict,
@@ -22,7 +22,7 @@ from abundancy.index import (
     sandwich_check,
     square_index_relation,
 )
-from abundancy.interval import IntervalReal, PrecisionConfig, sqrt_ratio
+from abundancy.interval import IntervalReal, PrecisionConfig, ln_ratio, sqrt_ratio
 
 
 def test_abundancy_index_examples():
@@ -118,12 +118,13 @@ def test_prime_power_exponent_frozen_values():
 
 
 def test_prime_power_exponent_overlaps_direct_evaluation():
-    # closed form vs direct evaluation across the full consistency grid
+    # the closed form 1 + ln(I(r^(2s))/I(r^s)) / ln I(r^s), evaluated here with
+    # two fresh logs, against the library's quotient of cached log sums
     for r in (p for p in primes_up_to(1000) if p != 2):
         for s in range(1, 11):
-            closed = prime_power_exponent(r, s).value
-            direct = abundancy_exponent(Factorization(((r, s),))).value
-            assert closed.overlaps(direct), (r, s)
+            base = prime_power_index(r, s)
+            closed = 1 + ln_ratio(prime_power_index(r, 2 * s) / base) / ln_ratio(base)
+            assert prime_power_exponent(r, s).value.overlaps(closed), (r, s)
 
 
 def test_sandwich_examples():
@@ -153,20 +154,6 @@ def coprime_odd_pairs(draw):
     return factorization(primes[:cut]), factorization(primes[cut:])
 
 
-def _exponent_oracle(f: Factorization, prec: int) -> Fraction:
-    """x(n) = sum ln I(p^2e) / sum ln I(p^e) by mpmath at prec bits."""
-    with mpmath.workprec(prec):
-
-        def ln_index(k):
-            return mpmath.fsum(
-                mpmath.log(mpmath.mpf(p ** (k * e + 1) - 1) / (mpmath.mpf(p) ** (k * e) * (p - 1)))
-                for p, e in f.factors
-            )
-
-        man, exp = (ln_index(2) / ln_index(1)).man_exp
-        return Fraction(man) * Fraction(2) ** exp
-
-
 @settings(max_examples=60, deadline=None)
 @given(coprime_odd_pairs(), st.integers(8, 1024))
 def test_exponents_contain_mpmath_value(pair, bits):
@@ -179,9 +166,17 @@ def test_exponents_contain_mpmath_value(pair, bits):
     exponent = abundancy_exponent(fa * fb, PrecisionConfig(bits, max(bits, 4096))).value
     for x, f in ((result.x_a, fa), (result.x_b, fb), (result.x_ab, fa * fb), (exponent, fa * fb)):
         prec = 2 * x.bits + 64
-        ref = _exponent_oracle(f, prec)
+        ref = exponent_oracle(f, prec)
         slack = ref / 2 ** (prec - 24)  # the oracle's own rounding, far below x's width
         assert x.lo - slack <= ref <= x.hi + slack, (str(f), x.bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from(_ODD_PRIMES), st.integers(1, 30), min_size=1, max_size=6))
+def test_exponent_range_is_exact_in_integers(factors):
+    # 1 < x(n) < 2 is I(n) < I(n^2) < I(n)^2, i.e. sigma(n)*n < sigma(n^2) < sigma(n)^2
+    f = Factorization(tuple(sorted(factors.items())))
+    assert sigma(f) * f.value() < sigma(f.squared()) < sigma(f) ** 2
 
 
 def test_sandwich_reuses_cached_prime_power_logs(monkeypatch):

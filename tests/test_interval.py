@@ -2,7 +2,9 @@ import random
 import re
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import assert_consistent
 from abundancy import interval
@@ -263,3 +265,49 @@ def test_render_edge_cases():
     assert IntervalReal.exact(Fraction(-3, 2)).render().startswith("-1.5")
     small = IntervalReal.exact(Fraction(1, 10**20))
     assert "e-20" in small.render()
+
+
+# Kernel containment against mpmath. A kernel runs at w = bits + GUARD_BITS
+# and must enclose the value scaled by 2^w, within 2^-bits on the value's own
+# scale (at least 1). mpmath evaluates at w + 64 bits; its rounding is far
+# below one unit of the kernel's last place.
+
+# precisions 8-4096, every octave alike
+KERNEL_BITS = st.integers(3, 11).flatmap(lambda k: st.integers(2**k, 2 ** (k + 1)))
+RATIONAL_PART = st.integers(1, 2**600)
+
+
+def _assert_kernel_encloses(enclosure, bits, evaluate):
+    lo, hi = enclosure
+    w = bits + interval.GUARD_BITS
+    prec = w + 64
+    with mpmath.workprec(prec):
+        value = evaluate()
+    man, exp = value.man_exp  # the magnitude; the sign is apart
+    ref = Fraction(man) * Fraction(2) ** exp * (-1 if value < 0 else 1)
+    scale = max(1, abs(ref))
+    slack = Fraction(scale) / 2 ** (prec - 8)
+    assert lo <= (ref + slack) * 2**w and (ref - slack) * 2**w <= hi
+    assert hi - lo <= scale * 2 ** (w - bits)
+
+
+@settings(max_examples=100, deadline=None)
+@given(RATIONAL_PART, RATIONAL_PART, KERNEL_BITS)
+def test_ln_kernel_contains_mpmath(num, den, bits):
+    enclosure = interval._ln_scaled(num, den, bits + interval.GUARD_BITS)
+    _assert_kernel_encloses(enclosure, bits, lambda: mpmath.log(mpmath.mpf(num) / den))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.fractions(-700, 700, max_denominator=2**64), KERNEL_BITS)
+def test_exp_kernel_contains_mpmath_for_both_signs(x, bits):
+    xn, xd = x.numerator, x.denominator
+    enclosure = interval._exp_scaled(xn, xd, bits + interval.GUARD_BITS)
+    _assert_kernel_encloses(enclosure, bits, lambda: mpmath.exp(mpmath.mpf(xn) / xd))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**600), RATIONAL_PART, KERNEL_BITS)
+def test_sqrt_kernel_contains_mpmath(num, den, bits):
+    enclosure = interval._sqrt_scaled(num, den, bits + interval.GUARD_BITS)
+    _assert_kernel_encloses(enclosure, bits, lambda: mpmath.sqrt(mpmath.mpf(num) / den))

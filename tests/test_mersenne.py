@@ -42,6 +42,35 @@ def test_even_perfect_construction():
         even_perfect_from_exponent(11)
 
 
+def test_even_perfect_construction_factors_nothing_and_proves_once(monkeypatch):
+    scan = mersenne_scan(2500)
+    factorized, proven = [], []
+    original_factorize, original_lucas_lehmer = arith.factorize, arith.lucas_lehmer
+
+    def counted_factorize(n, *args, **kwargs):
+        factorized.append(n)
+        return original_factorize(n, *args, **kwargs)
+
+    def counted_lucas_lehmer(p):
+        proven.append(p)
+        return original_lucas_lehmer(p)
+
+    monkeypatch.setattr(arith, "factorize", counted_factorize)
+    for module in (arith, mersenne):
+        monkeypatch.setattr(module, "lucas_lehmer", counted_lucas_lehmer)
+    for p in scan:
+        factorized.clear()
+        proven.clear()
+        m = 2**p - 1
+        assert even_perfect_from_exponent(p) == mersenne.EuclideanForm(p, m, m << (p - 1))
+        # one proof of 2^p - 1; lucas_lehmer's own is_prime(p) may prove a
+        # Mersenne-shaped p (127 = 2^7 - 1) by a recurrence of its own
+        assert factorized == [] and proven.count(p) == 1, (p, factorized, proven)
+    assert scan == KNOWN_MERSENNE_EXPONENTS
+    with pytest.raises(ValueError):
+        even_perfect_from_exponent(11)
+
+
 def test_mersenne_scan_examples():
     assert mersenne_scan(20) == [2, 3, 5, 7, 13, 17, 19]
     assert mersenne_scan(2) == [2]

@@ -8,7 +8,8 @@ import pytest
 from fractions import Fraction
 
 import abundancy
-from abundancy import report
+from conftest import exponent_oracle
+from abundancy import cli, report
 from abundancy.arith import Factorization
 from abundancy.cli import main
 from abundancy.index import ExponentValue
@@ -214,11 +215,24 @@ def test_cli_exponent_of_big_prime_escalates(capsys):
     assert code == 0 and out.endswith("@1024b\n")
 
 
-def test_cli_uncertified_exponent_is_an_error(capsys):
-    code = main(["exponent", "3^5000"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error: could not certify 1 < x < 2 for 3^5000")
+def test_cli_exponent_at_the_ceiling_prints_the_last_enclosure(capsys, monkeypatch):
+    # x(3^5000) - 1 is about 3^-5000, too close to 1 to separate at 4096 bits;
+    # 1 < x < 2 holds exactly anyway, so the last enclosure is the answer
+    returned = []
+    original = cli.abundancy_exponent
+
+    def spy(f, cfg):
+        returned.append(original(f, cfg))
+        return returned[-1]
+
+    monkeypatch.setattr(cli, "abundancy_exponent", spy)
+    code, out = run_cli(capsys, "exponent", "3^5000")
+    assert code == 0 and out.startswith("x(3^5000) = ") and out.endswith("@4096b\n")
+    x = returned[0].value
+    prec = 2 * x.bits + 64
+    ref = exponent_oracle(returned[0].of, prec)
+    slack = ref / 2 ** (prec - 24)  # the oracle's own rounding, far below x's width
+    assert x.lo - slack <= ref <= x.hi + slack
 
 
 def test_cli_check_budget_exhausted_is_undecided(capsys):
@@ -286,6 +300,15 @@ def test_cli_rejects_scan_limit_above_cap():
     done = run_bounded("scan", "--qmax", str(10**12), "--u", "5")
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr == f"error: scan limit {10**12} exceeds the cap 1000000\n"
+
+
+@pytest.mark.parametrize("flag, size", [
+    ("--order-candidates", 10**8), ("--mersenne-limit", 2501), ("--oracle-limit", -1),
+])
+def test_cli_rejects_report_sizes_outside_their_caps(flag, size):
+    done = run_bounded("report", flag, str(size), seconds=10)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith(f"error: {flag} {size} is outside the range 0 to ")
 
 
 def test_precision_config_guard():
