@@ -99,9 +99,10 @@ def _ln_indices(f: Factorization, bits: int) -> tuple[int, int, int, int]:
 
 
 def _log_quotient(lo1: int, hi1: int, lo2: int, hi2: int, bits: int) -> IntervalReal:
-    """ln I(n^2) / ln I(n); a lower end <= 0 raises to move the ladder on."""
+    """ln I(n^2) / ln I(n); while either log is not separated from 0 (its lower
+    end <= 0), the exact range [1, 2] is the enclosure."""
     if lo1 <= 0 or lo2 <= 0:
-        raise ZeroDivisionError("divisor interval touches zero")
+        return IntervalReal(Fraction(1), Fraction(2), bits)
     return IntervalReal(Fraction(lo2, hi1), Fraction(hi2, lo1), bits)
 
 

@@ -208,9 +208,17 @@ def _atanh_scaled(zn: int, zd: int, w: int) -> tuple[int, int]:
 
     Odd series sum z^(2k+1)/(2k+1); the geometric tail
     sum_{j>k} z^(2j+1)/(2j+1) <= z^(2k+3)/(1-z^2) is added to the upper bound.
+    A z whose exact denominator is wider than w/4 bits (ln of a big prime
+    power) is first rounded outward to w-bit fixed point [zlo, zhi]; atanh is
+    increasing, so the lower chain runs on zlo and the upper one on zhi, each
+    term one w x w product and a shift instead of a division by the exact z^2.
+    w/4 is the measured crossover: at 4096 bits the fixed-point chains lose
+    below it and win from it on (at 256 and 1024 bits they win from it on too).
     """
     if zn == 0:
         return 0, 0
+    if 4 * zd.bit_length() > w:
+        return _atanh_bound((zn << w) // zd, w, False), _atanh_bound(_cdiv(zn << w, zd), w, True)
     plo = (zn << w) // zd
     phi = _cdiv(zn << w, zd)
     slo, shi = plo, phi
@@ -226,6 +234,23 @@ def _atanh_scaled(zn: int, zd: int, w: int) -> tuple[int, int]:
             shi += _cdiv(phi * z2n, z2d - z2n) + 1
             return slo, shi
         k += 1
+
+
+def _atanh_bound(z: int, w: int, upper: bool) -> int:
+    """One bound of atanh(z / 2^w) scaled by 2^w, for 0 <= z / 2^w <= 1/3: the
+    lower chain floors every step, the upper one ceils and adds the tail."""
+    z2 = -(-z * z >> w) if upper else z * z >> w
+    p = s = z
+    d = 1
+    while p > d:
+        d += 2
+        if upper:
+            p = -(-p * z2 >> w)
+            s += _cdiv(p, d)
+        else:
+            p = p * z2 >> w
+            s += p // d
+    return s + _cdiv(p * z2, (1 << w) - z2) + 1 if upper else s
 
 
 @lru_cache(maxsize=None)
@@ -266,51 +291,50 @@ def _ln_scaled(num: int, den: int, w: int) -> tuple[int, int]:
     return mlo + e * l2lo, mhi + e * l2hi  # e >= 0 here
 
 
-def _exp_series_scaled(t: int, w: int) -> tuple[int, int]:
-    """Enclosure of exp(t / 2^w) scaled by 2^w, for 0 <= t/2^w <= 1.
+def _exp_series_scaled(t: int, w: int, upper: bool) -> int:
+    """One bound of exp(t / 2^w) scaled by 2^w, for 0 <= t/2^w <= 1.
 
-    Plain Taylor sum; the remainder after the term of index j is below
-    t^(j+1)/(j+1)! * 1/(1 - t/(j+2)) <= 4*phi + 2 once phi <= 2 ulps.
+    Plain Taylor sum, each term (p * t >> w) // j: floored for the lower bound
+    and ceiled for the upper (floor(floor(a/2^w)/j) = floor(a/(j*2^w)), and
+    likewise ceil). Any partial sum of floored terms is a lower bound; the
+    upper bound adds the remainder after the term of index j, below
+    t^(j+1)/(j+1)! * 1/(1 - t/(j+2)) <= 4*p + 2 once p <= 2 ulps.
     """
-    one = 1 << w
-    plo = phi = one
-    slo = shi = one
+    p = s = 1 << w
     j = 1
-    while True:
-        d = j << w
-        plo = plo * t // d
-        phi = _cdiv(phi * t, d)
-        slo += plo
-        shi += phi
-        if phi <= 2:
-            return slo, shi + 4 * phi + 2
+    while p > 2:
+        p = -((-p * t >> w) // j) if upper else (p * t >> w) // j
+        s += p
         j += 1
+    return s + 4 * p + 2 if upper else s
+
+
+def _exp_bound(xn: int, xd: int, w: int, upper: bool) -> int:
+    """One bound of exp(xn/xd) scaled by 2^w (any sign of xn, xd > 0), from
+    one Taylor chain.
+
+    Reduction x = k*ln2 + r with r in [0, ~0.70]; negative x goes through the
+    reciprocal of the opposite bound of exp(-x), so the series argument stays
+    non-negative.
+    """
+    if xn == 0:
+        return (1 << w) + 1 if upper else 1 << w
+    if xn < 0:
+        sq = 1 << (2 * w)
+        return _cdiv(sq, _exp_bound(-xn, xd, w, False)) if upper else sq // _exp_bound(-xn, xd, w, True)
+    l2lo, l2hi = _ln2_scaled(w)
+    xs_lo = (xn << w) // xd
+    k = xs_lo // l2hi
+    if upper:
+        r = _cdiv(xn << w, xd) - k * l2lo
+    else:
+        r = xs_lo - k * l2hi  # in [0, l2hi) by choice of k
+    return _exp_series_scaled(r, w, upper) << k
 
 
 def _exp_scaled(xn: int, xd: int, w: int) -> tuple[int, int]:
-    """Enclosure of exp(xn/xd) scaled by 2^w (any sign of xn, xd > 0).
-
-    Reduction x = k*ln2 + r with r in [0, ~0.70]; negative x goes through the
-    reciprocal of exp(-x) so the series argument stays non-negative.
-    """
-    if xn == 0:
-        return 1 << w, (1 << w) + 1
-    neg = xn < 0
-    if neg:
-        xn = -xn
-    l2lo, l2hi = _ln2_scaled(w)
-    xs_lo = (xn << w) // xd
-    xs_hi = _cdiv(xn << w, xd)
-    k = xs_lo // l2hi
-    rlo = xs_lo - k * l2hi  # in [0, l2hi) by choice of k
-    rhi = xs_hi - k * l2lo
-    elo = _exp_series_scaled(rlo, w)[0]
-    ehi = _exp_series_scaled(rhi, w)[1]
-    lo, hi = elo << k, ehi << k
-    if neg:
-        sq = 1 << (2 * w)
-        lo, hi = sq // hi, _cdiv(sq, lo)
-    return lo, hi
+    """Enclosure of exp(xn/xd) scaled by 2^w: two chains, one per bound."""
+    return _exp_bound(xn, xd, w, False), _exp_bound(xn, xd, w, True)
 
 
 def _sqrt_scaled(num: int, den: int, w: int) -> tuple[int, int]:
@@ -365,8 +389,8 @@ def exp_ratio(x: RatioLike, bits: int = DEFAULT_PRECISION.initial_bits) -> Inter
 def exp_interval(x: IntervalReal, bits: int = DEFAULT_PRECISION.initial_bits) -> IntervalReal:
     """Enclosure of exp over an enclosure (exp is increasing)."""
     w = bits + GUARD_BITS
-    lo = _exp_scaled(x.lo.numerator, x.lo.denominator, w)[0]
-    hi = _exp_scaled(x.hi.numerator, x.hi.denominator, w)[1]
+    lo = _exp_bound(x.lo.numerator, x.lo.denominator, w, False)
+    hi = _exp_bound(x.hi.numerator, x.hi.denominator, w, True)
     return _from_scaled(lo, hi, w, bits)
 
 

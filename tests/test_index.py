@@ -96,7 +96,8 @@ def test_abundancy_exponent_certified_range():
 
 
 # The least prime above 2^300. At 256 bits ln I(p) ~ 1/p is not separated from
-# zero, so the exponent's divisor touches zero until the ladder reaches 1024.
+# zero, so the exponent's enclosure is the exact range [1, 2] until the ladder
+# reaches 1024.
 BIG_PRIME = 2**300 + 157
 
 
@@ -107,6 +108,15 @@ def test_exponent_of_big_prime_escalates_past_zero_divisor():
     ):
         assert x.bits == 1024
         assert x.lo > 1 and x.hi < 2
+
+
+def test_sandwich_with_a_log_not_separated_from_zero_is_undecided():
+    # at a 256-bit ceiling x(BIG_PRIME) is only known to lie in [1, 2]
+    fa, fb = Factorization(((BIG_PRIME, 1),)), Factorization(((3, 1),))
+    result = sandwich_check(fa, fb, PrecisionConfig(256, 256))
+    assert result.status is SandwichStatus.UNDECIDED
+    assert (result.x_a.lo, result.x_a.hi, result.x_a.bits) == (1, 2, 256)
+    assert sandwich_check(fa, fb).status is SandwichStatus.HOLDS
 
 
 def test_prime_power_exponent_frozen_values():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import assert_consistent
 from abundancy import interval
+from abundancy.arith import primes_up_to
 from abundancy.index import index_lower_bound
 from abundancy.interval import (
     Comparison,
@@ -277,14 +278,18 @@ KERNEL_BITS = st.integers(3, 11).flatmap(lambda k: st.integers(2**k, 2 ** (k + 1
 RATIONAL_PART = st.integers(1, 2**600)
 
 
+def _reference(evaluate, prec):
+    with mpmath.workprec(prec):
+        value = evaluate()
+    man, exp = value.man_exp  # the magnitude; the sign is apart
+    return Fraction(man) * Fraction(2) ** exp * (-1 if value < 0 else 1)
+
+
 def _assert_kernel_encloses(enclosure, bits, evaluate):
     lo, hi = enclosure
     w = bits + interval.GUARD_BITS
     prec = w + 64
-    with mpmath.workprec(prec):
-        value = evaluate()
-    man, exp = value.man_exp  # the magnitude; the sign is apart
-    ref = Fraction(man) * Fraction(2) ** exp * (-1 if value < 0 else 1)
+    ref = _reference(evaluate, prec)
     scale = max(1, abs(ref))
     slack = Fraction(scale) / 2 ** (prec - 8)
     assert lo <= (ref + slack) * 2**w and (ref - slack) * 2**w <= hi
@@ -294,6 +299,23 @@ def _assert_kernel_encloses(enclosure, bits, evaluate):
 @settings(max_examples=100, deadline=None)
 @given(RATIONAL_PART, RATIONAL_PART, KERNEL_BITS)
 def test_ln_kernel_contains_mpmath(num, den, bits):
+    enclosure = interval._ln_scaled(num, den, bits + interval.GUARD_BITS)
+    _assert_kernel_encloses(enclosure, bits, lambda: mpmath.log(mpmath.mpf(num) / den))
+
+
+# sigma(p^e)/p^e for p < 100 and p^e up to 2^4096: ln's atanh argument then has
+# an exact denominator wider than w/4 bits at most precisions, and is rounded
+# to w-bit fixed point before the series
+PRIME_POWER = st.sampled_from(primes_up_to(100)).flatmap(
+    lambda p: st.tuples(st.just(p), st.integers(1, 4096 // p.bit_length()))
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(PRIME_POWER, KERNEL_BITS)
+def test_ln_kernel_contains_mpmath_on_prime_power_indices(prime_power, bits):
+    p, e = prime_power
+    num, den = (p ** (e + 1) - 1) // (p - 1), p**e
     enclosure = interval._ln_scaled(num, den, bits + interval.GUARD_BITS)
     _assert_kernel_encloses(enclosure, bits, lambda: mpmath.log(mpmath.mpf(num) / den))
 
@@ -311,3 +333,60 @@ def test_exp_kernel_contains_mpmath_for_both_signs(x, bits):
 def test_sqrt_kernel_contains_mpmath(num, den, bits):
     enclosure = interval._sqrt_scaled(num, den, bits + interval.GUARD_BITS)
     _assert_kernel_encloses(enclosure, bits, lambda: mpmath.sqrt(mpmath.mpf(num) / den))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.fractions(-700, 700, max_denominator=2**64), min_size=2, max_size=2, unique=True),
+    KERNEL_BITS,
+)
+def test_exp_interval_endpoints_contain_mpmath(ends, bits):
+    # each endpoint comes from its own chain: below exp(lo), above exp(hi),
+    # and each within 2^-bits on the value's scale
+    lo, hi = sorted(ends)
+    out = exp_interval(IntervalReal(lo, hi, bits), bits)
+    prec = bits + interval.GUARD_BITS + 64
+    for end, bound, outward in ((lo, out.lo, -1), (hi, out.hi, 1)):
+        ref = _reference(lambda: mpmath.exp(mpmath.mpf(end.numerator) / end.denominator), prec)
+        scale = max(Fraction(1), ref)
+        assert outward * (bound - ref) >= -scale / 2 ** (prec - 8)
+        assert outward * (bound - ref) <= scale / 2**bits
+
+
+def test_exp_runs_one_chain_per_endpoint(monkeypatch):
+    kernel = interval._exp_series_scaled
+    chains = []
+
+    def counted(t, w, upper):
+        chains.append(upper)
+        return kernel(t, w, upper)
+
+    monkeypatch.setattr(interval, "_exp_series_scaled", counted)
+    # a negative end takes the reciprocal of exp(-x)'s opposite bound
+    for x, expected in (
+        (IntervalReal(Fraction(1, 5), Fraction(7, 3), 256), [False, True]),
+        (IntervalReal(Fraction(-3, 2), Fraction(7, 3), 1024), [True, True]),
+        (IntervalReal(Fraction(-7, 3), Fraction(-1, 5), 256), [True, False]),
+    ):
+        chains.clear()
+        exp_interval(x, x.bits)
+        assert chains == expected
+    for r in (Fraction(7, 3), Fraction(-7, 3)):
+        chains.clear()
+        exp_ratio(r, 256)
+        assert len(chains) == 2
+
+
+def test_atanh_rounds_only_a_wide_z_to_fixed_point(monkeypatch):
+    kernel = interval._atanh_bound
+    chains = []
+
+    def counted(z, w, upper):
+        chains.append(upper)
+        return kernel(z, w, upper)
+
+    monkeypatch.setattr(interval, "_atanh_bound", counted)
+    ln_ratio(Fraction(13, 9), 1024)  # z = -5/31 keeps the exact-z series
+    assert chains == []
+    ln_ratio(Fraction(3**701 - 1, 2 * 3**700), 1024)  # z's denominator has 1,112 bits
+    assert chains == [False, True]

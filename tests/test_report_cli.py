@@ -215,6 +215,12 @@ def test_cli_exponent_of_big_prime_escalates(capsys):
     assert code == 0 and out.endswith("@1024b\n")
 
 
+def test_cli_exponent_with_a_log_not_separated_from_zero_prints_the_range(capsys):
+    # at 256 bits ln I(p) ~ 1/p is not above zero; [1, 2] holds exactly
+    code, out = run_cli(capsys, "exponent", str(2**300 + 157), "--max-bits", "256")
+    assert code == 0 and out.endswith(" = 1.500000000 ± 5e-1 @256b\n")
+
+
 def test_cli_exponent_at_the_ceiling_prints_the_last_enclosure(capsys, monkeypatch):
     # x(3^5000) - 1 is about 3^-5000, too close to 1 to separate at 4096 bits;
     # 1 < x < 2 holds exactly anyway, so the last enclosure is the answer
