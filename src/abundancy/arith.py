@@ -225,9 +225,11 @@ def factorize(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
     Trial division below 2^16, then is_prime plus Brent-rho splitting with
     a fixed parameter schedule. Deterministic. Raises FactorizationBudgetError
     once `budget` rho iterations are spent, so pathological inputs fail
-    cleanly instead of hanging. Each reported prime is proven once, by the
+    cleanly instead of hanging. Each reported prime is tested once, by the
     trial division, by the 2^32 rule below or by its own is_prime call, so the
-    result is not validated again.
+    result is not validated again. That is a proof below ~3.3e24 and for
+    Mersenne-shaped primes; any other prime above it is a strong probable
+    prime to 20 fixed bases (see is_prime).
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}; need n >= 1")

@@ -106,9 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("q", type=int)
 
     p = sub.add_parser("mersenne", parents=[common], help="Lucas-Lehmer exponent scan")
-    p.add_argument("--limit", required=True, type=int)
-    p.add_argument("--allow-large", action="store_true",
-                   help="permit scans beyond the desk-scale cap")
+    p.add_argument("--limit", required=True, type=int,
+                   help=f"largest exponent to test, at most {DESK_SCALE_CAP}")
 
     p = sub.add_parser("report", parents=[common], help="full reproduction document")
     p.add_argument("--seed", type=int, default=42)
@@ -245,7 +244,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_mersenne(args) -> int:
-    exponents = mersenne_scan(args.limit, allow_large=args.allow_large)
+    exponents = mersenne_scan(args.limit)
     text = f"mersenne exponents <= {args.limit}: " + " ".join(str(p) for p in exponents)
     _emit(args, {"limit": args.limit, "exponents": exponents}, text)
     return 0

@@ -182,10 +182,15 @@ def _sandwich_verdict(xs: tuple[IntervalReal, IntervalReal, IntervalReal]) -> Sa
 
 @lru_cache(maxsize=None)
 def reciprocal_exponent(u: int, bits: int = DEFAULT_PRECISION.initial_bits) -> IntervalReal:
-    """Enclosure of 1/x(u) = ln(I(u))/ln(I(u^2)) for an odd prime u."""
+    """Enclosure of 1/x(u) = ln(I(u))/ln(I(u^2)) for an odd prime u; while
+    either log is not separated from 0, the exact range [1/2, 1] is the
+    enclosure (as in _log_quotient)."""
     if u < 3 or not is_prime(u):
         raise ValueError(f"u must be an odd prime, got {u}")
-    return ln_ratio(prime_power_index(u, 1), bits) / ln_ratio(prime_power_index(u, 2), bits)
+    ln1, ln2 = ln_ratio(prime_power_index(u, 1), bits), ln_ratio(prime_power_index(u, 2), bits)
+    if ln1.lo <= 0 or ln2.lo <= 0:
+        return IntervalReal(Fraction(1, 2), Fraction(1), bits)
+    return ln1 / ln2
 
 
 def index_lower_bound(

@@ -12,12 +12,11 @@ therefore unconditional; no floating point is involved anywhere.
 Strict inequalities are decided only by enclosure separation, and one method
 spells it out: `IntervalReal.compare`, against another enclosure or an exact
 rational (the degenerate enclosure). `contains`, `overlaps` and every verdict
-elsewhere map its result; the one non-strict test is `ceiling_scan`'s margin,
-f - ceiling >= required_margin. Every verdict escalates by one rule,
-`escalate`: re-evaluate at doubled precision up to the configured ceiling
-(also past a divisor enclosure touching zero, re-raised only at the ceiling)
-and report UNDECIDED only there; UNDECIDED is a value, never an exception.
-`decide` is its form for a rational threshold.
+elsewhere map its result. Every verdict escalates by one rule, `escalate`:
+re-evaluate at doubled precision up to the configured ceiling and report
+UNDECIDED only there; UNDECIDED is a value, never an exception, because every
+library evaluator returns an enclosure at every rung. `decide` is its form for
+a rational threshold.
 """
 
 from __future__ import annotations
@@ -332,11 +331,6 @@ def _exp_bound(xn: int, xd: int, w: int, upper: bool) -> int:
     return _exp_series_scaled(r, w, upper) << k
 
 
-def _exp_scaled(xn: int, xd: int, w: int) -> tuple[int, int]:
-    """Enclosure of exp(xn/xd) scaled by 2^w: two chains, one per bound."""
-    return _exp_bound(xn, xd, w, False), _exp_bound(xn, xd, w, True)
-
-
 def _sqrt_scaled(num: int, den: int, w: int) -> tuple[int, int]:
     """Enclosure of sqrt(num/den) scaled by 2^w via integer square roots."""
     lo = isqrt((num << (2 * w)) // den)
@@ -379,11 +373,8 @@ def ln_interval(x: IntervalReal, bits: int = DEFAULT_PRECISION.initial_bits) -> 
 
 
 def exp_ratio(x: RatioLike, bits: int = DEFAULT_PRECISION.initial_bits) -> IntervalReal:
-    """Enclosure of exp(x) for an exact rational x."""
-    x = Fraction(x)
-    w = bits + GUARD_BITS
-    lo, hi = _exp_scaled(x.numerator, x.denominator, w)
-    return _from_scaled(lo, hi, w, bits)
+    """Enclosure of exp(x) for an exact rational x: two chains, one per bound."""
+    return exp_interval(IntervalReal.exact(x, bits), bits)
 
 
 def exp_interval(x: IntervalReal, bits: int = DEFAULT_PRECISION.initial_bits) -> IntervalReal:
@@ -425,16 +416,9 @@ def escalate(
 ) -> tuple[Optional[V], T]:
     """Evaluate at each rung of cfg's precision ladder and return (verdict,
     value) at the first rung where verdict(value) is not None, or (None, last
-    value) at the ceiling. A ZeroDivisionError from evaluate (a divisor
-    enclosure touching zero) moves on to the next rung; at the ceiling it is
-    re-raised, since there is no enclosure to report."""
+    value) at the ceiling. An exception from evaluate propagates unchanged."""
     for bits in cfg.ladder():
-        try:
-            value = evaluate(bits)
-        except ZeroDivisionError:
-            if bits >= cfg.max_bits:
-                raise
-            continue
+        value = evaluate(bits)
         found = verdict(value)
         if found is not None:
             return found, value

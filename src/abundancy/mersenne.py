@@ -21,7 +21,7 @@ __all__ = [
     "mersenne_scan",
 ]
 
-DESK_SCALE_CAP = 2500  # larger scans need an explicit override
+DESK_SCALE_CAP = 2500  # larger scans are refused
 
 
 @dataclass(frozen=True)
@@ -47,17 +47,11 @@ def even_perfect_from_exponent(p: int) -> EuclideanForm:
     return form
 
 
-def mersenne_scan(limit: int, allow_large: bool = False) -> list[int]:
-    """All p <= limit with 2^p - 1 prime, ascending.
-
-    Scans beyond DESK_SCALE_CAP take minutes to hours and must be requested
-    explicitly with allow_large=True.
-    """
+def mersenne_scan(limit: int) -> list[int]:
+    """All p <= limit with 2^p - 1 prime, ascending, for 2 <= limit <=
+    DESK_SCALE_CAP (beyond it a scan takes minutes to hours)."""
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
-    if limit > DESK_SCALE_CAP and not allow_large:
-        raise ValueError(
-            f"limit {limit} exceeds the desk-scale cap {DESK_SCALE_CAP}; "
-            "pass allow_large=True to scan anyway"
-        )
+    if limit > DESK_SCALE_CAP:
+        raise ValueError(f"limit {limit} exceeds the desk-scale cap {DESK_SCALE_CAP}")
     return [p for p in range(2, limit + 1) if lucas_lehmer(p)]

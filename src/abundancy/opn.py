@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 from .arith import (
     Factorization,
@@ -385,32 +386,24 @@ def ceiling_scan(
     """Certify f(q, u) against 1 + sqrt(3) for every prime q = 1 (mod 4) with
     5 <= q <= q_limit.
 
-    For u >= 5 each q must clear the ceiling with margin >= required_margin
+    For u >= 5 each q must clear the ceiling by more than required_margin
     (this is the contradiction that forces q < n). For u = 3 each q must stay
     strictly below it (no contradiction is available there). The report ends
-    with the scan minimum and the q -> infinity limit; UNDECIDED entries only
-    appear after precision escalation up to cfg.max_bits.
+    with the scan minimum and the q -> infinity limit, which is compared with
+    the ceiling itself; UNDECIDED entries only appear after precision
+    escalation up to cfg.max_bits.
     """
     expect_greater = u >= 5
-    # the side of 1 + sqrt(3) that passes; touching it decides nothing
+    # the side of ceiling + margin that passes; touching it decides nothing
     if expect_greater:
         sides = {Comparison.GREATER: CheckStatus.PASS, Comparison.LESS: CheckStatus.FAIL}
     else:
         sides = {Comparison.LESS: CheckStatus.PASS, Comparison.GREATER: CheckStatus.FAIL}
 
-    def side(pair: tuple[IntervalReal, IntervalReal]) -> CheckStatus | None:
-        value, ceiling = pair
-        return sides.get(value.compare(ceiling))
+    def side(margin: Fraction) -> Callable[[tuple[IntervalReal, IntervalReal]], CheckStatus | None]:
+        return lambda pair: sides.get((pair[0] - pair[1]).compare(margin))
 
-    def clears_margin(pair: tuple[IntervalReal, IntervalReal]) -> CheckStatus | None:
-        bound, ceiling = pair
-        if bound.lo - ceiling.hi >= required_margin:
-            return CheckStatus.PASS
-        if bound.hi - ceiling.lo < required_margin:
-            return CheckStatus.FAIL
-        return None
-
-    per_q = clears_margin if expect_greater else side
+    per_q = side(required_margin if expect_greater else Fraction(0))
     relation = ">" if expect_greater else "<"
     checks: list[Check] = []
     minimum: IntervalReal | None = None
@@ -448,7 +441,7 @@ def ceiling_scan(
             euler_sum_bound_limit(u, PrecisionConfig(bits, bits)),
             ceiling_interval(bits),
         ),
-        side,
+        side(Fraction(0)),
         cfg,
     )
     checks.append(

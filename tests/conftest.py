@@ -28,6 +28,11 @@ ORACLE = {
 
 ORACLE_TOL = Fraction(1, 10**36)
 
+# The least prime above 2^300; it is 1 (mod 4). At 256 bits ln I(p) ~ 1/p is
+# not separated from zero, so x(p) and 1/x(p) are the exact ranges [1, 2] and
+# [1/2, 1] until the ladder reaches 1024.
+BIG_PRIME = 2**300 + 157
+
 
 def assert_consistent(enclosure, key, tol=ORACLE_TOL):
     """The enclosure must sit inside the frozen reference value's accuracy

@@ -5,7 +5,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import assert_consistent, exponent_oracle
+from conftest import BIG_PRIME, assert_consistent, exponent_oracle
 from abundancy import index
 from abundancy.arith import Factorization, factorize, primes_up_to, sigma
 from abundancy.index import (
@@ -95,12 +95,6 @@ def test_abundancy_exponent_certified_range():
         assert x.lo > 1 and x.hi < 2
 
 
-# The least prime above 2^300. At 256 bits ln I(p) ~ 1/p is not separated from
-# zero, so the exponent's enclosure is the exact range [1, 2] until the ladder
-# reaches 1024.
-BIG_PRIME = 2**300 + 157
-
-
 def test_exponent_of_big_prime_escalates_past_zero_divisor():
     for x in (
         abundancy_exponent(Factorization(((BIG_PRIME, 1),))).value,
@@ -108,6 +102,13 @@ def test_exponent_of_big_prime_escalates_past_zero_divisor():
     ):
         assert x.bits == 1024
         assert x.lo > 1 and x.hi < 2
+
+
+def test_reciprocal_exponent_with_a_log_not_separated_from_zero_is_the_range():
+    assert reciprocal_exponent(BIG_PRIME, 256) == IntervalReal(Fraction(1, 2), Fraction(1), 256)
+    y = reciprocal_exponent(BIG_PRIME, 1024)
+    assert Fraction(1, 2) < y.lo and y.hi < 1
+    assert y.width < Fraction(1, 2**700)
 
 
 def test_sandwich_with_a_log_not_separated_from_zero_is_undecided():

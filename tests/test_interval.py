@@ -209,29 +209,23 @@ def test_decide_order():
     assert gap.hi < 0
 
 
-def _touches_zero_below(threshold_bits):
-    """An evaluation whose divisor enclosure touches zero below threshold_bits."""
+def test_escalate_propagates_an_evaluate_exception_from_the_first_rung():
+    rungs = []
+    error = ZeroDivisionError("divisor interval touches zero")
 
     def evaluate(bits):
-        width = Fraction(1, 2**threshold_bits) if bits >= threshold_bits else Fraction(1)
-        return IntervalReal.exact(1, bits) / IntervalReal(1 - width, 1 + width, bits)
+        rungs.append(bits)
+        raise error
 
-    return evaluate
-
-
-def test_escalate_moves_past_zero_divisor():
-    verdict, value = escalate(
-        _touches_zero_below(512), lambda x: x.compare(2), PrecisionConfig(128, 2048)
-    )
-    assert verdict is Comparison.LESS
-    assert value.bits == 512
-
-
-def test_escalate_reraises_zero_divisor_at_ceiling():
-    with pytest.raises(ZeroDivisionError):
-        escalate(_touches_zero_below(4096), lambda x: x.compare(2), PrecisionConfig(128, 2048))
-    with pytest.raises(ZeroDivisionError):
-        decide(_touches_zero_below(4096), 2, PrecisionConfig(128, 2048))
+    for run in (
+        lambda: escalate(evaluate, lambda x: x.compare(2), PrecisionConfig(128, 2048)),
+        lambda: decide(evaluate, 2, PrecisionConfig(128, 2048)),
+    ):
+        rungs.clear()
+        with pytest.raises(ZeroDivisionError) as raised:
+            run()
+        assert raised.value is error
+        assert rungs == [128]
 
 
 def test_ln_of_exact_enclosure_takes_one_log(monkeypatch):
@@ -323,8 +317,8 @@ def test_ln_kernel_contains_mpmath_on_prime_power_indices(prime_power, bits):
 @settings(max_examples=100, deadline=None)
 @given(st.fractions(-700, 700, max_denominator=2**64), KERNEL_BITS)
 def test_exp_kernel_contains_mpmath_for_both_signs(x, bits):
-    xn, xd = x.numerator, x.denominator
-    enclosure = interval._exp_scaled(xn, xd, bits + interval.GUARD_BITS)
+    xn, xd, w = x.numerator, x.denominator, bits + interval.GUARD_BITS
+    enclosure = interval._exp_bound(xn, xd, w, False), interval._exp_bound(xn, xd, w, True)
     _assert_kernel_encloses(enclosure, bits, lambda: mpmath.exp(mpmath.mpf(xn) / xd))
 
 

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import assert_consistent
-from abundancy.arith import factorize, primes_up_to
-from abundancy.interval import Comparison, decide
+from conftest import BIG_PRIME, assert_consistent
+from abundancy.arith import Factorization, factorize, primes_up_to
+from abundancy.interval import Comparison, PrecisionConfig, decide
 from abundancy.opn import (
     CheckStatus,
     EulerianCandidate,
@@ -124,6 +124,15 @@ def test_validate_nonprime_and_even_candidates():
     report = validate_eulerian(candidate(5, 1, 6))
     assert report.status_of("n odd") is CheckStatus.FAIL
     assert report.status_of("I(n) > index lower bound") is CheckStatus.FAIL
+
+
+def test_validate_with_a_log_not_separated_from_zero_is_certified():
+    # at a 256-bit ceiling 1/x(BIG_PRIME) is only known to lie in [1/2, 1], so
+    # the bound encloses [sqrt(8/5), 8/5]; I(1) = 1 is below it all the same
+    report = validate_eulerian(EulerianCandidate(BIG_PRIME, 1, Factorization(())), PrecisionConfig(256, 256))
+    check = next(c for c in report.checks if c.name == "I(n) > index lower bound")
+    assert check.status is CheckStatus.FAIL
+    assert check.witness.endswith(" = 1.432455532 ± 2e-1 @256b")
 
 
 def test_validate_coprimality_failure():
@@ -290,6 +299,8 @@ def test_ceiling_scan_margin_failure_is_certified():
     report = ceiling_scan(30, 5, required_margin=Fraction(1, 2))
     per_q = [c for c in report.checks if c.name.startswith("f(")]
     assert all(c.status is CheckStatus.FAIL for c in per_q)
+    # the margin is for the per-q checks only; the limit is compared with the ceiling
+    assert report.status_of("limit as q grows") is CheckStatus.PASS
 
 
 def test_euler_sum_bound_increases_on_grid():

@@ -3,12 +3,13 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import pytest
 
 from fractions import Fraction
 
 import abundancy
-from conftest import exponent_oracle
+from conftest import BIG_PRIME, exponent_oracle
 from abundancy import cli, report
 from abundancy.arith import Factorization
 from abundancy.cli import main
@@ -169,7 +170,11 @@ def test_cli_mersenne(capsys):
     code, out = run_cli(capsys, "mersenne", "--limit", "20")
     assert code == 0 and "2 3 5 7 13 17 19" in out
     code, _ = run_cli(capsys, "mersenne", "--limit", "99999")
-    assert code == 2  # cap without --allow-large
+    assert code == 2  # above the desk-scale cap, which has no override
+    with pytest.raises(SystemExit) as exit_info:
+        main(["mersenne", "--limit", "99999", "--allow-large"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --allow-large" in capsys.readouterr().err
 
 
 def test_cli_report_deterministic(capsys):
@@ -211,14 +216,39 @@ def test_cli_env_invalid_bits_is_an_argument_error(capsys, monkeypatch):
 
 
 def test_cli_exponent_of_big_prime_escalates(capsys):
-    code, out = run_cli(capsys, "exponent", str(2**300 + 157))
+    code, out = run_cli(capsys, "exponent", str(BIG_PRIME))
     assert code == 0 and out.endswith("@1024b\n")
 
 
 def test_cli_exponent_with_a_log_not_separated_from_zero_prints_the_range(capsys):
     # at 256 bits ln I(p) ~ 1/p is not above zero; [1, 2] holds exactly
-    code, out = run_cli(capsys, "exponent", str(2**300 + 157), "--max-bits", "256")
+    code, out = run_cli(capsys, "exponent", str(BIG_PRIME), "--max-bits", "256")
     assert code == 0 and out.endswith(" = 1.500000000 ± 5e-1 @256b\n")
+
+
+@pytest.mark.parametrize("argv, name, reference", [
+    (["bound", "--L", "8/5"], "index_lower_bound", lambda y: (mpmath.mpf(8) / 5) ** y),
+    (["f", "--q", "5"], "euler_sum_bound", lambda y: mpmath.mpf(6) / 5 + (mpmath.mpf(10) / 6) ** y),
+])
+def test_cli_bound_with_a_log_not_separated_from_zero_prints_an_enclosure(capsys, monkeypatch, argv, name, reference):
+    # at 256 bits 1/x(BIG_PRIME) is only known to lie in [1/2, 1]; the bound
+    # built on that range still holds the true value
+    returned = []
+    original = getattr(cli, name)
+
+    def spy(*args):
+        returned.append(original(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(cli, name, spy)
+    code, out = run_cli(capsys, *argv, "--u", str(BIG_PRIME))
+    assert code == 0 and out.endswith(f" = {returned[0].render()}\n")
+    with mpmath.workprec(1024):
+        u = mpmath.mpf(BIG_PRIME)
+        y = mpmath.log1p(1 / u) / mpmath.log1p(1 / u + 1 / u**2)
+        man, exp = reference(y).man_exp
+    ref = Fraction(man) * Fraction(2) ** exp
+    assert returned[0].lo < ref < returned[0].hi
 
 
 def test_cli_exponent_at_the_ceiling_prints_the_last_enclosure(capsys, monkeypatch):
