@@ -264,6 +264,12 @@ def _brent_rho(n: int, effort: list[int]) -> int:
     root = isqrt(n)
     if root * root == n:
         return root
+
+    def spend(steps: int) -> None:
+        effort[0] -= steps
+        if effort[0] <= 0:
+            raise FactorizationBudgetError(f"factoring budget exhausted on {render_exact(n)}")
+
     for c in itertools.count(1):
         y, r, q = 2, 1, 1
         g = 1
@@ -272,9 +278,7 @@ def _brent_rho(n: int, effort: list[int]) -> int:
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
-            effort[0] -= r
-            if effort[0] <= 0:
-                raise FactorizationBudgetError(f"factoring budget exhausted on {n}")
+            spend(r)
             k = 0
             while k < r and g == 1:
                 ys = y
@@ -282,9 +286,7 @@ def _brent_rho(n: int, effort: list[int]) -> int:
                 for _ in range(batch):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
-                effort[0] -= batch
-                if effort[0] <= 0:
-                    raise FactorizationBudgetError(f"factoring budget exhausted on {n}")
+                spend(batch)
                 g = gcd(q, n)
                 k += 128
             r <<= 1
@@ -293,9 +295,7 @@ def _brent_rho(n: int, effort: list[int]) -> int:
             while g == 1:
                 ys = (ys * ys + c) % n
                 g = gcd(abs(x - ys), n)
-                effort[0] -= 1
-                if effort[0] <= 0:
-                    raise FactorizationBudgetError(f"factoring budget exhausted on {n}")
+                spend(1)
         if g != n:
             return g
 

@@ -29,6 +29,7 @@ from .interval import (
     Comparison,
     IntervalReal,
     PrecisionConfig,
+    RatioLike,
     _ln_scaled,
     escalate,
     ln_ratio,
@@ -58,12 +59,8 @@ def abundancy_index(f: Factorization) -> Fraction:
 
 
 def prime_power_index(r: int, s: int) -> Fraction:
-    """I(r^s) = (r^(s+1) - 1) / (r^s (r - 1)) for prime r and s >= 1."""
-    if not is_prime(r):
-        raise ValueError(f"{r} is not prime")
-    if s < 1:
-        raise ValueError(f"exponent must be >= 1, got {s}")
-    return Fraction(r ** (s + 1) - 1, r**s * (r - 1))
+    """I(r^s) for prime r and s >= 1 (checked by the Factorization)."""
+    return abundancy_index(Factorization(((r, s),)))
 
 
 def square_index_relation(r: int, s: int) -> tuple[Fraction, Fraction]:
@@ -98,9 +95,10 @@ def _ln_indices(f: Factorization, bits: int) -> tuple[int, int, int, int]:
     return lo1, hi1, lo2, hi2
 
 
-def _log_quotient(lo1: int, hi1: int, lo2: int, hi2: int, bits: int) -> IntervalReal:
-    """ln I(n^2) / ln I(n); while either log is not separated from 0 (its lower
-    end <= 0), the exact range [1, 2] is the enclosure."""
+def _log_quotient(lo1: RatioLike, hi1: RatioLike, lo2: RatioLike, hi2: RatioLike, bits: int) -> IntervalReal:
+    """ln I(n^2) / ln I(n) from the endpoints of both logs (scaled integers or
+    exact rationals); while either log is not separated from 0 (its lower end
+    <= 0), the exact range [1, 2] is the enclosure."""
     if lo1 <= 0 or lo2 <= 0:
         return IntervalReal(Fraction(1), Fraction(2), bits)
     return IntervalReal(Fraction(lo2, hi1), Fraction(hi2, lo1), bits)
@@ -181,16 +179,19 @@ def _sandwich_verdict(xs: tuple[IntervalReal, IntervalReal, IntervalReal]) -> Sa
 
 
 @lru_cache(maxsize=None)
-def reciprocal_exponent(u: int, bits: int = DEFAULT_PRECISION.initial_bits) -> IntervalReal:
-    """Enclosure of 1/x(u) = ln(I(u))/ln(I(u^2)) for an odd prime u; while
-    either log is not separated from 0, the exact range [1/2, 1] is the
-    enclosure (as in _log_quotient)."""
+def reciprocal_exponent(u: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> IntervalReal:
+    """Enclosure of 1/x(u) = ln(I(u))/ln(I(u^2)) for an odd prime u: the
+    reciprocal of x(u) enclosed by abundancy_exponent's rule, escalating until
+    1 < x(u) < 2 shows, with the same [1, 2] fallback."""
     if u < 3 or not is_prime(u):
         raise ValueError(f"u must be an odd prime, got {u}")
-    ln1, ln2 = ln_ratio(prime_power_index(u, 1), bits), ln_ratio(prime_power_index(u, 2), bits)
-    if ln1.lo <= 0 or ln2.lo <= 0:
-        return IntervalReal(Fraction(1, 2), Fraction(1), bits)
-    return ln1 / ln2
+    index1, index2 = prime_power_index(u, 1), prime_power_index(u, 2)
+    def evaluate(bits: int) -> IntervalReal:
+        ln1, ln2 = ln_ratio(index1, bits), ln_ratio(index2, bits)
+        return _log_quotient(ln1.lo, ln1.hi, ln2.lo, ln2.hi, bits)
+
+    _, x = escalate(evaluate, _within_one_and_two, cfg)
+    return IntervalReal.exact(1, x.bits) / x
 
 
 def index_lower_bound(
@@ -198,7 +199,8 @@ def index_lower_bound(
     u: int,
     cfg: PrecisionConfig = DEFAULT_PRECISION,
 ) -> IntervalReal:
-    """Enclosure of L**(1/x(u)) for L > 1 and an odd prime u.
+    """Enclosure of L**(1/x(u)) for L > 1 and an odd prime u, evaluated at
+    the precision reciprocal_exponent(u, cfg) settles on.
 
     Since x(u) < 2 this always exceeds the trivial bound sqrt(L). Used with
     L = 8/5 (root part of a candidate) and L = 2q/(q+1) (Euler-prime scans).
@@ -206,8 +208,8 @@ def index_lower_bound(
     L = Fraction(L)
     if L <= 1:
         raise ValueError(f"the bound collapses for L <= 1, got {L}")
-    bits = cfg.initial_bits
-    return pow_interval(IntervalReal.exact(L, bits), reciprocal_exponent(u, bits), bits)
+    y = reciprocal_exponent(u, cfg)
+    return pow_interval(IntervalReal.exact(L, y.bits), y, y.bits)
 
 
 # ---------------------------------------------------------------------------

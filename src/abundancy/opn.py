@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 from .arith import (
@@ -164,7 +164,7 @@ class EulerianCandidate:
         return self.full_factorization().least_prime()
 
     def __str__(self) -> str:
-        return f"q={self.q} k={self.k} n={self.n}"
+        return f"q={render_exact(self.q)} k={self.k} n={self.n}"
 
     @classmethod
     def parse(cls, line: str) -> "EulerianCandidate":
@@ -216,10 +216,10 @@ def validate_eulerian(
     big_n = candidate.value
     g = gcd(q, n)
     checks = [
-        _flag("q prime", is_prime(q), f"q = {q}"),
+        _flag("q prime", is_prime(q), f"q = {render_exact(q)}"),
         _flag("q = 1 (mod 4)", q % 4 == 1, f"q mod 4 = {q % 4}"),
         _flag("k = 1 (mod 4)", k % 4 == 1, f"k mod 4 = {k % 4}"),
-        _flag("gcd(q, n) = 1", g == 1, f"gcd(q, n) = {g}"),
+        _flag("gcd(q, n) = 1", g == 1, f"gcd(q, n) = {render_exact(g)}"),
         _flag("n odd", n % 2 == 1, f"n mod 2 = {n % 2}"),
         _flag(
             "N > 10^1500",
@@ -235,7 +235,7 @@ def validate_eulerian(
         factored = _factored_checks(candidate, euler, cfg)
     *bounds, residual = factored
     if k > 1:
-        order = _flag("q < n for k > 1", q < n, f"k = {k}, q = {q}, n = {render_exact(n)}")
+        order = _flag("q < n for k > 1", q < n, f"k = {k}, q = {render_exact(q)}, n = {render_exact(n)}")
     else:
         order = Check("q < n for k > 1", CheckStatus.PASS, "k = 1, not applicable")
     return ConstraintReport(tuple(checks + bounds + [order, residual]))
@@ -357,18 +357,18 @@ def order_predicates(candidate: EulerianCandidate) -> OrderPredicates:
 
 def euler_sum_bound(q: int, u: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> IntervalReal:
     """Enclosure of f(q, u) = (q+1)/q + (2q/(q+1))**(1/x(u)): a lower bound
-    for I(q) + I(n) when q is the Euler prime and u the least prime of N."""
+    for I(q) + I(n) when q is the Euler prime and u the least prime of N,
+    evaluated at the precision reciprocal_exponent(u, cfg) settles on."""
     if not is_prime(q) or q % 4 != 1:
         raise ValueError(f"q must be a prime with q = 1 (mod 4), got {q}")
-    bits = cfg.initial_bits
-    base = IntervalReal.exact(Fraction(2 * q, q + 1), bits)
-    return pow_interval(base, reciprocal_exponent(u, bits), bits) + Fraction(q + 1, q)
+    y = reciprocal_exponent(u, cfg)
+    return pow_interval(IntervalReal.exact(Fraction(2 * q, q + 1), y.bits), y, y.bits) + Fraction(q + 1, q)
 
 
 def euler_sum_bound_limit(u: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> IntervalReal:
     """Enclosure of the q -> infinity limit 1 + 2**(1/x(u)) of f(q, u)."""
-    bits = cfg.initial_bits
-    return pow_interval(IntervalReal.exact(2, bits), reciprocal_exponent(u, bits), bits) + 1
+    y = reciprocal_exponent(u, cfg)
+    return pow_interval(IntervalReal.exact(2, y.bits), y, y.bits) + 1
 
 
 @lru_cache(maxsize=None)
@@ -400,10 +400,16 @@ def ceiling_scan(
     else:
         sides = {Comparison.LESS: CheckStatus.PASS, Comparison.GREATER: CheckStatus.FAIL}
 
-    def side(margin: Fraction) -> Callable[[tuple[IntervalReal, IntervalReal]], CheckStatus | None]:
-        return lambda pair: sides.get((pair[0] - pair[1]).compare(margin))
+    def against_ceiling(
+        bound: Callable[[PrecisionConfig], IntervalReal], margin: Fraction
+    ) -> tuple[CheckStatus | None, tuple[IntervalReal, IntervalReal]]:
+        return escalate(
+            lambda bits: (bound(PrecisionConfig(bits, bits)), ceiling_interval(bits)),
+            lambda pair: sides.get((pair[0] - pair[1]).compare(margin)),
+            cfg,
+        )
 
-    per_q = side(required_margin if expect_greater else Fraction(0))
+    margin = required_margin if expect_greater else Fraction(0)
     relation = ">" if expect_greater else "<"
     checks: list[Check] = []
     minimum: IntervalReal | None = None
@@ -411,14 +417,7 @@ def ceiling_scan(
     for q in primes_up_to(q_limit):
         if q < 5 or q % 4 != 1:
             continue
-        status, (bound, ceiling) = escalate(
-            lambda bits: (
-                euler_sum_bound(q, u, PrecisionConfig(bits, bits)),
-                ceiling_interval(bits),
-            ),
-            per_q,
-            cfg,
-        )
+        status, (bound, ceiling) = against_ceiling(partial(euler_sum_bound, q, u), margin)
         checks.append(
             Check(
                 f"f({q}, {u}) {relation} 1+sqrt(3)",
@@ -436,14 +435,7 @@ def ceiling_scan(
                 f"q = {minimum_q}: f = {minimum.render()}",
             )
         )
-    limit_status, (limit, _) = escalate(
-        lambda bits: (
-            euler_sum_bound_limit(u, PrecisionConfig(bits, bits)),
-            ceiling_interval(bits),
-        ),
-        side(Fraction(0)),
-        cfg,
-    )
+    limit_status, (limit, _) = against_ceiling(partial(euler_sum_bound_limit, u), Fraction(0))
     checks.append(
         Check(
             "limit as q grows",

@@ -81,6 +81,14 @@ def test_factorize_budget_error():
         factorize(p * q, budget=1000)
 
 
+def test_factorize_budget_error_renders_a_cofactor_past_the_str_digit_limit(monkeypatch):
+    # only the message is under test: a real is_prime on this 14.6k-bit
+    # cofactor takes seconds, so every cofactor is taken to be composite
+    monkeypatch.setattr(arith, "is_prime", lambda n: False)
+    with pytest.raises(FactorizationBudgetError, match=r"exhausted on \d{20}\.\.\.\d{20} \(\d+ digits\)$"):
+        factorize(10**4400 + 1, budget=1)
+
+
 def test_factorization_validation():
     with pytest.raises(ValueError):
         Factorization(((4, 1),))  # not prime

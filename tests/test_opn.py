@@ -5,7 +5,8 @@ import pytest
 
 from conftest import BIG_PRIME, assert_consistent
 from abundancy.arith import Factorization, factorize, primes_up_to
-from abundancy.interval import Comparison, PrecisionConfig, decide
+from abundancy.index import index_lower_bound, reciprocal_exponent
+from abundancy.interval import Comparison, IntervalReal, PrecisionConfig, decide, pow_interval
 from abundancy.opn import (
     CheckStatus,
     EulerianCandidate,
@@ -135,6 +136,39 @@ def test_validate_with_a_log_not_separated_from_zero_is_certified():
     assert check.witness.endswith(" = 1.432455532 ± 2e-1 @256b")
 
 
+def test_validate_q_past_the_str_digit_limit_is_reported():
+    # q = 10^4400 has more digits than Python converts to str; the witnesses
+    # render it, so the report comes back instead of a ValueError
+    huge = EulerianCandidate(10**4400, 5, Factorization(((3, 2),)))
+    report = validate_eulerian(huge)
+    assert report.status_of("q prime") is CheckStatus.FAIL
+    assert report.status_of("q < n for k > 1") is CheckStatus.FAIL
+    shown = "10000000000000000000...00000000000000000000 (4401 digits)"
+    assert {c.witness for c in report.checks} >= {f"q = {shown}", f"k = 5, q = {shown}, n = 9"}
+    assert str(huge) == f"q={shown} k=5 n=3^2"
+
+
+def test_reciprocal_exponent_and_the_bounds_climb_the_ladder():
+    # 1/x(BIG_PRIME) needs 1024 bits to show 1/2 < 1/x < 1; each bound is
+    # evaluated at the rung reciprocal_exponent settles on
+    cfg = PrecisionConfig(256, 4096)
+    y = reciprocal_exponent(BIG_PRIME, cfg)
+    assert y.bits == 1024 and Fraction(1, 2) < y.lo and y.hi < 1
+    bounds = (
+        index_lower_bound(Fraction(8, 5), BIG_PRIME, cfg),
+        euler_sum_bound(5, BIG_PRIME, cfg),
+        euler_sum_bound_limit(BIG_PRIME, cfg),
+    )
+    assert [b.bits for b in bounds] == [1024] * 3
+    assert all(b.width < Fraction(1, 2**700) for b in bounds)
+    # with a 256-bit ceiling the range [1/2, 1] is what the bounds are built on
+    cfg, y = PrecisionConfig(256, 256), IntervalReal(Fraction(1, 2), Fraction(1), 256)
+    assert reciprocal_exponent(BIG_PRIME, cfg) == y
+    assert index_lower_bound(Fraction(8, 5), BIG_PRIME, cfg) == pow_interval(IntervalReal.exact(Fraction(8, 5)), y)
+    assert euler_sum_bound(5, BIG_PRIME, cfg) == pow_interval(IntervalReal.exact(Fraction(5, 3)), y) + Fraction(6, 5)
+    assert euler_sum_bound_limit(BIG_PRIME, cfg) == pow_interval(IntervalReal.exact(2), y) + 1
+
+
 def test_validate_coprimality_failure():
     report = validate_eulerian(candidate(5, 1, 15))
     assert report.status_of("gcd(q, n) = 1") is CheckStatus.FAIL
@@ -248,16 +282,6 @@ def test_euler_sum_bound_rejects_bad_inputs():
         euler_sum_bound(4, 5)
     with pytest.raises(ValueError):
         euler_sum_bound(5, 4)
-
-
-def test_exponent_equals_reciprocal_exponent():
-    # the exponent in f(q, u) is 1/x(u): enclosures must overlap
-    from abundancy.index import prime_power_exponent, reciprocal_exponent
-
-    for u in (3, 5):
-        recip = reciprocal_exponent(u, 256)
-        x = prime_power_exponent(u, 1).value
-        assert (recip * x).contains(1)
 
 
 def test_ceiling_scan_u5_all_clear_with_margin():

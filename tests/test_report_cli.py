@@ -231,8 +231,9 @@ def test_cli_exponent_with_a_log_not_separated_from_zero_prints_the_range(capsys
     (["f", "--q", "5"], "euler_sum_bound", lambda y: mpmath.mpf(6) / 5 + (mpmath.mpf(10) / 6) ** y),
 ])
 def test_cli_bound_with_a_log_not_separated_from_zero_prints_an_enclosure(capsys, monkeypatch, argv, name, reference):
-    # at 256 bits 1/x(BIG_PRIME) is only known to lie in [1/2, 1]; the bound
-    # built on that range still holds the true value
+    # 1/x(BIG_PRIME) escalates to 1024 bits by default; at a 256-bit ceiling
+    # it is only known to lie in [1/2, 1], and the bound built on that range
+    # still holds the true value
     returned = []
     original = getattr(cli, name)
 
@@ -241,14 +242,16 @@ def test_cli_bound_with_a_log_not_separated_from_zero_prints_an_enclosure(capsys
         return returned[-1]
 
     monkeypatch.setattr(cli, name, spy)
-    code, out = run_cli(capsys, *argv, "--u", str(BIG_PRIME))
-    assert code == 0 and out.endswith(f" = {returned[0].render()}\n")
     with mpmath.workprec(1024):
         u = mpmath.mpf(BIG_PRIME)
         y = mpmath.log1p(1 / u) / mpmath.log1p(1 / u + 1 / u**2)
         man, exp = reference(y).man_exp
     ref = Fraction(man) * Fraction(2) ** exp
-    assert returned[0].lo < ref < returned[0].hi
+    for extra, bits in (((), 1024), (("--max-bits", "256"), 256)):
+        code, out = run_cli(capsys, *argv, "--u", str(BIG_PRIME), *extra)
+        assert code == 0 and out.endswith(f" = {returned[-1].render()}\n") and out.endswith(f"@{bits}b\n")
+        assert returned[-1].lo < ref < returned[-1].hi
+    assert returned[0].width < Fraction(1, 2**700) < Fraction(1, 10) < returned[1].width
 
 
 def test_cli_exponent_at_the_ceiling_prints_the_last_enclosure(capsys, monkeypatch):
