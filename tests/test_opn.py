@@ -284,6 +284,16 @@ def test_euler_sum_bound_rejects_bad_inputs():
         euler_sum_bound(5, 4)
 
 
+def test_exponent_equals_reciprocal_exponent():
+    # the exponent in f(q, u) is 1/x(u): enclosures must overlap
+    from abundancy.index import prime_power_exponent
+
+    for u in (3, 5):
+        recip = reciprocal_exponent(u, PrecisionConfig(256, 256))
+        x = prime_power_exponent(u, 1).value
+        assert (recip * x).contains(1)
+
+
 def test_ceiling_scan_u5_all_clear_with_margin():
     report = ceiling_scan(100, 5)
     per_q = [c for c in report.checks if c.name.startswith("f(")]
