@@ -7,7 +7,8 @@ evaluations (ln, exp, powers, square roots) run in fixed-point integer
 arithmetic at ``bits + GUARD_BITS`` of precision with every intermediate
 division rounded outward (floor for lower bounds, ceil for upper bounds) and
 the series truncation remainder folded into the upper bound. Containment is
-therefore unconditional; no floating point is involved anywhere.
+therefore unconditional, and the enclosures never touch floating point; only
+their text is rounded, by the `decimal` module's correctly rounded division.
 
 Strict inequalities are decided only by enclosure separation, and one method
 spells it out: `IntervalReal.compare`, against another enclosure or an exact
@@ -22,6 +23,7 @@ a rational threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_HALF_UP, Context, Decimal
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -448,22 +450,10 @@ def decide(
 # ---------------------------------------------------------------------------
 
 
-def _pow10_at_least(num: int, den: int, e: int) -> bool:
-    """num/den >= 10^e, exactly."""
-    if e >= 0:
-        return num >= den * 10**e
-    return num * 10 ** (-e) >= den
-
-
-def _ilog10(x: Fraction) -> int:
-    """Exact floor(log10 x) for x > 0."""
-    num, den = x.numerator, x.denominator
-    e = (num.bit_length() - den.bit_length()) * 301029995 // 1000000000
-    while _pow10_at_least(num, den, e + 1):
-        e += 1
-    while not _pow10_at_least(num, den, e):
-        e -= 1
-    return e
+def _rounded(x: Fraction, digits: int, rounding: str) -> Decimal:
+    """x correctly rounded to `digits` significant digits, at any magnitude."""
+    ctx = Context(prec=digits, rounding=rounding, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    return ctx.divide(Decimal(x.numerator), x.denominator)
 
 
 def _decimal(x: Fraction, sig: int) -> str:
@@ -471,33 +461,16 @@ def _decimal(x: Fraction, sig: int) -> str:
     when the exponent is moderate, scientifically otherwise."""
     if x == 0:
         return "0"
-    sign = "-" if x < 0 else ""
-    mag = -x if x < 0 else x
-    e = _ilog10(mag)
-    shift = sig - 1 - e
-    scaled = mag * 10**shift if shift >= 0 else mag / 10 ** (-shift)
-    m = int(scaled + Fraction(1, 2))
-    if m >= 10**sig:
-        m //= 10
-        e += 1
-    digits = str(m)
-    if 0 <= e < sig:
-        intpart = digits[: e + 1]
-        fracpart = digits[e + 1 :]
-        return f"{sign}{intpart}.{fracpart}" if fracpart else f"{sign}{intpart}"
-    if -4 <= e < 0:
-        return f"{sign}0.{'0' * (-e - 1)}{digits}"
-    return f"{sign}{digits[0]}.{digits[1:]}e{e:+d}"
+    d = _rounded(x, sig, ROUND_HALF_UP)
+    sign, digits, _ = d.as_tuple()
+    e = d.adjusted()
+    padded = Decimal((sign, digits + (0,) * (sig - len(digits)), e - sig + 1))
+    return format(padded, "f" if -4 <= e < sig else "e")
 
 
 def _radius_text(radius: Fraction) -> str:
-    """One-significant-digit upper bound on the radius, e.g. ``3e-12``."""
+    """Least one-significant-digit decimal >= the radius, e.g. ``3e-12``."""
     if radius == 0:
         return "0"
-    e = _ilog10(radius)
-    scaled = radius / 10**e if e >= 0 else radius * 10 ** (-e)
-    m = _cdiv(scaled.numerator, scaled.denominator)
-    if m >= 10:
-        m = 1
-        e += 1
-    return f"{m}e{e}"
+    d = _rounded(radius, 1, ROUND_CEILING)
+    return f"{d.as_tuple().digits[0]}e{d.adjusted()}"

@@ -207,16 +207,23 @@ def validate_eulerian(
 
     Form checks and literature bounds are exact integer comparisons; the index
     lower bound is decided by certified enclosures with automatic precision
-    escalation. q is factored once; if that exhausts the factoring budget, the
-    checks that need the factorization are UNDECIDED. Failures are report
-    entries, never exceptions.
+    escalation. q is factored once, which also decides "q prime"; if that
+    exhausts the factoring budget, q is composite and the checks that need the
+    factorization are UNDECIDED. Failures are report entries, never exceptions.
     """
     q, k = candidate.q, candidate.k
     n = candidate.root
     big_n = candidate.value
     g = gcd(q, n)
+    try:
+        euler = candidate.euler_factorization()
+    except FactorizationBudgetError as exc:
+        euler = Factorization()  # rho only runs on composites, so q is not prime
+        factored = [Check(name, CheckStatus.UNDECIDED, str(exc)) for name in _FACTORED_CHECKS]
+    else:
+        factored = _factored_checks(candidate, euler, cfg)
     checks = [
-        _flag("q prime", is_prime(q), f"q = {render_exact(q)}"),
+        _flag("q prime", euler.factors == ((q, k),), f"q = {render_exact(q)}"),
         _flag("q = 1 (mod 4)", q % 4 == 1, f"q mod 4 = {q % 4}"),
         _flag("k = 1 (mod 4)", k % 4 == 1, f"k mod 4 = {k % 4}"),
         _flag("gcd(q, n) = 1", g == 1, f"gcd(q, n) = {render_exact(g)}"),
@@ -227,12 +234,6 @@ def validate_eulerian(
             f"N has {digit_count(big_n)} digits; needs more than 1500",
         ),
     ]
-    try:
-        euler = candidate.euler_factorization()
-    except FactorizationBudgetError as exc:
-        factored = [Check(name, CheckStatus.UNDECIDED, str(exc)) for name in _FACTORED_CHECKS]
-    else:
-        factored = _factored_checks(candidate, euler, cfg)
     *bounds, residual = factored
     if k > 1:
         order = _flag("q < n for k > 1", q < n, f"k = {k}, q = {render_exact(q)}, n = {render_exact(n)}")
@@ -391,8 +392,10 @@ def ceiling_scan(
     strictly below it (no contradiction is available there). The report ends
     with the scan minimum and the q -> infinity limit, which is compared with
     the ceiling itself; UNDECIDED entries only appear after precision
-    escalation up to cfg.max_bits.
+    escalation up to cfg.max_bits. A negative required_margin is a ValueError.
     """
+    if required_margin < 0:
+        raise ValueError(f"required margin must be at least 0, got {required_margin}")
     expect_greater = u >= 5
     # the side of ceiling + margin that passes; touching it decides nothing
     if expect_greater:

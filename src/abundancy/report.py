@@ -228,8 +228,8 @@ def _scan_suite(u: int, sizes: ReportSizes, cfg: PrecisionConfig) -> SuiteSummar
     per_q = [c for c in report.checks if c.name.startswith("f(")]
     failures = sum(1 for c in per_q if c.status is CheckStatus.FAIL)
     undecided = sum(1 for c in per_q if c.status is CheckStatus.UNDECIDED)
-    summary = next(c for c in report.checks if c.name == "minimum over scan")
-    return SuiteSummary(f"ceiling scan u={u}", len(per_q), failures, undecided, summary.witness)
+    minimum = next((c.witness for c in report.checks if c.name == "minimum over scan"), "")
+    return SuiteSummary(f"ceiling scan u={u}", len(per_q), failures, undecided, minimum)
 
 
 def _mersenne_suite(sizes: ReportSizes) -> SuiteSummary:

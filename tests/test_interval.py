@@ -262,6 +262,84 @@ def test_render_edge_cases():
     assert "e-20" in small.render()
 
 
+@pytest.mark.parametrize("x, text", [
+    (Fraction(12345678905, 10**10), "1.234567891"),
+    (Fraction(99999999995, 10**10), "10.00000000"),
+    (Fraction(-3, 2), "-1.500000000"),
+    (Fraction(1234567890), "1234567890"),
+    (Fraction(12345678901), "1.234567890e+10"),
+    (Fraction(1234567891, 10**13), "0.0001234567891"),
+    (Fraction(1234567891, 10**14), "1.234567891e-5"),
+])
+def test_decimal_pinned(x, text):
+    assert interval._decimal(x, 10) == text
+
+
+@pytest.mark.parametrize("radius, text", [
+    (Fraction(11, 10**13), "2e-12"),
+    (Fraction(999, 100), "1e1"),
+    (Fraction(1, 2**287), "5e-87"),
+])
+def test_radius_text_pinned(radius, text):
+    assert interval._radius_text(radius) == text
+
+
+def _power_of_ten(f):
+    """k with f == 10^k; fails when f is not a power of ten."""
+    k = len(str(f.numerator)) - len(str(f.denominator))
+    assert f == Fraction(10) ** k
+    return k
+
+
+# Rendering spec, checked by reading the text back as an exact Fraction:
+# fractions over wide exponents, exact half-unit ties (some carrying to the
+# next power of ten), and w-bit fixed-point endpoints up to the CLI ceiling.
+WIDE_FRACTION = st.builds(
+    lambda f, e: f * Fraction(10) ** e,
+    st.fractions(max_denominator=10**30).filter(bool),
+    st.integers(-3000, 3000),
+)
+HALF_UNIT_TIE = st.builds(
+    lambda m, e, sign: sign * Fraction(10 * m + 5) * Fraction(10) ** e,
+    st.one_of(st.integers(10**9, 10**10 - 1), st.just(10**10 - 1)),
+    st.integers(-30, 30),
+    st.sampled_from([1, -1]),
+)
+FIXED_POINT = st.builds(
+    lambda w, seed: Fraction(random.Random(seed).getrandbits(w + 8) - 2 ** (w + 7), 2**w),
+    st.integers(1, 16416),
+    st.integers(0, 2**32),
+).filter(bool)
+RENDERED = st.one_of(WIDE_FRACTION, HALF_UNIT_TIE, FIXED_POINT)
+
+
+@settings(max_examples=300, deadline=None)
+@given(RENDERED)
+def test_decimal_is_the_nearest_ten_digit_decimal(x):
+    text = interval._decimal(x, 10)
+    y = Fraction(text)
+    digits = text.partition("e")[0].lstrip("-").replace(".", "").lstrip("0")
+    assert len(digits) == 10
+    unit = abs(y) / int(digits)  # one unit of the last digit
+    e = _power_of_ten(unit) + 9  # the exponent of the leading digit
+    assert (y < 0) == (x < 0)
+    assert abs(x - y) <= unit / 2
+    if abs(x - y) == unit / 2:
+        assert abs(y) > abs(x)  # ties away from zero
+    assert ("e" not in text) == (-4 <= e < 10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(RENDERED.map(abs))
+def test_radius_text_is_the_least_one_digit_decimal_above(r):
+    text = interval._radius_text(r)
+    digit, _, exponent = text.partition("e")
+    assert digit in "123456789" and len(digit) == 1
+    assert Fraction(text) >= r
+    below = Fraction(int(digit) - 1) if digit != "1" else Fraction(9, 10)
+    assert below * Fraction(10) ** int(exponent) < r
+
+
 # Kernel containment against mpmath. A kernel runs at w = bits + GUARD_BITS
 # and must enclose the value scaled by 2^w, within 2^-bits on the value's own
 # scale (at least 1). mpmath evaluates at w + 64 bits; its rounding is far

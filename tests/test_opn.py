@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import BIG_PRIME, assert_consistent
+from abundancy import arith, opn
 from abundancy.arith import Factorization, factorize, primes_up_to
 from abundancy.index import index_lower_bound, reciprocal_exponent
 from abundancy.interval import Comparison, IntervalReal, PrecisionConfig, decide, pow_interval
@@ -125,6 +126,21 @@ def test_validate_nonprime_and_even_candidates():
     report = validate_eulerian(candidate(5, 1, 6))
     assert report.status_of("n odd") is CheckStatus.FAIL
     assert report.status_of("I(n) > index lower bound") is CheckStatus.FAIL
+
+
+def test_validate_certifies_q_prime_with_one_is_prime_call(monkeypatch):
+    q = 10**300 + 4533  # prime
+    calls = []
+
+    def counted(n, real=arith.is_prime):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(arith, "is_prime", counted)
+    monkeypatch.setattr(opn, "is_prime", counted)
+    report = validate_eulerian(EulerianCandidate(q, 1, Factorization(((3, 2),))))
+    assert report.status_of("q prime") is CheckStatus.PASS
+    assert calls.count(q) == 1
 
 
 def test_validate_with_a_log_not_separated_from_zero_is_certified():
@@ -335,6 +351,14 @@ def test_ceiling_scan_margin_failure_is_certified():
     assert all(c.status is CheckStatus.FAIL for c in per_q)
     # the margin is for the per-q checks only; the limit is compared with the ceiling
     assert report.status_of("limit as q grows") is CheckStatus.PASS
+
+
+def test_ceiling_scan_rejects_a_negative_margin():
+    for u in (5, 3):
+        with pytest.raises(ValueError, match="required margin must be at least 0, got -1/1000"):
+            ceiling_scan(100, u, required_margin=Fraction(-1, 1000))
+    # 0 asks for f strictly above the ceiling
+    assert ceiling_scan(30, 5, required_margin=Fraction(0)).all_pass
 
 
 def test_euler_sum_bound_increases_on_grid():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -55,6 +56,19 @@ def test_run_report_clean_and_deterministic():
     assert first.to_json() == second.to_json()
     different = run_report(seed=43, sizes=SMALL)
     assert different.environment["seed"] == 43
+
+
+def test_report_with_no_admissible_scan_q(capsys):
+    # no prime q = 1 (mod 4) with q >= 5 lies at or below 4
+    scans = [s for s in run_report(sizes=dataclasses.replace(SMALL, scan_limit=4)).suites
+             if s.name.startswith("ceiling scan")]
+    assert scans == [SuiteSummary("ceiling scan u=5", 0, 0, 0), SuiteSummary("ceiling scan u=3", 0, 0, 0)]
+    code, out = run_cli(capsys, "report", "--json", "--scan-limit", "4", "--oracle-limit", "100",
+                        "--sandwich-pairs", "10", "--grid-prime-limit", "10", "--chain-prime-limit", "20",
+                        "--order-candidates", "10", "--mersenne-limit", "20")
+    assert code == 0
+    suites = {s["name"]: s for s in json.loads(out)["suites"]}
+    assert suites["ceiling scan u=5"]["cases"] == suites["ceiling scan u=3"]["cases"] == 0
 
 
 def test_report_mersenne_detail():
@@ -157,6 +171,16 @@ def test_cli_scan(capsys):
     assert code == 0
     payload = json.loads(out)
     assert all(c["status"] == "PASS" for c in payload["checks"])
+
+
+def test_cli_scan_rejects_a_negative_margin(capsys):
+    assert main(["scan", "--qmax", "100", "--u", "5", "--margin=-1/1000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: required margin must be at least 0, got -1/1000\n"
+    done = run_bounded("scan", "--qmax", "100", "--u", "5", "--margin", "-5")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == "error: required margin must be at least 0, got -5\n"
 
 
 def test_cli_classify(capsys):
