@@ -268,7 +268,8 @@ def _brent_rho(n: int, effort: list[int]) -> int:
     def spend(steps: int) -> None:
         effort[0] -= steps
         if effort[0] <= 0:
-            raise FactorizationBudgetError(f"factoring budget exhausted on {render_exact(n)}")
+            shown = _abbreviated(n) if n >= 10**40 else str(n)
+            raise FactorizationBudgetError(f"factoring budget exhausted on {shown}")
 
     for c in itertools.count(1):
         y, r, q = 2, 1, 1
@@ -328,9 +329,14 @@ def render_exact(x: int | Fraction) -> str:
     try:
         return str(n)
     except ValueError:  # more digits than sys.get_int_max_str_digits()
-        digits = digit_count(abs(n))
-        head, tail = abs(n) // 10 ** (digits - 20), abs(n) % 10**20
-        return f"{'-' if n < 0 else ''}{head}...{tail:020d} ({digits} digits)"
+        return f"{'-' if n < 0 else ''}{_abbreviated(abs(n))}"
+
+
+def _abbreviated(n: int) -> str:
+    """n >= 10^40 as its first and last 20 digits and its digit count."""
+    digits = digit_count(n)
+    head, tail = n // 10 ** (digits - 20), n % 10**20
+    return f"{head}...{tail:020d} ({digits} digits)"
 
 
 def sigma(f: Factorization) -> int:

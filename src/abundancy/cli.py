@@ -8,6 +8,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -114,6 +115,11 @@ def build_parser() -> argparse.ArgumentParser:
     for field in dataclasses.fields(ReportSizes):
         p.add_argument("--" + field.name.replace("_", "-"), type=int, default=field.default)
 
+    # argparse takes only tokens like -5 and -.5 for negative numbers and any
+    # other token that starts with '-' for an option; no option here starts
+    # with a digit, so a negative rational such as -1/1000 is a value too
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 

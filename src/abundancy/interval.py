@@ -6,9 +6,12 @@ rational arithmetic, so they introduce no error at all. Transcendental
 evaluations (ln, exp, powers, square roots) run in fixed-point integer
 arithmetic at ``bits + GUARD_BITS`` of precision with every intermediate
 division rounded outward (floor for lower bounds, ceil for upper bounds) and
-the series truncation remainder folded into the upper bound. Containment is
-therefore unconditional, and the enclosures never touch floating point; only
-their text is rounded, by the `decimal` module's correctly rounded division.
+the series truncation remainder folded into the upper bound. exp runs its
+Taylor chain on the reduced argument divided by 2^h, h = isqrt(w) // 2, at
+h + 4 more bits and squares the result back h times, each square rounded
+outward too. Containment is therefore unconditional, and the enclosures never
+touch floating point; only their text is rounded, correctly, by the `decimal`
+module from a short integer quotient of the exact rational.
 
 Strict inequalities are decided only by enclosure separation, and one method
 spells it out: `IntervalReal.compare`, against another enclosure or an exact
@@ -293,7 +296,8 @@ def _ln_scaled(num: int, den: int, w: int) -> tuple[int, int]:
 
 
 def _exp_series_scaled(t: int, w: int, upper: bool) -> int:
-    """One bound of exp(t / 2^w) scaled by 2^w, for 0 <= t/2^w <= 1.
+    """One bound of exp(t / 2^w) scaled by 2^w, for 0 <= t/2^w <= 1 (after
+    `_exp_bound`'s halving, t/2^w <= 0.70 / 2^h).
 
     Plain Taylor sum, each term (p * t >> w) // j: floored for the lower bound
     and ceiled for the upper (floor(floor(a/2^w)/j) = floor(a/(j*2^w)), and
@@ -314,9 +318,15 @@ def _exp_bound(xn: int, xd: int, w: int, upper: bool) -> int:
     """One bound of exp(xn/xd) scaled by 2^w (any sign of xn, xd > 0), from
     one Taylor chain.
 
-    Reduction x = k*ln2 + r with r in [0, ~0.70]; negative x goes through the
-    reciprocal of the opposite bound of exp(-x), so the series argument stays
-    non-negative.
+    Reduction x = k*ln2 + r with r in [0, ~0.70], both at w bits; then
+    argument halving (Brent and Zimmermann, Modern Computer Arithmetic,
+    4.3-4.4): the chain runs on r / 2^h with h = isqrt(w) // 2 at
+    v = w + h + 4 bits, where r / 2^h scaled by 2^v is r's w-bit value
+    shifted left by 4, exactly. Squaring back h times, floored on the lower
+    bound and ceiled on the upper, doubles the relative error each time, which
+    the h + 4 extra bits absorb; the result is rounded outward to w bits and
+    shifted by k. Negative x goes through the reciprocal of the opposite bound
+    of exp(-x), so the series argument stays non-negative.
     """
     if xn == 0:
         return (1 << w) + 1 if upper else 1 << w
@@ -330,7 +340,12 @@ def _exp_bound(xn: int, xd: int, w: int, upper: bool) -> int:
         r = _cdiv(xn << w, xd) - k * l2lo
     else:
         r = xs_lo - k * l2hi  # in [0, l2hi) by choice of k
-    return _exp_series_scaled(r, w, upper) << k
+    h = isqrt(w) // 2
+    v = w + h + 4
+    y = _exp_series_scaled(r << 4, v, upper)
+    for _ in range(h):
+        y = -(-y * y >> v) if upper else y * y >> v
+    return (-(-y >> (h + 4)) if upper else y >> (h + 4)) << k
 
 
 def _sqrt_scaled(num: int, den: int, w: int) -> tuple[int, int]:
@@ -451,9 +466,24 @@ def decide(
 
 
 def _rounded(x: Fraction, digits: int, rounding: str) -> Decimal:
-    """x correctly rounded to `digits` significant digits, at any magnitude."""
+    """x != 0 correctly rounded to `digits` significant digits, at any magnitude.
+
+    Only |x|'s leading digits (digits + 1 to digits + 3 of them, an integer
+    quotient) reach `decimal`, followed by a sticky digit that is 1 iff
+    anything nonzero follows them. Rounding to `digits` digits, ties included,
+    depends on nothing else, and the quotient takes time linear in the size
+    of x where `Decimal(x.numerator)` takes quadratic time.
+    """
+    n, d = abs(x.numerator), x.denominator
+    # a lower bound on the exponent of |x|'s leading digit: |x| exceeds
+    # 2^(bits(n) - bits(d) - 1), and the - 1 covers the 2e-14 by which
+    # 0.301029995664 exceeds log10(2) for any x narrower than 10^13 bits
+    lead = (n.bit_length() - d.bit_length() - 1) * 301029995664 // 10**12 - 1
+    shift = digits - lead
+    q, r = divmod(n * 10**shift, d) if shift >= 0 else divmod(n, d * 10**-shift)
+    kept = 10 * q + (r != 0)  # q >= 10^digits, then the sticky digit
     ctx = Context(prec=digits, rounding=rounding, Emax=MAX_EMAX, Emin=MIN_EMIN)
-    return ctx.divide(Decimal(x.numerator), x.denominator)
+    return ctx.scaleb(Decimal(kept if x > 0 else -kept), -shift - 1)
 
 
 def _decimal(x: Fraction, sig: int) -> str:

@@ -89,6 +89,22 @@ def test_factorize_budget_error_renders_a_cofactor_past_the_str_digit_limit(monk
         factorize(10**4400 + 1, budget=1)
 
 
+def test_factorize_budget_error_abbreviates_a_cofactor_past_40_digits():
+    # semiprimes of 40 and 41 digits with no factor below 2^16; one rho
+    # iteration spends the budget
+    p, q = 4 * 10**19 + 19, 4 * 10**19 + 39
+    r, s = 10**20 + 39, 10**20 + 129
+    assert all(is_prime(m) for m in (p, q, r, s))
+    with pytest.raises(FactorizationBudgetError) as short:
+        factorize(p * q, budget=1)
+    assert str(short.value) == f"factoring budget exhausted on {p * q}"
+    text = str(r * s)
+    assert len(text) == 41
+    with pytest.raises(FactorizationBudgetError) as long:
+        factorize(r * s, budget=1)
+    assert str(long.value) == f"factoring budget exhausted on {text[:20]}...{text[-20:]} (41 digits)"
+
+
 def test_factorization_validation():
     with pytest.raises(ValueError):
         Factorization(((4, 1),))  # not prime

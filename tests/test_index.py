@@ -22,7 +22,7 @@ from abundancy.index import (
     sandwich_check,
     square_index_relation,
 )
-from abundancy.interval import IntervalReal, PrecisionConfig, ln_ratio, sqrt_ratio
+from abundancy.interval import GUARD_BITS, IntervalReal, PrecisionConfig, _ln_scaled, escalate, ln_ratio, sqrt_ratio
 
 
 def test_abundancy_index_examples():
@@ -181,6 +181,55 @@ def test_exponents_contain_mpmath_value(pair, bits):
         assert x.lo - slack <= ref <= x.hi + slack, (str(f), x.bits)
 
 
+# ln I(p^e) is split as ln(p/(p-1)) + ln(1 - p^-(e+1)): p < 1000 and p^e up
+# to 2^4096, against mpmath at w + 64 bits and against the direct log of the
+# exact ratio sigma(p^e)/p^e
+SPLIT_PRIME_POWER = st.sampled_from(primes_up_to(1000)).flatmap(
+    lambda p: st.tuples(st.just(p), st.integers(1, 4096 // p.bit_length()))
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(SPLIT_PRIME_POWER, st.integers(3, 11).flatmap(lambda k: st.integers(2**k, 2 ** (k + 1))))
+def test_split_prime_power_log_contains_mpmath_and_meets_the_direct_log(prime_power, bits):
+    p, e = prime_power
+    w = bits + GUARD_BITS
+    num, den = sigma(Factorization(((p, e),))), p**e
+    lo, hi = index._ln_prime_power_index(p, e, w)
+    prec = w + 64
+    with mpmath.workprec(prec):
+        man, exp = mpmath.log(mpmath.mpf(num) / den).man_exp
+    ref = Fraction(man) * Fraction(2) ** exp
+    slack = Fraction(1, 2 ** (prec - 8))  # mpmath's own rounding; ln I(p^e) < 1
+    assert lo <= (ref + slack) * 2**w and (ref - slack) * 2**w <= hi
+    assert hi - lo <= 2 ** (w - bits)
+    direct_lo, direct_hi = _ln_scaled(num, den, w)
+    assert lo <= direct_hi and direct_lo <= hi
+    # both terms carry 4 extra bits, so the one outward rounding of their sum
+    # leaves the split enclosure no wider than the direct one
+    assert hi - lo <= direct_hi - direct_lo
+
+
+def _direct_rung(p, e):
+    """The rung at which x(p^e) shows 1 < x < 2 with both logs taken directly
+    as ln(sigma(p^k)/p^k), under the library's own quotient and stopping rule."""
+    def evaluate(bits):
+        w = bits + GUARD_BITS
+        (l1, h1), (l2, h2) = (_ln_scaled(sigma(Factorization(((p, k),))), p**k, w) for k in (e, 2 * e))
+        return index._log_quotient(l1, h1, l2, h2, bits)
+
+    return escalate(evaluate, index._within_one_and_two)[1].bits
+
+
+def test_split_log_never_decides_an_exponent_at_a_higher_rung():
+    # p < 100 and p^e from 64 to 4096 bits, two sizes per octave
+    for p in primes_up_to(100):
+        for size in (64, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048, 3072, 4096):
+            e = size // p.bit_length()
+            rung = abundancy_exponent(Factorization(((p, e),))).value.bits
+            assert rung <= _direct_rung(p, e), (p, e)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.dictionaries(st.sampled_from(_ODD_PRIMES), st.integers(1, 30), min_size=1, max_size=6))
 def test_exponent_range_is_exact_in_integers(factors):
@@ -199,8 +248,14 @@ def test_sandwich_reuses_cached_prime_power_logs(monkeypatch):
 
     monkeypatch.setattr(index, "_ln_scaled", counted)
     index._ln_prime_power_index.cache_clear()
+    index._ln_prime_factor.cache_clear()
     sandwich_check(Factorization(((3, 2), (5, 1))), Factorization(((7, 1), (11, 3))))
-    assert len(calls) == 8  # warm-up: ln I(p^e) and ln I(p^2e) per prime power
+    # warm-up: ln(p/(p-1)) once per prime, shared by ln I(p^e) and ln I(p^2e),
+    # each of which adds only ln(1 - p^-(e+1))
+    assert sorted(calls) == sorted(
+        [(p, p - 1) for p in (3, 5, 7, 11)]
+        + [(p ** (k + 1) - 1, p ** (k + 1)) for p, e in ((3, 2), (5, 1), (7, 1), (11, 3)) for k in (e, 2 * e)]
+    )
     calls.clear()
     result = sandwich_check(Factorization(((3, 2), (7, 1))), Factorization(((5, 1), (11, 3))))
     assert result.status is SandwichStatus.HOLDS

@@ -1,5 +1,6 @@
 import random
 import re
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 
 import mpmath
@@ -340,6 +341,34 @@ def test_radius_text_is_the_least_one_digit_decimal_above(r):
     assert below * Fraction(10) ** int(exponent) < r
 
 
+def _rounded_by_full_division(x, digits, rounding):
+    """The rendering's rounding before the quotient was shortened: the whole
+    numerator converted to Decimal and divided by the whole denominator."""
+    ctx = Context(prec=digits, rounding=rounding, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    return ctx.divide(Decimal(x.numerator), x.denominator)
+
+
+# exact one-digit decimals, on and just above the ceiling's grid point
+ONE_DIGIT_TIE = st.builds(
+    lambda d, e, above: Fraction(d) * Fraction(10) ** e + above,
+    st.integers(1, 9),
+    st.integers(-300, 300),
+    st.sampled_from([Fraction(0), Fraction(1, 2**5000)]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(RENDERED, ONE_DIGIT_TIE))
+def test_rendering_matches_the_full_division(x):
+    mid = _rounded_by_full_division(x, 10, ROUND_HALF_UP)
+    sign, digits, _ = mid.as_tuple()
+    padded = Decimal((sign, digits + (0,) * (10 - len(digits)), mid.adjusted() - 9))
+    assert interval._decimal(x, 10) == format(padded, "f" if -4 <= mid.adjusted() < 10 else "e")
+    r = abs(x)
+    rad = _rounded_by_full_division(r, 1, ROUND_CEILING)
+    assert interval._radius_text(r) == f"{rad.as_tuple().digits[0]}e{rad.adjusted()}"
+
+
 # Kernel containment against mpmath. A kernel runs at w = bits + GUARD_BITS
 # and must enclose the value scaled by 2^w, within 2^-bits on the value's own
 # scale (at least 1). mpmath evaluates at w + 64 bits; its rounding is far
@@ -407,15 +436,20 @@ def test_sqrt_kernel_contains_mpmath(num, den, bits):
     _assert_kernel_encloses(enclosure, bits, lambda: mpmath.sqrt(mpmath.mpf(num) / den))
 
 
+# 0, points and intervals; at any precision and, more often, at the rungs the
+# ladder visits most
+EXP_ARGUMENT = st.one_of(st.just(Fraction(0)), st.fractions(-700, 700, max_denominator=2**64))
+
+
 @settings(max_examples=100, deadline=None)
 @given(
-    st.lists(st.fractions(-700, 700, max_denominator=2**64), min_size=2, max_size=2, unique=True),
-    KERNEL_BITS,
+    st.lists(EXP_ARGUMENT, min_size=1, max_size=2),
+    st.one_of(st.sampled_from([256, 1024, 4096]), KERNEL_BITS),
 )
 def test_exp_interval_endpoints_contain_mpmath(ends, bits):
     # each endpoint comes from its own chain: below exp(lo), above exp(hi),
     # and each within 2^-bits on the value's scale
-    lo, hi = sorted(ends)
+    lo, hi = min(ends), max(ends)
     out = exp_interval(IntervalReal(lo, hi, bits), bits)
     prec = bits + interval.GUARD_BITS + 64
     for end, bound, outward in ((lo, out.lo, -1), (hi, out.hi, 1)):
@@ -423,6 +457,17 @@ def test_exp_interval_endpoints_contain_mpmath(ends, bits):
         scale = max(Fraction(1), ref)
         assert outward * (bound - ref) >= -scale / 2 ** (prec - 8)
         assert outward * (bound - ref) <= scale / 2**bits
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 69 * 2**40 // 100), st.sampled_from([256, 1024, 4096]))
+def test_halved_exp_rounds_within_a_few_units_below_ln2(n, bits):
+    # x = n / 2^40 in (0, 0.69): no multiple of ln 2 comes off and r is exact,
+    # so the width is the chain's and the squarings' own rounding, which the
+    # h + 4 extra bits keep to a few units of 2^-w (exp(x) < 2)
+    w = bits + interval.GUARD_BITS
+    lo, hi = (interval._exp_bound(n, 2**40, w, upper) for upper in (False, True))
+    assert hi - lo <= 32
 
 
 def test_exp_runs_one_chain_per_endpoint(monkeypatch):

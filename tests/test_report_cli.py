@@ -183,6 +183,23 @@ def test_cli_scan_rejects_a_negative_margin(capsys):
     assert done.stderr == "error: required margin must be at least 0, got -5\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan", "--qmax", "100", "--u", "5", "--margin"],
+    ["bound", "--u", "3", "--L"],
+])
+def test_cli_negative_rational_option_is_read_as_a_value(capsys, argv):
+    # argparse reads -5 as a number but took -1/1000 for an unknown option
+    *head, option = argv
+    results = []
+    for tail in ([option, "-1/1000"], [f"{option}=-1/1000"]):
+        code = main(head + tail)
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    assert results[0] == results[1]
+    code, out, err = results[0]
+    assert code == 2 and out == "" and err.startswith("error: ") and "-1/1000" in err
+
+
 def test_cli_classify(capsys):
     code, out = run_cli(capsys, "classify", "17")
     assert code == 0 and "CASE_5_MOD_12" in out
