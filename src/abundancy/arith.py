@@ -18,6 +18,7 @@ from math import gcd, isqrt
 __all__ = [
     "Factorization",
     "FactorizationBudgetError",
+    "TRIAL_BITS",
     "digit_count",
     "factorize",
     "gcd",
@@ -28,15 +29,20 @@ __all__ = [
     "parse_factored",
     "primes_up_to",
     "render_exact",
+    "render_short",
+    "rho_factor",
     "sigma",
     "sigma_oracle",
+    "trial_factor",
     "valuation",
 ]
 
 DEFAULT_BUDGET = 2_000_000  # rho iterations before giving up
 ORACLE_CAP = 10**7
 
-_TRIAL_LIMIT = 1 << 16
+# trial_factor divides by the primes below 2^TRIAL_BITS
+TRIAL_BITS = 16
+_TRIAL_LIMIT = 1 << TRIAL_BITS
 # Below this bound the first twelve prime bases make Miller-Rabin deterministic.
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -219,39 +225,72 @@ class Factorization:
         return cls(tuple(factors))
 
 
-def factorize(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
-    """Canonical factorization of n >= 1.
+def trial_factor(n: int) -> tuple[Factorization, int]:
+    """Trial division of n >= 1 by the primes below 2^16.
 
-    Trial division below 2^16, then is_prime plus Brent-rho splitting with
-    a fixed parameter schedule. Deterministic. Raises FactorizationBudgetError
-    once `budget` rho iterations are spent, so pathological inputs fail
-    cleanly instead of hanging. Each reported prime is tested once, by the
-    trial division, by the 2^32 rule below or by its own is_prime call, so the
-    result is not validated again. That is a proof below ~3.3e24 and for
-    Mersenne-shaped primes; any other prime above it is a strong probable
-    prime to 20 fixed bases (see is_prime).
+    Returns (f, m) with n = f.value() * m. Either m = 1 and f is the whole
+    factorization (a prime left over after the division is proven, by the
+    2^32 rule or by one is_prime call, and moved into f), or m is composite,
+    every prime factor of m exceeds 2^16 and f holds the primes below 2^16.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}; need n >= 1")
-    found: dict[int, int] = {}
+    found: list[tuple[int, int]] = []
     for p in _small_primes():
         if p * p > n:
             break
+        e = 0
         while n % p == 0:
-            found[p] = found.get(p, 0) + 1
             n //= p
-    if n > 1:
-        effort = [budget]
-        stack = [n]
-        while stack:
-            m = stack.pop()
-            if m in found or m < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(m):
-                # below the trial limit squared anything surviving is prime
-                found[m] = found.get(m, 0) + 1
-                continue
-            d = _brent_rho(m, effort)
-            stack.append(d)
-            stack.append(m // d)
+            e += 1
+        if e:
+            found.append((p, e))
+    # below the trial limit squared anything surviving is prime
+    if n > 1 and (n < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(n)):
+        found.append((n, 1))
+        n = 1
+    return Factorization._derived(tuple(found)), n
+
+
+def factorize(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
+    """Canonical factorization of n >= 1: trial_factor, then rho_factor on the
+    composite cofactor it leaves, if any.
+
+    Deterministic. Raises FactorizationBudgetError once `budget` rho
+    iterations are spent, so pathological inputs fail cleanly instead of
+    hanging. Each reported prime is tested once, by the trial division, by
+    the 2^32 rule or by its own is_prime call, so the result is not validated
+    again. That is a proof below ~3.3e24 and for Mersenne-shaped primes; any
+    other prime above it is a strong probable prime to 20 fixed bases (see
+    is_prime).
+    """
+    small, cofactor = trial_factor(n)
+    if cofactor == 1:
+        return small
+    return Factorization._derived(small.factors + rho_factor(cofactor, budget).factors)
+
+
+def rho_factor(m: int, budget: int = DEFAULT_BUDGET) -> Factorization:
+    """Factorization of a cofactor m that trial_factor left: composite, every
+    prime factor above 2^16.
+
+    Brent-rho splitting with a fixed parameter schedule; m itself is not
+    tested again, each smaller cofactor once. Raises FactorizationBudgetError
+    once `budget` rho iterations are spent.
+    """
+    effort = [budget]
+    found: dict[int, int] = {}
+    d = _brent_rho(m, effort)
+    stack = [d, m // d]
+    while stack:
+        c = stack.pop()
+        # every prime factor exceeds 2^16, so below 2^32 c is prime
+        if c in found or c < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(c):
+            found[c] = found.get(c, 0) + 1
+            continue
+        d = _brent_rho(c, effort)
+        stack.append(d)
+        stack.append(c // d)
     return Factorization._derived(tuple(sorted(found.items())))
 
 
@@ -268,8 +307,7 @@ def _brent_rho(n: int, effort: list[int]) -> int:
     def spend(steps: int) -> None:
         effort[0] -= steps
         if effort[0] <= 0:
-            shown = _abbreviated(n) if n >= 10**40 else str(n)
-            raise FactorizationBudgetError(f"factoring budget exhausted on {shown}")
+            raise FactorizationBudgetError(f"factoring budget exhausted on {render_short(n)}")
 
     for c in itertools.count(1):
         y, r, q = 2, 1, 1
@@ -330,6 +368,11 @@ def render_exact(x: int | Fraction) -> str:
         return str(n)
     except ValueError:  # more digits than sys.get_int_max_str_digits()
         return f"{'-' if n < 0 else ''}{_abbreviated(abs(n))}"
+
+
+def render_short(n: int) -> str:
+    """str(n) for n >= 0 of at most 40 digits, else the head/tail form."""
+    return _abbreviated(n) if n >= 10**40 else str(n)
 
 
 def _abbreviated(n: int) -> str:

@@ -199,7 +199,9 @@ def _sandwich_verdict(xs: tuple[IntervalReal, IntervalReal, IntervalReal]) -> Sa
     return None
 
 
-@lru_cache(maxsize=None)
+# 1/x(u) and the bounds built on it are cached like the logs, 512 entries
+# each: a candidate's u is its least prime, and candidates share few of them.
+@lru_cache(maxsize=512)
 def reciprocal_exponent(u: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> IntervalReal:
     """Enclosure of 1/x(u) = ln(I(u))/ln(I(u^2)) for an odd prime u: the
     reciprocal of x(u) enclosed by abundancy_exponent's rule, escalating until
@@ -215,6 +217,7 @@ def reciprocal_exponent(u: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> Int
     return IntervalReal.exact(1, x.bits) / x
 
 
+@lru_cache(maxsize=512)
 def index_lower_bound(
     L: Fraction | int,
     u: int,

@@ -19,6 +19,7 @@ from functools import lru_cache, partial
 from typing import Callable
 
 from .arith import (
+    TRIAL_BITS,
     Factorization,
     FactorizationBudgetError,
     digit_count,
@@ -29,7 +30,10 @@ from .arith import (
     parse_factored,
     primes_up_to,
     render_exact,
+    render_short,
+    rho_factor,
     sigma,
+    trial_factor,
 )
 from .index import (
     abundancy_index,
@@ -195,7 +199,9 @@ def _flag(name: str, ok: bool, witness: str) -> Check:
     return Check(name, CheckStatus.PASS if ok else CheckStatus.FAIL, witness)
 
 
-# The checks that need q factored, UNDECIDED when that exhausts the budget.
+# The checks that need q's factorization, or the bounds that stand in for it
+# (_bounded_checks); UNDECIDED when neither decides and factoring exhausts
+# the budget.
 _FACTORED_CHECKS = ("omega(N) >= 10", "I(q^k) < 5/4", "I(n) > index lower bound", "sigma(N) = 2N")
 
 
@@ -207,23 +213,28 @@ def validate_eulerian(
 
     Form checks and literature bounds are exact integer comparisons; the index
     lower bound is decided by certified enclosures with automatic precision
-    escalation. q is factored once, which also decides "q prime"; if that
-    exhausts the factoring budget, q is composite and the checks that need the
-    factorization are UNDECIDED. Failures are report entries, never exceptions.
+    escalation. q goes through trial_factor once, which also decides "q
+    prime". If it leaves a composite cofactor m (every prime factor above
+    2^16), the checks that need q's factorization are first decided from
+    exact bounds on m's share of N (_bounded_checks); only when a bound
+    cannot decide is m factored by rho, and if that exhausts the budget those
+    checks are UNDECIDED. Failures are report entries, never exceptions.
     """
     q, k = candidate.q, candidate.k
     n = candidate.root
     big_n = candidate.value
     g = gcd(q, n)
-    try:
-        euler = candidate.euler_factorization()
-    except FactorizationBudgetError as exc:
-        euler = Factorization()  # rho only runs on composites, so q is not prime
-        factored = [Check(name, CheckStatus.UNDECIDED, str(exc)) for name in _FACTORED_CHECKS]
-    else:
-        factored = _factored_checks(candidate, euler, cfg)
+    small, cofactor = trial_factor(q)
+    factored = None if cofactor == 1 else _bounded_checks(candidate, small, cofactor, cfg)
+    if factored is None:
+        try:
+            euler = (small if cofactor == 1 else small * rho_factor(cofactor)) ** k
+        except FactorizationBudgetError as exc:
+            factored = [Check(name, CheckStatus.UNDECIDED, str(exc)) for name in _FACTORED_CHECKS]
+        else:
+            factored = _factored_checks(candidate, euler, cfg)
     checks = [
-        _flag("q prime", euler.factors == ((q, k),), f"q = {render_exact(q)}"),
+        _flag("q prime", cofactor == 1 and small.factors == ((q, 1),), f"q = {render_exact(q)}"),
         _flag("q = 1 (mod 4)", q % 4 == 1, f"q mod 4 = {q % 4}"),
         _flag("k = 1 (mod 4)", k % 4 == 1, f"k mod 4 = {k % 4}"),
         _flag("gcd(q, n) = 1", g == 1, f"gcd(q, n) = {render_exact(g)}"),
@@ -268,6 +279,60 @@ def _factored_checks(
         _index_bound_check(candidate, full.least_prime(), cfg),
         _flag("sigma(N) = 2N", residual == 2, witness),
     ]
+
+
+# Every prime factor of an unfactored cofactor m is at least 2^16 + 1, so m
+# has at most t = (bit_length(m) - 1) // 16 of them and
+# 1 < I(m^k) < ((2^16 + 1)/2^16)^t.
+_COFACTOR_FLOOR = (1 << TRIAL_BITS) + 1
+
+
+def _bounded_checks(
+    candidate: EulerianCandidate,
+    small: Factorization,
+    cofactor: int,
+    cfg: PrecisionConfig,
+) -> list[Check] | None:
+    """The checks of _FACTORED_CHECKS, in order, for q = small.value() *
+    cofactor with the cofactor unfactored, or None when a bound cannot decide
+    one of them.
+
+    With gcd(cofactor, n) = 1, N = rest * cofactor^k where rest = small^k * n^2
+    is fully factored, so omega(N), I(q^k) and I(N) lie in exact ranges set by
+    rest and t, and the least prime of N is that of rest if below 2^16 + 1.
+    """
+    if gcd(cofactor, candidate.root) != 1:
+        return None
+    euler_part = small**candidate.k
+    rest = euler_part * candidate.n.squared()
+    if not rest.factors or rest.least_prime() >= _COFACTOR_FLOOR:
+        return None  # the least prime of N may divide the cofactor
+    t = (cofactor.bit_length() - 1) // TRIAL_BITS
+    growth = Fraction(_COFACTOR_FLOOR, _COFACTOR_FLOOR - 1) ** t
+    unfactored = f"cofactor {render_short(cofactor)} unfactored, primes > 2^16"
+    om = omega(rest)
+    if om + 1 >= NIELSEN_MIN_OMEGA:
+        omega_check = Check("omega(N) >= 10", CheckStatus.PASS, f"omega(N) >= {om + 1}")
+    elif om + t < NIELSEN_MIN_OMEGA:
+        omega_check = Check("omega(N) >= 10", CheckStatus.FAIL, f"omega(N) <= {om + t}")
+    else:
+        return None
+    euler_index = abundancy_index(euler_part)
+    if euler_index * growth <= Fraction(5, 4):
+        euler_check = Check("I(q^k) < 5/4", CheckStatus.PASS, f"I(q^k) < 5/4 ({unfactored})")
+    elif euler_index >= Fraction(5, 4):
+        euler_check = Check("I(q^k) < 5/4", CheckStatus.FAIL, f"I(q^k) > 5/4 ({unfactored})")
+    else:
+        return None
+    rest_index = abundancy_index(rest)
+    if rest_index >= 2:
+        relation = ">"
+    elif rest_index * growth <= 2:
+        relation = "<"
+    else:
+        return None
+    residual = Check("sigma(N) = 2N", CheckStatus.FAIL, f"sigma(N) != 2N: I(N) {relation} 2 ({unfactored})")
+    return [omega_check, euler_check, _index_bound_check(candidate, rest.least_prime(), cfg), residual]
 
 
 # bound < I(n) passes, bound > I(n) fails

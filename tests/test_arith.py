@@ -16,8 +16,10 @@ from abundancy.arith import (
     parse_factored,
     primes_up_to,
     render_exact,
+    rho_factor,
     sigma,
     sigma_oracle,
+    trial_factor,
     valuation,
 )
 
@@ -70,6 +72,20 @@ def test_factorize_round_trip():
 def test_factorize_semiprime():
     p, q = 1_000_003, 1_000_033
     assert factorize(p * q).factors == ((p, 1), (q, 1))
+
+
+def test_trial_factor_leaves_a_composite_cofactor_or_none():
+    p, q = 4294967311, 1099511627791  # primes above 2^32
+    assert trial_factor(1) == (Factorization(()), 1)
+    # a prime left after the division moves into the factorization
+    assert trial_factor(3 * 100003) == (Factorization.parse("3*100003"), 1)
+    assert trial_factor(9 * 5 * p) == (Factorization.parse(f"3^2*5*{p}"), 1)
+    # a composite cofactor stays whole, with every prime factor above 2^16
+    assert trial_factor(9 * 5 * p * q) == (Factorization.parse("3^2*5"), p * q)
+    assert trial_factor(65537**2) == (Factorization(()), 65537**2)
+    for n in (9 * 5 * p * q, 7 * p**2 * q, p * q):
+        small, cofactor = trial_factor(n)
+        assert factorize(n) == small * rho_factor(cofactor)
 
 
 def test_factorize_budget_error():

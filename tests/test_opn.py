@@ -2,12 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import BIG_PRIME, assert_consistent
 from abundancy import arith, opn
-from abundancy.arith import Factorization, factorize, primes_up_to
+from abundancy.arith import Factorization, factorize, is_prime, primes_up_to, trial_factor
 from abundancy.index import index_lower_bound, reciprocal_exponent
-from abundancy.interval import Comparison, IntervalReal, PrecisionConfig, decide, pow_interval
+from abundancy.interval import DEFAULT_PRECISION, Comparison, IntervalReal, PrecisionConfig, decide, pow_interval
 from abundancy.opn import (
     CheckStatus,
     EulerianCandidate,
@@ -162,6 +163,110 @@ def test_validate_q_past_the_str_digit_limit_is_reported():
     shown = "10000000000000000000...00000000000000000000 (4401 digits)"
     assert {c.witness for c in report.checks} >= {f"q = {shown}", f"k = 5, q = {shown}, n = 9"}
     assert str(huge) == f"q={shown} k=5 n=3^2"
+
+
+def _next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+_SMALL_PRIMES = primes_up_to(2**16)
+# q from primes below 2^16 and primes in (2^16, 2^40), which rho splits fast
+_LARGE_PRIMES = st.integers(17, 40).flatmap(lambda b: st.integers(2 ** (b - 1) + 1, 2**b - 30)).map(_next_prime)
+
+
+def _factors(draw, primes, exponents, counts):
+    """{prime: exponent} with a number of distinct primes drawn from counts."""
+    count = draw(counts)
+    chosen = draw(st.lists(primes, min_size=count, max_size=count, unique=True))
+    return {p: draw(exponents) for p in chosen}
+
+
+@st.composite
+def split_candidates(draw):
+    """(candidate, factorization of q): q from up to three primes below 2^16
+    and up to three above, n from up to ten odd primes below 100, now and
+    then with 2 or one of q's large primes."""
+    small = _factors(draw, st.sampled_from(_SMALL_PRIMES[:12]) | st.sampled_from(_SMALL_PRIMES),
+                     st.integers(1, 6), st.sampled_from((0, 1, 2, 3)))
+    large = _factors(draw, _LARGE_PRIMES, st.integers(1, 2), st.sampled_from((0, 1, 2, 2, 3)))
+    q_f = Factorization(tuple(sorted({**small, **large}.items())))
+    if q_f.value() < 2:
+        q_f = Factorization(((3, 1),))
+    n_factors = _factors(draw, st.sampled_from(primes_up_to(100)[1:]), st.integers(1, 3), st.integers(0, 10))
+    if draw(st.integers(0, 9)) == 0:
+        n_factors[2] = 1
+    if large and draw(st.integers(0, 9)) == 0:
+        n_factors[min(large)] = 1
+    n = Factorization(tuple(sorted(n_factors.items())))
+    return EulerianCandidate(q_f.value(), draw(st.integers(1, 9)), n), q_f
+
+
+def _decline_examples():
+    """Candidates whose cofactor no bound can decide: it shares a prime with
+    n; n = 1 leaves N's least prime unknown; omega(rest) = 8 with room for
+    two more primes; I(5^5) = 1.24992 times (65537/65536)^5 straddles 5/4."""
+    p, r, big = 65537, 65539, _next_prime(2**64)
+    seven = Factorization.parse("5*7*11*13*17*19*23")
+    return [
+        (EulerianCandidate(3 * p * r, 1, Factorization(((p, 1),))), Factorization(((3, 1), (p, 1), (r, 1)))),
+        (EulerianCandidate(p * r, 1, Factorization(())), Factorization(((p, 1), (r, 1)))),
+        (EulerianCandidate(3 * p * r, 1, seven), Factorization(((3, 1), (p, 1), (r, 1)))),
+        (EulerianCandidate(5 * p * big, 5, factorize(9)), Factorization(((5, 1), (p, 1), (big, 1)))),
+    ]
+
+
+def _factored_part(report):
+    return [c for c in report.checks if c.name in opn._FACTORED_CHECKS]
+
+
+@settings(max_examples=60, deadline=None)
+@given(split_candidates())
+def test_bounded_checks_agree_with_the_full_factorization(case):
+    candidate, q_factors = case
+    expected = opn._factored_checks(candidate, q_factors**candidate.k, DEFAULT_PRECISION)
+    small, cofactor = trial_factor(candidate.q)
+    bounded = None if cofactor == 1 else opn._bounded_checks(candidate, small, cofactor, DEFAULT_PRECISION)
+    got = _factored_part(validate_eulerian(candidate))
+    order = [opn._FACTORED_CHECKS.index(c.name) for c in got]  # the report puts sigma last
+    if bounded is None:
+        assert got == [expected[i] for i in order]  # the rho path, checks and witnesses
+    else:
+        assert got == [bounded[i] for i in order]
+        assert [c.status for c in bounded] == [c.status for c in expected]
+        assert all(len(c.witness) < 200 for c in bounded)
+
+
+@pytest.mark.parametrize("case", _decline_examples())
+def test_bounded_checks_decline_and_fall_back_to_rho(case):
+    candidate, q_factors = case
+    small, cofactor = trial_factor(candidate.q)
+    assert cofactor > 1
+    assert opn._bounded_checks(candidate, small, cofactor, DEFAULT_PRECISION) is None
+    expected = opn._factored_checks(candidate, q_factors**candidate.k, DEFAULT_PRECISION)
+    got = _factored_part(validate_eulerian(candidate))
+    assert sorted(got, key=lambda c: c.name) == sorted(expected, key=lambda c: c.name)
+
+
+def test_bounded_witnesses_name_their_bound_and_stay_short():
+    # the cofactor 65537^200 has 964 digits; q is 5 times it, n has eight
+    # primes, so omega(N) = 10 and I(q) < 6/5 * (65537/65536)^200 < 5/4
+    n = Factorization.parse("3*7*11*13*17*19*23*29")
+    report = validate_eulerian(EulerianCandidate(5 * 65537**200, 1, n))
+    unfactored = f"cofactor {arith.render_short(65537**200)} unfactored, primes > 2^16"
+    assert unfactored.endswith("(964 digits) unfactored, primes > 2^16")
+    witnesses = {c.name: (c.status, c.witness) for c in _factored_part(report)}
+    assert witnesses["omega(N) >= 10"] == (CheckStatus.PASS, "omega(N) >= 10")
+    assert witnesses["I(q^k) < 5/4"] == (CheckStatus.PASS, f"I(q^k) < 5/4 ({unfactored})")
+    assert witnesses["sigma(N) = 2N"] == (CheckStatus.FAIL, f"sigma(N) != 2N: I(N) > 2 ({unfactored})")
+    assert all(len(w) < 200 for _, w in witnesses.values())
+    # below: N = 5 * 65537 * 65539 has 3 primes and I(N) < 6/5 * (65537/65536)^2
+    report = validate_eulerian(EulerianCandidate(5 * 65537 * 65539, 1, Factorization(())))
+    unfactored = f"cofactor {65537 * 65539} unfactored, primes > 2^16"
+    witnesses = {c.name: (c.status, c.witness) for c in _factored_part(report)}
+    assert witnesses["omega(N) >= 10"] == (CheckStatus.FAIL, "omega(N) <= 3")
+    assert witnesses["sigma(N) = 2N"] == (CheckStatus.FAIL, f"sigma(N) != 2N: I(N) < 2 ({unfactored})")
 
 
 def test_reciprocal_exponent_and_the_bounds_climb_the_ladder():

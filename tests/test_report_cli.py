@@ -315,17 +315,34 @@ def test_cli_exponent_at_the_ceiling_prints_the_last_enclosure(capsys, monkeypat
     assert x.lo - slack <= ref <= x.hi + slack
 
 
-def test_cli_check_budget_exhausted_is_undecided(capsys):
-    # factoring 10^105 + 1 exhausts the rho budget: the report still prints,
-    # with the four checks that need the factorization UNDECIDED
+def test_cli_check_decides_an_unfactored_cofactor_from_bounds(capsys):
+    # trial division leaves an 84-digit composite cofactor of 10^105 + 1; the
+    # checks that need q's factorization are decided from exact bounds on it
     code, out = run_cli(capsys, "check", f"q={10**105 + 1}", "k=1", "n=3^2", "--json")
+    assert code == 1
+    checks = {c["name"]: (c["status"], c["witness"]) for c in json.loads(out)["checks"]}
+    unfactored = "cofactor 41831885183188058168...68119418318851831881 (84 digits) unfactored, primes > 2^16"
+    assert checks["q prime"][0] == "FAIL"
+    assert checks["omega(N) >= 10"] == ("PASS", "omega(N) >= 11")
+    assert checks["I(q^k) < 5/4"] == ("FAIL", f"I(q^k) > 5/4 ({unfactored})")
+    assert checks["I(n) > index lower bound"][0] == "PASS"
+    assert checks["sigma(N) = 2N"] == ("FAIL", f"sigma(N) != 2N: I(N) > 2 ({unfactored})")
+
+
+def test_cli_check_budget_exhausted_is_undecided(capsys):
+    # q is the product of two primes just above 2^64, far beyond the rho
+    # budget, and n = 1 leaves N's least prime unknown, so no bound decides:
+    # the report still prints, with the four checks that need q factored
+    # UNDECIDED
+    q = 18446744073709551629 * 18446744073709551653
+    code, out = run_cli(capsys, "check", f"q={q}", "k=1", "n=1", "--json")
     assert code == 1
     checks = json.loads(out)["checks"]
     undecided = [c for c in checks if c["status"] == "UNDECIDED"]
     assert [c["name"] for c in undecided] == [
         "omega(N) >= 10", "I(q^k) < 5/4", "I(n) > index lower bound", "sigma(N) = 2N",
     ]
-    assert all(c["witness"].startswith("factoring budget exhausted on ") for c in undecided)
+    assert all(c["witness"] == f"factoring budget exhausted on {q}" for c in undecided)
     assert [c["name"] for c in checks][-2:] == ["q < n for k > 1", "sigma(N) = 2N"]
 
 
