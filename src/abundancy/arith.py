@@ -37,7 +37,7 @@ __all__ = [
     "valuation",
 ]
 
-DEFAULT_BUDGET = 2_000_000  # rho iterations before giving up
+DEFAULT_BUDGET = 2_000_000  # rho iterations below 256 bits before giving up
 ORACLE_CAP = 10**7
 
 # trial_factor divides by the primes below 2^TRIAL_BITS
@@ -156,12 +156,12 @@ class Factorization:
     def __post_init__(self) -> None:
         prev = 1
         for p, e in self.factors:
+            if not is_prime(p):
+                raise ValueError(f"{p} is not prime")
             if p <= prev:
                 raise ValueError(f"primes must be strictly increasing, got {p} after {prev}")
             if e < 1:
                 raise ValueError(f"exponent of {p} must be >= 1, got {e}")
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
             prev = p
 
     @classmethod
@@ -256,18 +256,16 @@ def factorize(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
     """Canonical factorization of n >= 1: trial_factor, then rho_factor on the
     composite cofactor it leaves, if any.
 
-    Deterministic. Raises FactorizationBudgetError once `budget` rho
-    iterations are spent, so pathological inputs fail cleanly instead of
-    hanging. Each reported prime is tested once, by the trial division, by
-    the 2^32 rule or by its own is_prime call, so the result is not validated
-    again. That is a proof below ~3.3e24 and for Mersenne-shaped primes; any
-    other prime above it is a strong probable prime to 20 fixed bases (see
-    is_prime).
+    Deterministic. Raises FactorizationBudgetError once `budget` is spent (a
+    unit per rho iteration below 256 bits, more above; see _brent_rho), so
+    pathological inputs fail cleanly in bounded time. Each reported prime is
+    tested once, by the trial division, by the 2^32 rule or by its own
+    is_prime call, so the result is not validated again. That is a proof
+    below ~3.3e24 and for Mersenne-shaped primes; any other prime above it is
+    a strong probable prime to 20 fixed bases (see is_prime).
     """
     small, cofactor = trial_factor(n)
-    if cofactor == 1:
-        return small
-    return Factorization._derived(small.factors + rho_factor(cofactor, budget).factors)
+    return small if cofactor == 1 else small * rho_factor(cofactor, budget)
 
 
 def rho_factor(m: int, budget: int = DEFAULT_BUDGET) -> Factorization:
@@ -276,7 +274,7 @@ def rho_factor(m: int, budget: int = DEFAULT_BUDGET) -> Factorization:
 
     Brent-rho splitting with a fixed parameter schedule; m itself is not
     tested again, each smaller cofactor once. Raises FactorizationBudgetError
-    once `budget` rho iterations are spent.
+    once `budget` is spent (see _brent_rho for what an iteration costs).
     """
     effort = [budget]
     found: dict[int, int] = {}
@@ -298,14 +296,16 @@ def _brent_rho(n: int, effort: list[int]) -> int:
     """Nontrivial factor of odd composite n (Brent's cycle variant).
 
     The polynomial offset walks c = 1, 2, 3, ... so results are deterministic.
-    Decrements effort[0] per function evaluation.
+    Decrements effort[0] per function evaluation, by 1 below 256 bits and by
+    (bits(n) / 256)^2 above, as a multiplication mod n costs, to bound time.
     """
     root = isqrt(n)
     if root * root == n:
         return root
+    cost = max(1, n.bit_length() ** 2 >> 16)
 
     def spend(steps: int) -> None:
-        effort[0] -= steps
+        effort[0] -= steps * cost
         if effort[0] <= 0:
             raise FactorizationBudgetError(f"factoring budget exhausted on {render_short(n)}")
 

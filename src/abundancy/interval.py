@@ -318,7 +318,7 @@ def _exp_bound(xn: int, xd: int, w: int, upper: bool) -> int:
     """One bound of exp(xn/xd) scaled by 2^w (any sign of xn, xd > 0), from
     one Taylor chain.
 
-    Reduction x = k*ln2 + r with r in [0, ~0.70], both at w bits; then
+    Reduction x = k*ln2 + r with r in [0, ~0.70] at w bits; then
     argument halving (Brent and Zimmermann, Modern Computer Arithmetic,
     4.3-4.4): the chain runs on r / 2^h with h = isqrt(w) // 2 at
     v = w + h + 4 bits, where r / 2^h scaled by 2^v is r's w-bit value
@@ -333,13 +333,17 @@ def _exp_bound(xn: int, xd: int, w: int, upper: bool) -> int:
     if xn < 0:
         sq = 1 << (2 * w)
         return _cdiv(sq, _exp_bound(-xn, xd, w, False)) if upper else sq // _exp_bound(-xn, xd, w, True)
-    l2lo, l2hi = _ln2_scaled(w)
-    xs_lo = (xn << w) // xd
+    # ln 2 at v = w + s bits is about 0.7 v units of 2^-v wide; with 2^s
+    # above 2x * w > k * w, k times that stays near a unit of 2^-w. For
+    # k = 0, r rounded back to w bits is exactly floor and ceil of x * 2^w.
+    s = (xn // xd).bit_length() + 1 + w.bit_length()
+    l2lo, l2hi = _ln2_scaled(w + s)
+    xs_lo = (xn << (w + s)) // xd
     k = xs_lo // l2hi
     if upper:
-        r = _cdiv(xn << w, xd) - k * l2lo
+        r = -((k * l2lo - _cdiv(xn << (w + s), xd)) >> s)
     else:
-        r = xs_lo - k * l2hi  # in [0, l2hi) by choice of k
+        r = (xs_lo - k * l2hi) >> s  # in [0, l2hi >> s] by choice of k
     h = isqrt(w) // 2
     v = w + h + 4
     y = _exp_series_scaled(r << 4, v, upper)

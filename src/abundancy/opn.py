@@ -200,7 +200,7 @@ def _flag(name: str, ok: bool, witness: str) -> Check:
 
 
 # The checks that need q's factorization, or the bounds that stand in for it
-# (_bounded_checks); UNDECIDED when neither decides and factoring exhausts
+# (_factored_checks); UNDECIDED when neither decides and factoring exhausts
 # the budget.
 _FACTORED_CHECKS = ("omega(N) >= 10", "I(q^k) < 5/4", "I(n) > index lower bound", "sigma(N) = 2N")
 
@@ -214,10 +214,11 @@ def validate_eulerian(
     Form checks and literature bounds are exact integer comparisons; the index
     lower bound is decided by certified enclosures with automatic precision
     escalation. q goes through trial_factor once, which also decides "q
-    prime". If it leaves a composite cofactor m (every prime factor above
-    2^16), the checks that need q's factorization are first decided from
-    exact bounds on m's share of N (_bounded_checks); only when a bound
-    cannot decide is m factored by rho, and if that exhausts the budget those
+    prime" and leaves a cofactor m that is 1 or composite with every prime
+    factor above 2^16. One evaluator, _factored_checks, decides the checks
+    that need q's factorization: exactly when m = 1, else from exact bounds on
+    m's share of N. Only when a bound cannot decide is m factored by rho and
+    the evaluator run once more, with m = 1; if rho exhausts the budget those
     checks are UNDECIDED. Failures are report entries, never exceptions.
     """
     q, k = candidate.q, candidate.k
@@ -225,14 +226,14 @@ def validate_eulerian(
     big_n = candidate.value
     g = gcd(q, n)
     small, cofactor = trial_factor(q)
-    factored = None if cofactor == 1 else _bounded_checks(candidate, small, cofactor, cfg)
+    factored = _factored_checks(candidate, small, cofactor, cfg)
     if factored is None:
         try:
-            euler = (small if cofactor == 1 else small * rho_factor(cofactor)) ** k
+            known = small * rho_factor(cofactor)
         except FactorizationBudgetError as exc:
             factored = [Check(name, CheckStatus.UNDECIDED, str(exc)) for name in _FACTORED_CHECKS]
         else:
-            factored = _factored_checks(candidate, euler, cfg)
+            factored = _factored_checks(candidate, known, 1, cfg)
     checks = [
         _flag("q prime", cofactor == 1 and small.factors == ((q, 1),), f"q = {render_exact(q)}"),
         _flag("q = 1 (mod 4)", q % 4 == 1, f"q mod 4 = {q % 4}"),
@@ -253,86 +254,80 @@ def validate_eulerian(
     return ConstraintReport(tuple(checks + bounds + [order, residual]))
 
 
-def _factored_checks(
-    candidate: EulerianCandidate,
-    euler: Factorization,
-    cfg: PrecisionConfig,
-) -> list[Check]:
-    """The checks of _FACTORED_CHECKS, in order, from the factorization of q^k."""
-    big_n = candidate.value
-    full = euler * candidate.n.squared()
-    om = omega(full)
-    euler_index = abundancy_index(euler)
-
-    residual = abundancy_index(full)
-    if big_n < 10**30:
-        witness = f"sigma(N)/N = {sigma(full)}/{big_n}"
-        if residual.denominator != big_n:  # only if it actually reduces
-            witness += f" = {residual}"
-    else:
-        witness = f"sigma(N) != 2N (N has {digit_count(big_n)} digits)"
-        if residual == 2:
-            witness = "sigma(N) = 2N"
-    return [
-        _flag("omega(N) >= 10", om >= NIELSEN_MIN_OMEGA, f"omega(N) = {om}"),
-        _flag("I(q^k) < 5/4", euler_index < Fraction(5, 4), f"I(q^k) = {render_exact(euler_index)}"),
-        _index_bound_check(candidate, full.least_prime(), cfg),
-        _flag("sigma(N) = 2N", residual == 2, witness),
-    ]
-
-
 # Every prime factor of an unfactored cofactor m is at least 2^16 + 1, so m
 # has at most t = (bit_length(m) - 1) // 16 of them and
-# 1 < I(m^k) < ((2^16 + 1)/2^16)^t.
-_COFACTOR_FLOOR = (1 << TRIAL_BITS) + 1
+# 1 < I(m^k) < _GROWTH^t = ((2^16 + 1)/2^16)^t.
+_GROWTH = Fraction((1 << TRIAL_BITS) + 1, 1 << TRIAL_BITS)
 
 
-def _bounded_checks(
+def _factored_checks(
     candidate: EulerianCandidate,
-    small: Factorization,
+    known: Factorization,
     cofactor: int,
     cfg: PrecisionConfig,
 ) -> list[Check] | None:
-    """The checks of _FACTORED_CHECKS, in order, for q = small.value() *
-    cofactor with the cofactor unfactored, or None when a bound cannot decide
-    one of them.
+    """The checks of _FACTORED_CHECKS, in order, for q = known.value() *
+    cofactor, the cofactor being 1 or unfactored with every prime factor above
+    2^16; None when a bound cannot decide one of them.
 
-    With gcd(cofactor, n) = 1, N = rest * cofactor^k where rest = small^k * n^2
+    With gcd(cofactor, n) = 1, N = rest * cofactor^k where rest = known^k * n^2
     is fully factored, so omega(N), I(q^k) and I(N) lie in exact ranges set by
     rest and t, and the least prime of N is that of rest if below 2^16 + 1.
+    A cofactor of 1 has t = 0: each range is then one exact value, and the
+    witnesses show it.
     """
-    if gcd(cofactor, candidate.root) != 1:
-        return None
-    euler_part = small**candidate.k
+    euler_part = known**candidate.k
     rest = euler_part * candidate.n.squared()
-    if not rest.factors or rest.least_prime() >= _COFACTOR_FLOOR:
-        return None  # the least prime of N may divide the cofactor
+    # None when the cofactor shares a prime with n or may hold N's least prime
+    if cofactor > 1 and (gcd(cofactor, candidate.root) != 1 or not rest.factors
+                         or rest.least_prime() > 1 << TRIAL_BITS):
+        return None
     t = (cofactor.bit_length() - 1) // TRIAL_BITS
-    growth = Fraction(_COFACTOR_FLOOR, _COFACTOR_FLOOR - 1) ** t
-    unfactored = f"cofactor {render_short(cofactor)} unfactored, primes > 2^16"
-    om = omega(rest)
-    if om + 1 >= NIELSEN_MIN_OMEGA:
-        omega_check = Check("omega(N) >= 10", CheckStatus.PASS, f"omega(N) >= {om + 1}")
-    elif om + t < NIELSEN_MIN_OMEGA:
-        omega_check = Check("omega(N) >= 10", CheckStatus.FAIL, f"omega(N) <= {om + t}")
+    least, most = omega(rest) + (cofactor > 1), omega(rest) + t
+    if least == most:
+        omega_witness = f"omega(N) = {least}"
+    elif least >= NIELSEN_MIN_OMEGA:
+        omega_witness = f"omega(N) >= {least}"
+    elif most < NIELSEN_MIN_OMEGA:
+        omega_witness = f"omega(N) <= {most}"
     else:
         return None
     euler_index = abundancy_index(euler_part)
-    if euler_index * growth <= Fraction(5, 4):
-        euler_check = Check("I(q^k) < 5/4", CheckStatus.PASS, f"I(q^k) < 5/4 ({unfactored})")
-    elif euler_index >= Fraction(5, 4):
-        euler_check = Check("I(q^k) < 5/4", CheckStatus.FAIL, f"I(q^k) > 5/4 ({unfactored})")
-    else:
-        return None
+    euler_side = _side(euler_index, t, Fraction(5, 4))
     rest_index = abundancy_index(rest)
-    if rest_index >= 2:
-        relation = ">"
-    elif rest_index * growth <= 2:
-        relation = "<"
-    else:
+    residual_side = _side(rest_index, t, 2)
+    if euler_side is None or residual_side is None:
         return None
-    residual = Check("sigma(N) = 2N", CheckStatus.FAIL, f"sigma(N) != 2N: I(N) {relation} 2 ({unfactored})")
-    return [omega_check, euler_check, _index_bound_check(candidate, rest.least_prime(), cfg), residual]
+    if cofactor > 1:
+        unfactored = f"(cofactor {render_short(cofactor)} unfactored, primes > 2^16)"
+        euler_witness = f"I(q^k) {euler_side} 5/4 {unfactored}"
+        residual_witness = f"sigma(N) != 2N: I(N) {residual_side} 2 {unfactored}"
+    else:
+        euler_witness = f"I(q^k) = {render_exact(euler_index)}"
+        big_n = candidate.value
+        if big_n < 10**30:
+            residual_witness = f"sigma(N)/N = {sigma(rest)}/{big_n}"
+            if rest_index.denominator != big_n:  # only if it actually reduces
+                residual_witness += f" = {rest_index}"
+        elif residual_side == "=":
+            residual_witness = "sigma(N) = 2N"
+        else:
+            residual_witness = f"sigma(N) != 2N (N has {digit_count(big_n)} digits)"
+    return [
+        _flag("omega(N) >= 10", least >= NIELSEN_MIN_OMEGA, omega_witness),
+        _flag("I(q^k) < 5/4", euler_side == "<", euler_witness),
+        _index_bound_check(candidate, rest.least_prime(), cfg),
+        _flag("sigma(N) = 2N", residual_side == "=", residual_witness),
+    ]
+
+
+def _side(lo: Fraction, t: int, threshold: Fraction | int) -> str | None:
+    """How a value compares with threshold, as '<', '=' or '>'. The value is
+    lo when t = 0, else strictly between lo and lo * _GROWTH^t; None when
+    that open range straddles the threshold."""
+    if t == 0:
+        return "=" if lo == threshold else "<" if lo < threshold else ">"
+    return "<" if lo * _GROWTH**t <= threshold else ">" if lo >= threshold else None
 
 
 # bound < I(n) passes, bound > I(n) fails

@@ -97,6 +97,32 @@ def test_factorize_budget_error():
         factorize(p * q, budget=1000)
 
 
+def _rho_reductions(m, budget):
+    """The reductions mod m that rho_factor(m, budget) makes before it gives
+    up; each rho iteration makes one or two."""
+    reductions = []
+
+    class Modulus(int):
+        def __rmod__(self, other):
+            reductions.append(other)
+            return other % int(self)
+
+    with pytest.raises(FactorizationBudgetError):
+        rho_factor(Modulus(m), budget)
+    return len(reductions)
+
+
+def test_rho_budget_is_charged_by_operand_size():
+    # an iteration costs 1 below 256 bits and (bits / 256)^2 above; the
+    # budget is spent in chunks of at most the steps already taken plus 128
+    p, q = 2**59 - 55, 2**61 - 1
+    assert 1000 <= _rho_reductions(p * q, 1000) <= 2 * (2 * 1000 + 128)
+    # two Mersenne primes: rho cannot split their 3,482-bit product
+    m = (2**1279 - 1) * (2**2203 - 1)
+    assert m.bit_length() == 3482 and m.bit_length() ** 2 >> 16 == 185
+    assert 200_000 // 185 <= _rho_reductions(m, 200_000) <= 2 * (2 * 200_000 // 185 + 128)
+
+
 def test_factorize_budget_error_renders_a_cofactor_past_the_str_digit_limit(monkeypatch):
     # only the message is under test: a real is_prime on this 14.6k-bit
     # cofactor takes seconds, so every cofactor is taken to be composite

@@ -471,6 +471,19 @@ def test_halved_exp_rounds_within_a_few_units_below_ln2(n, bits):
     assert hi - lo <= 32
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.fractions(-700, 700, max_denominator=2**64), st.sampled_from([256, 1024, 4096]))
+def test_exp_width_does_not_grow_with_the_multiple_of_ln2(x, bits):
+    # x = k ln 2 + r with |k| up to 1010: the reduction takes ln 2 at enough
+    # extra bits that k times its width stays below a unit of 2^-w, so exp(x)
+    # is as tight as below ln 2, within a few units of 2^-w on its scale
+    out = exp_ratio(x, bits)
+    w = bits + interval.GUARD_BITS
+    ref = _reference(lambda: mpmath.exp(mpmath.mpf(x.numerator) / x.denominator), w + 64)
+    assert out.lo <= ref <= out.hi
+    assert out.hi - out.lo <= 32 * max(Fraction(1), ref) / 2**w
+
+
 def test_exp_runs_one_chain_per_endpoint(monkeypatch):
     kernel = interval._exp_series_scaled
     chains = []

@@ -225,12 +225,14 @@ def _factored_part(report):
 @given(split_candidates())
 def test_bounded_checks_agree_with_the_full_factorization(case):
     candidate, q_factors = case
-    expected = opn._factored_checks(candidate, q_factors**candidate.k, DEFAULT_PRECISION)
+    expected = opn._factored_checks(candidate, q_factors, 1, DEFAULT_PRECISION)
     small, cofactor = trial_factor(candidate.q)
-    bounded = None if cofactor == 1 else opn._bounded_checks(candidate, small, cofactor, DEFAULT_PRECISION)
+    bounded = opn._factored_checks(candidate, small, cofactor, DEFAULT_PRECISION)
     got = _factored_part(validate_eulerian(candidate))
     order = [opn._FACTORED_CHECKS.index(c.name) for c in got]  # the report puts sigma last
-    if bounded is None:
+    if cofactor == 1:
+        assert bounded == expected  # trial division factored q: the exact case
+    if bounded is None or cofactor == 1:
         assert got == [expected[i] for i in order]  # the rho path, checks and witnesses
     else:
         assert got == [bounded[i] for i in order]
@@ -243,8 +245,8 @@ def test_bounded_checks_decline_and_fall_back_to_rho(case):
     candidate, q_factors = case
     small, cofactor = trial_factor(candidate.q)
     assert cofactor > 1
-    assert opn._bounded_checks(candidate, small, cofactor, DEFAULT_PRECISION) is None
-    expected = opn._factored_checks(candidate, q_factors**candidate.k, DEFAULT_PRECISION)
+    assert opn._factored_checks(candidate, small, cofactor, DEFAULT_PRECISION) is None
+    expected = opn._factored_checks(candidate, q_factors, 1, DEFAULT_PRECISION)
     got = _factored_part(validate_eulerian(candidate))
     assert sorted(got, key=lambda c: c.name) == sorted(expected, key=lambda c: c.name)
 
@@ -267,6 +269,20 @@ def test_bounded_witnesses_name_their_bound_and_stay_short():
     witnesses = {c.name: (c.status, c.witness) for c in _factored_part(report)}
     assert witnesses["omega(N) >= 10"] == (CheckStatus.FAIL, "omega(N) <= 3")
     assert witnesses["sigma(N) = 2N"] == (CheckStatus.FAIL, f"sigma(N) != 2N: I(N) < 2 ({unfactored})")
+
+
+def test_a_perfect_known_part_is_decided_without_rho(monkeypatch):
+    # q = 7 * 65537 * 65539, n = 2: the factored rest 7 * 2^2 = 28 is perfect,
+    # so I(rest) = 2 and the unfactored cofactor pushes I(N) above 2
+    monkeypatch.setattr(opn, "rho_factor", lambda m: pytest.fail("rho ran"))
+    report = validate_eulerian(EulerianCandidate(7 * 65537 * 65539, 1, Factorization(((2, 1),))))
+    unfactored = "(cofactor 4295229443 unfactored, primes > 2^16)"
+    assert [(c.name, c.status, c.witness) for c in _factored_part(report)] == [
+        ("omega(N) >= 10", CheckStatus.FAIL, "omega(N) <= 4"),
+        ("I(q^k) < 5/4", CheckStatus.PASS, f"I(q^k) < 5/4 {unfactored}"),
+        ("I(n) > index lower bound", CheckStatus.FAIL, "N is even; the bound assumes odd N"),
+        ("sigma(N) = 2N", CheckStatus.FAIL, f"sigma(N) != 2N: I(N) > 2 {unfactored}"),
+    ]
 
 
 def test_reciprocal_exponent_and_the_bounds_climb_the_ladder():

@@ -346,6 +346,18 @@ def test_cli_check_budget_exhausted_is_undecided(capsys):
     assert [c["name"] for c in checks][-2:] == ["q < n for k > 1", "sigma(N) = 2N"]
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (["abundancy", "-7"], -7),
+    (["sigma", "0^1"], 0),
+    (["sigma", "3^2*-5"], -5),
+])
+def test_cli_names_a_non_positive_factor_as_not_prime(capsys, argv, bad):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {bad} is not prime\n"
+
+
 @pytest.mark.parametrize("flag", ["--bits", "--max-bits"])
 def test_cli_rejects_precision_above_cap(capsys, flag):
     code = main(["bound", "--L", "8/5", "--u", "3", flag, "16385"])
