@@ -43,10 +43,10 @@ ORACLE_CAP = 10**7
 # trial_factor divides by the primes below 2^TRIAL_BITS
 TRIAL_BITS = 16
 _TRIAL_LIMIT = 1 << TRIAL_BITS
-# Below this bound the first twelve prime bases make Miller-Rabin deterministic.
+# Below this bound the first twelve prime bases make Miller-Rabin deterministic;
+# from it on is_prime is BPSW (strong base 2, then _strong_lucas).
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_EXTRA_BASES = (41, 43, 47, 53, 59, 61, 67, 71)
 # Lucas-Lehmer first tries the candidate factors of 2^p - 1 below this bound.
 _LL_TRIAL_LIMIT = 1 << 18
 
@@ -77,10 +77,11 @@ def is_prime(n: int) -> bool:
     """Primality test, deterministic (no randomness anywhere).
 
     A Mersenne-shaped n = 2^p - 1 is decided by the Lucas-Lehmer test, a proof
-    at every size. Other n are tested by Miller-Rabin: below ~3.3e24 its first
-    twelve prime bases make the answer a proof; above that bound True is only a
-    probable-prime claim (a strong pseudoprime to 20 fixed prime bases, 2 to
-    71, which constructed composites can pass).
+    at every size. Below ~3.3e24 the strong Miller-Rabin test to the first
+    twelve prime bases is a proof. Above that bound n gets BPSW: a strong
+    test to base 2 and a strong Lucas test with Selfridge's parameters
+    (Baillie-Wagstaff 1980), so True is a probable-prime claim. No BPSW
+    pseudoprime is known, and none exists below 2^64.
     """
     if n < 2:
         return False
@@ -92,8 +93,8 @@ def is_prime(n: int) -> bool:
     d = n - 1
     r = (d & -d).bit_length() - 1
     d >>= r
-    bases = _MR_BASES if n < _MR_DETERMINISTIC_BOUND else _MR_BASES + _MR_EXTRA_BASES
-    for a in bases:
+    proven = n < _MR_DETERMINISTIC_BOUND
+    for a in _MR_BASES if proven else (2,):
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -103,7 +104,60 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return proven or _strong_lucas(n)
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of odd n > 1 with Selfridge's
+    parameters: the first D of 5, -7, 9, -11, ... with Jacobi(D/n) = -1,
+    P = 1 and Q = (1 - D)/4 (Baillie-Wagstaff 1980).
+
+    With n + 1 = d * 2^s, d odd, n passes iff U_d = 0 or V_(d*2^r) = 0 (mod n)
+    for some r < s. A square has no such D and is rejected first. The chain
+    carries (V_k, V_(k+1), Q^k) up the bits of d, three products a bit, and
+    U_d = 0 is read off D*U_d = 2*V_(d+1) - P*V_d, D being a unit mod n.
+    """
+    root = isqrt(n)
+    if root * root == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return abs(D) == n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d = n + 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    v, w, qk = 1, 1 - 2 * Q, Q  # V_1, V_2, Q^1 (P = 1)
+    for bit in bin(d)[3:]:
+        if bit == "1":
+            v, w, qk = (v * w - qk) % n, (w * w - 2 * qk * Q) % n, qk * qk * Q % n
+        else:
+            v, w, qk = (v * v - 2 * qk) % n, (v * w - qk) % n, qk * qk % n
+    if (2 * w - v) % n == 0:
+        return True
+    for _ in range(s):
+        if v == 0:
+            return True
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    out = 1
+    while a:
+        while a & 1 == 0:
+            a >>= 1
+            if n & 7 in (3, 5):
+                out = -out
+        a, n = n, a
+        if a & 3 == 3 and n & 3 == 3:
+            out = -out
+        a %= n
+    return out if n == 1 else 0
 
 
 def lucas_lehmer(p: int) -> bool:
@@ -262,7 +316,7 @@ def factorize(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
     tested once, by the trial division, by the 2^32 rule or by its own
     is_prime call, so the result is not validated again. That is a proof
     below ~3.3e24 and for Mersenne-shaped primes; any other prime above it is
-    a strong probable prime to 20 fixed bases (see is_prime).
+    a BPSW probable prime (none known; none below 2^64; see is_prime).
     """
     small, cofactor = trial_factor(n)
     return small if cofactor == 1 else small * rho_factor(cofactor, budget)
@@ -273,22 +327,30 @@ def rho_factor(m: int, budget: int = DEFAULT_BUDGET) -> Factorization:
     prime factor above 2^16.
 
     Brent-rho splitting with a fixed parameter schedule; m itself is not
-    tested again, each smaller cofactor once. Raises FactorizationBudgetError
-    once `budget` is spent (see _brent_rho for what an iteration costs).
+    tested again, each smaller cofactor once. A prime once found is divided
+    out of every later cofactor, so a repeated prime costs no second walk.
+    Raises FactorizationBudgetError once `budget` is spent (see _brent_rho
+    for what an iteration costs).
     """
     effort = [budget]
     found: dict[int, int] = {}
     d = _brent_rho(m, effort)
-    stack = [d, m // d]
+    stack = [m // d, d]
     while stack:
         c = stack.pop()
+        for p in found:
+            while c % p == 0:
+                c //= p
+                found[p] += 1
+        if c == 1:
+            continue
         # every prime factor exceeds 2^16, so below 2^32 c is prime
-        if c in found or c < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(c):
-            found[c] = found.get(c, 0) + 1
+        if c < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(c):
+            found[c] = 1
             continue
         d = _brent_rho(c, effort)
-        stack.append(d)
         stack.append(c // d)
+        stack.append(d)
     return Factorization._derived(tuple(sorted(found.items())))
 
 

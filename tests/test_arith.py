@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abundancy import arith
 from abundancy.arith import (
@@ -39,6 +40,92 @@ def test_is_prime_large():
     assert is_prime(2**61 - 1)
     assert not is_prime(2**67 - 1)  # 193707721 * 761838257287
     assert is_prime(2**89 - 1)
+
+
+# psi_12 (Jaeschke): the least strong pseudoprime to the first twelve prime
+# bases, and so the least n that is_prime hands to BPSW
+PSI_12 = 3_317_044_064_679_887_385_961_981
+
+
+def _strong_probable_prime(n, a):
+    """Strong Miller-Rabin round of odd n > 2 to base a, written out here
+    independently of arith."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def test_strong_lucas_rejects_a_strong_pseudoprime_to_the_first_13_prime_bases():
+    assert PSI_12 == arith._MR_DETERMINISTIC_BOUND
+    assert all(_strong_probable_prime(PSI_12, a) for a in primes_up_to(41))
+    assert not arith._strong_lucas(PSI_12)
+    assert not is_prime(PSI_12)
+
+
+def test_strong_lucas_rejects_strong_base_2_pseudoprimes_above_the_bound():
+    # (4^p + 1)/5 is a strong pseudoprime to base 2 for these primes p; the
+    # Aurifeuillian factor 2^p + 2^((p+1)/2) + 1 of 4^p + 1 shows it composite
+    for p in (43, 101, 199):
+        n = (4**p + 1) // 5
+        assert n > PSI_12 and 1 < gcd(n, 2**p + 2 ** ((p + 1) // 2) + 1) < n
+        assert _strong_probable_prime(n, 2)
+        assert not arith._strong_lucas(n)
+        assert not is_prime(n)
+
+
+def test_strong_base_2_rejects_the_strong_lucas_pseudoprimes():
+    # the strong Lucas pseudoprimes below 20,000 with Selfridge's parameters
+    lucas = [n for n in range(3, 20_000, 2) if arith._strong_lucas(n) and not is_prime(n)]
+    assert lucas == [5459, 5777, 10877, 16109, 18971]
+    assert not any(_strong_probable_prime(n, 2) for n in lucas)
+
+
+def test_strong_lucas_rejects_the_square_of_a_prime():
+    p = 10**29 + 319  # a 30-digit prime; squares have no Selfridge D
+    assert is_prime(p)
+    assert not arith._strong_lucas(p * p)
+    assert not is_prime(p * p)
+
+
+def test_a_prime_above_the_bound_costs_one_modular_exponentiation(monkeypatch):
+    # BPSW: strong base 2 is the only pow; the Lucas chain multiplies
+    exponentiations = []
+
+    def counting_pow(base, exp, mod=None):
+        exponentiations.append(exp)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(arith, "pow", counting_pow, raising=False)
+    p = 2**127 + 45  # prime, not Mersenne-shaped
+    assert p > PSI_12 and is_prime(p)
+    assert len([e for e in exponentiations if e > 0]) == 1
+    exponentiations.clear()
+    assert is_prime(PSI_12 - 168)  # the largest prime below the bound
+    assert len(exponentiations) == 12  # a proof: the twelve bases
+
+
+_DIGITS = st.integers(20, 60).flatmap(lambda k: st.integers(10 ** (k - 1), 10**k - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("integer", "semiprime", "prime")), _DIGITS, _DIGITS)
+def test_is_prime_agrees_with_sympy_on_20_to_60_digits(kind, a, b):
+    sympy = pytest.importorskip("sympy")  # the oracle only
+    if kind == "integer":
+        n = a
+    elif kind == "semiprime":
+        n = sympy.nextprime(a) * sympy.nextprime(b)
+    else:
+        n = sympy.nextprime(a)
+    assert is_prime(n) == sympy.isprime(n)
 
 
 def test_primes_up_to():
@@ -121,6 +208,24 @@ def test_rho_budget_is_charged_by_operand_size():
     m = (2**1279 - 1) * (2**2203 - 1)
     assert m.bit_length() == 3482 and m.bit_length() ** 2 >> 16 == 185
     assert 200_000 // 185 <= _rho_reductions(m, 200_000) <= 2 * (2 * 200_000 // 185 + 128)
+
+
+def test_rho_walks_a_repeated_prime_once(monkeypatch):
+    # rho finds b in p * b^2 after about 10^6 iterations; the b left in
+    # the cofactor p * b is divided out, not found by the same walk again
+    p, b = 103414619171, 137438953481
+    walks = []
+    original = arith._brent_rho
+
+    def counting_rho(n, effort):
+        before = effort[0]
+        d = original(n, effort)
+        walks.append((n, d, before - effort[0]))
+        return d
+
+    monkeypatch.setattr(arith, "_brent_rho", counting_rho)
+    assert rho_factor(p * b * b).factors == ((p, 1), (b, 2))
+    assert walks == [(p * b * b, b, 1_013_246)]
 
 
 def test_factorize_budget_error_renders_a_cofactor_past_the_str_digit_limit(monkeypatch):

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import BIG_PRIME, assert_consistent
 from abundancy import arith, opn
@@ -221,8 +221,17 @@ def _factored_part(report):
     return [c for c in report.checks if c.name in opn._FACTORED_CHECKS]
 
 
+# q's cofactor 103414619171 * 137438953481^2: rho must not walk to the
+# repeated prime twice, or its budget runs out and four checks are UNDECIDED
+_REPEATED_PRIME_COFACTOR = (
+    EulerianCandidate(768138307097537117063989261017943239282, 1, Factorization.parse("2*65537")),
+    Factorization.parse("2*3*65537*103414619171*137438953481^2"),
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(split_candidates())
+@example(_REPEATED_PRIME_COFACTOR)
 def test_bounded_checks_agree_with_the_full_factorization(case):
     candidate, q_factors = case
     expected = opn._factored_checks(candidate, q_factors, 1, DEFAULT_PRECISION)
