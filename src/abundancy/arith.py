@@ -20,6 +20,7 @@ __all__ = [
     "FactorizationBudgetError",
     "TRIAL_BITS",
     "digit_count",
+    "factor_pairs",
     "factorize",
     "gcd",
     "is_perfect",
@@ -211,11 +212,11 @@ class Factorization:
         prev = 1
         for p, e in self.factors:
             if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
+                raise ValueError(f"{render_short(p)} is not prime")
             if p <= prev:
-                raise ValueError(f"primes must be strictly increasing, got {p} after {prev}")
+                raise ValueError(f"primes must increase, got {render_short(p)} after {render_short(prev)}")
             if e < 1:
-                raise ValueError(f"exponent of {p} must be >= 1, got {e}")
+                raise ValueError(f"exponent of {render_short(p)} must be >= 1, got {render_short(e)}")
             prev = p
 
     @classmethod
@@ -265,18 +266,16 @@ class Factorization:
     @classmethod
     def parse(cls, text: str) -> "Factorization":
         """Parse the factored text form ``p1^e1*p2^e2*...`` (e.g. ``3^2*5``)."""
-        text = text.strip()
-        if text == "1":
-            return cls(())
-        factors = []
-        for part in text.split("*"):
-            if "^" in part:
-                p_text, e_text = part.split("^", 1)
-                p, e = int(p_text), int(e_text)
-            else:
-                p, e = int(part), 1
-            factors.append((p, e))
-        return cls(tuple(factors))
+        return cls(() if text.strip() == "1" else factor_pairs(text))
+
+
+def factor_pairs(text: str) -> tuple[tuple[int, int], ...]:
+    """The unchecked (p, e) pairs of the factored text form: no prime is proven."""
+    pairs = []
+    for part in text.strip().split("*"):
+        p_text, caret, e_text = part.partition("^")
+        pairs.append((int(p_text), int(e_text) if caret else 1))
+    return tuple(pairs)
 
 
 def trial_factor(n: int) -> tuple[Factorization, int]:
@@ -429,12 +428,12 @@ def render_exact(x: int | Fraction) -> str:
     try:
         return str(n)
     except ValueError:  # more digits than sys.get_int_max_str_digits()
-        return f"{'-' if n < 0 else ''}{_abbreviated(abs(n))}"
+        return render_short(n)
 
 
 def render_short(n: int) -> str:
-    """str(n) for n >= 0 of at most 40 digits, else the head/tail form."""
-    return _abbreviated(n) if n >= 10**40 else str(n)
+    """str(n) for n of at most 40 digits, else the sign and the head/tail form."""
+    return f"{'-' if n < 0 else ''}{_abbreviated(abs(n))}" if abs(n) >= 10**40 else str(n)
 
 
 def _abbreviated(n: int) -> str:
@@ -476,7 +475,7 @@ def omega(f: Factorization) -> int:
 def valuation(p: int, f: Factorization) -> int:
     """Exponent of the prime p in f (0 if absent)."""
     if not is_prime(p):
-        raise ValueError(f"valuation requires a prime, got {p}")
+        raise ValueError(f"valuation requires a prime, got {render_short(p)}")
     for q, e in f.factors:
         if q == p:
             return e

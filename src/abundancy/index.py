@@ -26,7 +26,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import Factorization, gcd, is_prime, primes_up_to, sigma
+from .arith import Factorization, gcd, is_prime, primes_up_to, render_short, sigma
 from .interval import (
     DEFAULT_PRECISION,
     GUARD_BITS,
@@ -207,7 +207,7 @@ def reciprocal_exponent(u: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> Int
     reciprocal of x(u) enclosed by abundancy_exponent's rule, escalating until
     1 < x(u) < 2 shows, with the same [1, 2] fallback."""
     if u < 3 or not is_prime(u):
-        raise ValueError(f"u must be an odd prime, got {u}")
+        raise ValueError(f"u must be an odd prime, got {render_short(u)}")
     index1, index2 = prime_power_index(u, 1), prime_power_index(u, 2)
     def evaluate(bits: int) -> IntervalReal:
         ln1, ln2 = ln_ratio(index1, bits), ln_ratio(index2, bits)

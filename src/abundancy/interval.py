@@ -6,12 +6,14 @@ rational arithmetic, so they introduce no error at all. Transcendental
 evaluations (ln, exp, powers, square roots) run in fixed-point integer
 arithmetic at ``bits + GUARD_BITS`` of precision with every intermediate
 division rounded outward (floor for lower bounds, ceil for upper bounds) and
-the series truncation remainder folded into the upper bound. exp runs its
-Taylor chain on the reduced argument divided by 2^h, h = isqrt(w) // 2, at
-h + 4 more bits and squares the result back h times, each square rounded
-outward too. Containment is therefore unconditional, and the enclosures never
-touch floating point; only their text is rounded, correctly, by the `decimal`
-module from a short integer quotient of the exact rational.
+the series truncation remainder folded into the upper bound. ln runs one
+atanh series on its exact reduced argument, which is narrow or tiny wherever
+the library takes a log. exp runs its Taylor chain on the reduced argument
+divided by 2^h, h = isqrt(w) // 2, at h + 4 more bits and squares the result
+back h times, each square rounded outward too. Containment is therefore
+unconditional, and the enclosures never touch floating point; only their
+text is rounded, correctly, by the `decimal` module from a short integer
+quotient of the exact rational.
 
 Strict inequalities are decided only by enclosure separation, and one method
 spells it out: `IntervalReal.compare`, against another enclosure or an exact
@@ -210,19 +212,15 @@ def _cdiv(a: int, b: int) -> int:
 def _atanh_scaled(zn: int, zd: int, w: int) -> tuple[int, int]:
     """Enclosure of atanh(zn/zd) scaled by 2^w, for 0 <= zn/zd <= 1/3.
 
-    Odd series sum z^(2k+1)/(2k+1); the geometric tail
+    Odd series sum z^(2k+1)/(2k+1) on the exact z; the geometric tail
     sum_{j>k} z^(2j+1)/(2j+1) <= z^(2k+3)/(1-z^2) is added to the upper bound.
-    A z whose exact denominator is wider than w/4 bits (ln of a big prime
-    power) is first rounded outward to w-bit fixed point [zlo, zhi]; atanh is
-    increasing, so the lower chain runs on zlo and the upper one on zhi, each
-    term one w x w product and a shift instead of a division by the exact z^2.
-    w/4 is the measured crossover: at 4096 bits the fixed-point chains lose
-    below it and win from it on (at 256 and 1024 bits they win from it on too).
+    One chain is enough: a wide denominator makes each term's division dear,
+    but every wide z the library makes (1/(2P-1) of the split log in
+    `index._ln_prime_power_index`, 1/(2u+1) of ln I(u)) is below 2^-(w/6)
+    and ends the series within 3 terms.
     """
     if zn == 0:
         return 0, 0
-    if 4 * zd.bit_length() > w:
-        return _atanh_bound((zn << w) // zd, w, False), _atanh_bound(_cdiv(zn << w, zd), w, True)
     plo = (zn << w) // zd
     phi = _cdiv(zn << w, zd)
     slo, shi = plo, phi
@@ -238,23 +236,6 @@ def _atanh_scaled(zn: int, zd: int, w: int) -> tuple[int, int]:
             shi += _cdiv(phi * z2n, z2d - z2n) + 1
             return slo, shi
         k += 1
-
-
-def _atanh_bound(z: int, w: int, upper: bool) -> int:
-    """One bound of atanh(z / 2^w) scaled by 2^w, for 0 <= z / 2^w <= 1/3: the
-    lower chain floors every step, the upper one ceils and adds the tail."""
-    z2 = -(-z * z >> w) if upper else z * z >> w
-    p = s = z
-    d = 1
-    while p > d:
-        d += 2
-        if upper:
-            p = -(-p * z2 >> w)
-            s += _cdiv(p, d)
-        else:
-            p = p * z2 >> w
-            s += p // d
-    return s + _cdiv(p * z2, (1 << w) - z2) + 1 if upper else s
 
 
 @lru_cache(maxsize=None)
@@ -328,8 +309,6 @@ def _exp_bound(xn: int, xd: int, w: int, upper: bool) -> int:
     shifted by k. Negative x goes through the reciprocal of the opposite bound
     of exp(-x), so the series argument stays non-negative.
     """
-    if xn == 0:
-        return (1 << w) + 1 if upper else 1 << w
     if xn < 0:
         sq = 1 << (2 * w)
         return _cdiv(sq, _exp_bound(-xn, xd, w, False)) if upper else sq // _exp_bound(-xn, xd, w, True)

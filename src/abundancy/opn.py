@@ -105,9 +105,6 @@ class ConstraintReport:
     def all_pass(self) -> bool:
         return all(check.status is CheckStatus.PASS for check in self.checks)
 
-    def failures(self) -> tuple[Check, ...]:
-        return tuple(c for c in self.checks if c.status is not CheckStatus.PASS)
-
     def to_dict(self) -> dict:
         return {
             "checks": [
@@ -132,9 +129,9 @@ class EulerianCandidate:
 
     def __post_init__(self) -> None:
         if self.q < 2:
-            raise ValueError(f"q must be at least 2, got {self.q}")
+            raise ValueError(f"q must be at least 2, got {render_short(self.q)}")
         if self.k < 1:
-            raise ValueError(f"k must be at least 1, got {self.k}")
+            raise ValueError(f"k must be at least 1, got {render_short(self.k)}")
 
     @property
     def root(self) -> int:
@@ -172,8 +169,13 @@ class EulerianCandidate:
 
     @classmethod
     def parse(cls, line: str) -> "EulerianCandidate":
-        """Parse the candidate line format ``q=<int> k=<int> n=<factored>``;
-        each key exactly once, no other keys."""
+        """Parse the candidate line format ``q=<int> k=<int> n=<factored>``."""
+        q, k, n_text = cls.fields(line)
+        return cls(q, k, parse_factored(n_text))
+
+    @staticmethod
+    def fields(line: str) -> tuple[int, int, str]:
+        """q, k and n's text from a candidate line (each key once, no other keys)."""
         fields: dict[str, str] = {}
         for token in line.split():
             if "=" not in token:
@@ -187,7 +189,7 @@ class EulerianCandidate:
         missing = {"q", "k", "n"} - fields.keys()
         if missing:
             raise ValueError(f"candidate line is missing {sorted(missing)}")
-        return cls(int(fields["q"]), int(fields["k"]), parse_factored(fields["n"]))
+        return int(fields["q"]), int(fields["k"]), fields["n"]
 
 
 def acquaah_konyagin_holds(q: int, n: int) -> bool:
@@ -393,7 +395,7 @@ def order_predicates(candidate: EulerianCandidate) -> OrderPredicates:
     """
     q, k = candidate.q, candidate.k
     if not is_prime(q):
-        raise ValueError(f"q must be prime, got {q}")
+        raise ValueError(f"q must be prime, got {render_short(q)}")
     euler_part = q**k
     sigma_euler = (q ** (k + 1) - 1) // (q - 1)
     euler_index = Fraction(sigma_euler, euler_part)
@@ -421,7 +423,7 @@ def euler_sum_bound(q: int, u: int, cfg: PrecisionConfig = DEFAULT_PRECISION) ->
     for I(q) + I(n) when q is the Euler prime and u the least prime of N,
     evaluated at the precision reciprocal_exponent(u, cfg) settles on."""
     if not is_prime(q) or q % 4 != 1:
-        raise ValueError(f"q must be a prime with q = 1 (mod 4), got {q}")
+        raise ValueError(f"q must be a prime with q = 1 (mod 4), got {render_short(q)}")
     y = reciprocal_exponent(u, cfg)
     return pow_interval(IntervalReal.exact(Fraction(2 * q, q + 1), y.bits), y, y.bits) + Fraction(q + 1, q)
 
@@ -534,9 +536,9 @@ def residual_case_classify(q: int) -> ResidualClassification:
     while q = 1 (mod 12) forces no divisibility of n by 3.
     """
     if not is_prime(q):
-        raise ValueError(f"q must be prime, got {q}")
+        raise ValueError(f"q must be prime, got {render_short(q)}")
     if q % 4 != 1:
-        raise ValueError(f"q must be 1 (mod 4), got {q} = {q % 4} (mod 4)")
+        raise ValueError(f"q must be 1 (mod 4), got {render_short(q)} = {q % 4} (mod 4)")
     half = (q + 1) // 2
     if q == 5:
         return ResidualClassification(

@@ -7,10 +7,11 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import assert_consistent
-from abundancy import interval
-from abundancy.arith import primes_up_to
-from abundancy.index import index_lower_bound
+from conftest import BIG_PRIME, assert_consistent
+from abundancy import index, interval
+from abundancy.arith import Factorization, primes_up_to
+from abundancy.index import SandwichStatus, abundancy_exponent, index_lower_bound, sandwich_check
+from abundancy.opn import euler_sum_bound
 from abundancy.interval import (
     Comparison,
     IntervalReal,
@@ -64,9 +65,10 @@ def test_ln_width_contract():
 
 
 def test_exp_of_zero():
-    x = exp_ratio(0)
-    assert x.contains(1)
-    assert x.width < Fraction(1, 2**256)
+    # the general chain, no special case: exactly [1, 1 + 2^-w]
+    for bits in (8, 256, 4096):
+        x = exp_ratio(0, bits)
+        assert (x.lo, x.hi) == (1, 1 + Fraction(1, 2 ** (bits + interval.GUARD_BITS)))
 
 
 def test_exp_ln_containment():
@@ -406,8 +408,8 @@ def test_ln_kernel_contains_mpmath(num, den, bits):
 
 
 # sigma(p^e)/p^e for p < 100 and p^e up to 2^4096: ln's atanh argument then has
-# an exact denominator wider than w/4 bits at most precisions, and is rounded
-# to w-bit fixed point before the series
+# an exact denominator wider than w/4 bits at most precisions without being
+# tiny, so the exact-z series runs its full length of wide divisions
 PRIME_POWER = st.sampled_from(primes_up_to(100)).flatmap(
     lambda p: st.tuples(st.just(p), st.integers(1, 4096 // p.bit_length()))
 )
@@ -508,16 +510,27 @@ def test_exp_runs_one_chain_per_endpoint(monkeypatch):
         assert len(chains) == 2
 
 
-def test_atanh_rounds_only_a_wide_z_to_fixed_point(monkeypatch):
-    kernel = interval._atanh_bound
-    chains = []
+def test_every_wide_atanh_argument_the_library_makes_is_tiny(monkeypatch):
+    # the one exact-z chain divides by a wide z's full denominator every term;
+    # that stays cheap because each wide z the library builds (the split log
+    # of ln I(p^e), ln I(u) of a big prime u) is below 2^-(w/6), so z^7 is
+    # below 2^-w and the series ends within 3 terms
+    kernel = interval._atanh_scaled
+    wide = []
 
-    def counted(z, w, upper):
-        chains.append(upper)
-        return kernel(z, w, upper)
+    def counted(zn, zd, w):
+        if 4 * zd.bit_length() > w:
+            wide.append((zd.bit_length() - zn.bit_length(), w))
+        return kernel(zn, zd, w)
 
-    monkeypatch.setattr(interval, "_atanh_bound", counted)
-    ln_ratio(Fraction(13, 9), 1024)  # z = -5/31 keeps the exact-z series
-    assert chains == []
-    ln_ratio(Fraction(3**701 - 1, 2 * 3**700), 1024)  # z's denominator has 1,112 bits
-    assert chains == [False, True]
+    for cached in (index._ln_prime_factor, index._ln_prime_power_index,
+                   index.reciprocal_exponent, index.index_lower_bound, interval._ln2_scaled):
+        cached.cache_clear()
+    monkeypatch.setattr(interval, "_atanh_scaled", counted)
+    abundancy_exponent(Factorization(((3, 2000),)))
+    abundancy_exponent(Factorization(((BIG_PRIME, 1),)))
+    euler_sum_bound(1000000000061, 5, PrecisionConfig(4096, 4096))
+    index_lower_bound(Fraction(8, 5), BIG_PRIME)
+    assert sandwich_check(Factorization(((3, 400),)), Factorization(((7, 150),))).status is SandwichStatus.HOLDS
+    assert wide
+    assert all(6 * gap >= w for gap, w in wide), min(wide)

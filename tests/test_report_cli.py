@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -11,7 +12,7 @@ from fractions import Fraction
 
 import abundancy
 from conftest import BIG_PRIME, exponent_oracle
-from abundancy import cli, report
+from abundancy import arith, cli, report
 from abundancy.arith import Factorization
 from abundancy.cli import main
 from abundancy.index import ExponentValue
@@ -403,6 +404,38 @@ def test_cli_rejects_oversized_input(argv):
     done = run_bounded(*argv)
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("error: ") and "capped at 65536 bits" in done.stderr
+
+
+# 4,001 digits: below Python's 4,300-digit conversion limit, even, so no
+# primality test takes long
+WIDE_EVEN = 10**4000 + 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", str(WIDE_EVEN)],
+    ["classify", str(-WIDE_EVEN)],
+    ["f", "--q", str(WIDE_EVEN), "--u", "5"],
+    ["bound", "--L", "8/5", "--u", str(WIDE_EVEN)],
+    ["sigma", f"2*{WIDE_EVEN}"],
+])
+def test_cli_error_line_abbreviates_a_wide_integer(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 200
+    shown = "10000000000000000000...00000000000000000002 (4001 digits)"
+    assert shown in err and (f"-{shown}" in err) == (str(-WIDE_EVEN) in argv)
+
+
+def test_cli_caps_the_size_before_proving_a_prime(capsys, monkeypatch):
+    def unreachable(n):
+        raise AssertionError("is_prime called before the size cap")
+
+    monkeypatch.setattr(arith, "is_prime", unreachable)
+    odd = random.Random(4200).randrange(10**4199, 10**4200) | 1  # about 13,950 bits
+    for argv in (["sigma", f"{odd}^20"], ["check", "q=5", "k=1", f"n={odd}^20"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "capped at 65536 bits" in err and len(err) <= 200
 
 
 def test_cli_rejects_scan_limit_above_cap():
