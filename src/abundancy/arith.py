@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 __all__ = [
     "Factorization",
@@ -41,7 +41,7 @@ __all__ = [
 DEFAULT_BUDGET = 2_000_000  # rho iterations below 256 bits before giving up
 ORACLE_CAP = 10**7
 
-# trial_factor divides by the primes below 2^TRIAL_BITS
+# trial_factor finds the primes below 2^TRIAL_BITS
 TRIAL_BITS = 16
 _TRIAL_LIMIT = 1 << TRIAL_BITS
 # Below this bound the first twelve prime bases make Miller-Rabin deterministic;
@@ -72,6 +72,15 @@ def primes_up_to(limit: int) -> list[int]:
 @lru_cache(maxsize=1)
 def _small_primes() -> tuple[int, ...]:
     return tuple(primes_up_to(_TRIAL_LIMIT))
+
+
+@lru_cache(maxsize=None)
+def _prime_product(bits: int) -> int:
+    """Product of the primes below 2^bits, multiplied up a balanced tree."""
+    level = [p for p in _small_primes() if p >> bits == 0]
+    while len(level) > 1:
+        level = [prod(level[i : i + 2]) for i in range(0, len(level), 2)]
+    return level[0]
 
 
 def is_prime(n: int) -> bool:
@@ -279,7 +288,12 @@ def factor_pairs(text: str) -> tuple[tuple[int, int], ...]:
 
 
 def trial_factor(n: int) -> tuple[Factorization, int]:
-    """Trial division of n >= 1 by the primes below 2^16.
+    """Trial division of n >= 1 by the primes below 2^16, as one gcd.
+
+    g = gcd(n, P) for P the product of the primes below 2^4, 2^8, 2^12 or
+    2^16, the least of these that covers sqrt(n). The primes of g are read
+    off in order until p^2 > g leaves g itself prime, and each is divided
+    out of n as often as it goes.
 
     Returns (f, m) with n = f.value() * m. Either m = 1 and f is the whole
     factorization (a prime left over after the division is proven, by the
@@ -288,17 +302,22 @@ def trial_factor(n: int) -> tuple[Factorization, int]:
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}; need n >= 1")
+    # the primes below 2^b cover sqrt(n) once bits(n) <= 2b
+    g = gcd(n, _prime_product(min(-(-n.bit_length() // 8) * 4, TRIAL_BITS)))
     found: list[tuple[int, int]] = []
     for p in _small_primes():
-        if p * p > n:
+        if g == 1:
             break
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e:
+        if p * p > g:  # g is itself prime
+            p = g
+        if g % p == 0:
+            g //= p
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
             found.append((p, e))
-    # below the trial limit squared anything surviving is prime
+    # what survives has no prime factor below min(2^16, sqrt(n)): below 2^32 it is prime
     if n > 1 and (n < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(n)):
         found.append((n, 1))
         n = 1

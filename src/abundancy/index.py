@@ -231,7 +231,8 @@ def index_lower_bound(
     """
     L = Fraction(L)
     if L <= 1:
-        raise ValueError(f"the bound collapses for L <= 1, got {L}")
+        shown = f"{render_short(L.numerator)}/{render_short(L.denominator)}"
+        raise ValueError(f"the bound collapses for L <= 1, got {shown}")
     y = reciprocal_exponent(u, cfg)
     return pow_interval(IntervalReal.exact(L, y.bits), y, y.bits)
 

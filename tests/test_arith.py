@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -173,6 +174,71 @@ def test_trial_factor_leaves_a_composite_cofactor_or_none():
     for n in (9 * 5 * p * q, 7 * p**2 * q, p * q):
         small, cofactor = trial_factor(n)
         assert factorize(n) == small * rho_factor(cofactor)
+
+
+def _plain_trial_factor(n):
+    """(factors, cofactor) as trial_factor defines them, by dividing n by
+    2, 3, 4, ... below 2^16 in turn; the leftover rule is the same."""
+    found = []
+    d = 2
+    while d < 1 << 16 and d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            found.append((d, e))
+        d += 1
+    if n > 1 and (n < 1 << 32 or is_prime(n)):
+        found.append((n, 1))
+        n = 1
+    return tuple(found), n
+
+
+_NEAR_SIZE_CLASSES = (13, 17, 251, 257, 4093, 4099, 65521, 65537)  # primes around 2^4, 2^8, 2^12, 2^16
+_SMOOTH = st.lists(
+    st.tuples(st.sampled_from((2, 3, 5, 7, 251, 4093, 65519, 65521)), st.integers(1, 4)), max_size=5
+).map(lambda pairs: math.prod(p**e for p, e in pairs))
+_TRIAL_CASES = st.one_of(
+    st.tuples(_SMOOTH, st.sampled_from((1, 65537, 4294967311, 65537 * 65539, 4294967311 * 1099511627791)))
+    .map(math.prod),
+    st.sampled_from((8, 16, 24, 32)).flatmap(lambda b: st.integers((1 << b) - 200, (1 << b) + 200)),
+    st.tuples(st.sampled_from(_NEAR_SIZE_CLASSES), st.sampled_from(_NEAR_SIZE_CLASSES)).map(math.prod),
+    st.integers(0, 100).map(lambda k: 1 << k),
+    st.sampled_from((1, 65537**2)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TRIAL_CASES)
+def test_trial_factor_matches_plain_trial_division(n):
+    small, cofactor = trial_factor(n)
+    assert (small.factors, cofactor) == _plain_trial_factor(n)
+
+
+def test_trial_factor_reduces_n_by_no_small_prime(monkeypatch):
+    # one gcd with the product of the primes below 2^16 stands in for a
+    # division of n by each of them (6,542 reductions for this n)
+    divisors = []
+
+    class Counted(int):
+        def __mod__(self, other):
+            divisors.append(other)
+            return int(self) % other
+
+        def __floordiv__(self, other):
+            divisors.append(other)
+            return int(self) // other
+
+    leftovers = []
+    prove = arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", lambda m: leftovers.append(m) or prove(int(m)))
+    p, q = 4294967311, 1099511627791  # primes above 2^32
+    assert trial_factor(Counted(p * q)) == (Factorization(()), p * q)
+    assert divisors == [] and leftovers == [p * q]
+    # a small prime that does divide n costs a test and a division
+    assert trial_factor(Counted(3 * p * q)) == (Factorization(((3, 1),)), p * q)
+    assert divisors == [3, 3]
 
 
 def test_factorize_budget_error():

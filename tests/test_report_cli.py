@@ -426,6 +426,13 @@ def test_cli_error_line_abbreviates_a_wide_integer(capsys, argv):
     assert shown in err and (f"-{shown}" in err) == (str(-WIDE_EVEN) in argv)
 
 
+def test_cli_bound_error_line_abbreviates_a_wide_rational(capsys):
+    assert main(["bound", "--L", f"{10**3799}/{10**3800 - 1}", "--u", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the bound collapses for L <= 1, got 1000000000")
+    assert err.count("\n") == 1 and len(err) <= 200 and "(3800 digits)" in err
+
+
 def test_cli_caps_the_size_before_proving_a_prime(capsys, monkeypatch):
     def unreachable(n):
         raise AssertionError("is_prime called before the size cap")
