@@ -39,7 +39,6 @@ from .interval import (
     DEFAULT_PRECISION,
     IntervalReal,
     PrecisionConfig,
-    decide,
     escalate,
     exp_interval,
     exp_ratio,

@@ -21,8 +21,8 @@ rational (the degenerate enclosure). `contains`, `overlaps` and every verdict
 elsewhere map its result. Every verdict escalates by one rule, `escalate`:
 re-evaluate at doubled precision up to the configured ceiling and report
 UNDECIDED only there; UNDECIDED is a value, never an exception, because every
-library evaluator returns an enclosure at every rung. `decide` is its form for
-a rational threshold.
+library evaluator returns an enclosure at every rung. A verdict against a
+rational threshold is `escalate` with `compare` as its stopping rule.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ __all__ = [
     "GUARD_BITS",
     "IntervalReal",
     "PrecisionConfig",
-    "decide",
     "escalate",
     "exp_interval",
     "exp_ratio",
@@ -423,24 +422,6 @@ def escalate(
         if found is not None:
             return found, value
     return None, value
-
-
-def decide(
-    evaluate: Callable[[int], IntervalReal],
-    threshold: RatioLike,
-    cfg: PrecisionConfig = DEFAULT_PRECISION,
-) -> tuple[Comparison, IntervalReal]:
-    """Compare an enclosure-valued evaluation against an exact rational,
-    escalating precision while the enclosure straddles it. Returns UNDECIDED
-    only at the precision ceiling."""
-    t = Fraction(threshold)
-
-    def against(enclosure: IntervalReal) -> Optional[Comparison]:
-        verdict = enclosure.compare(t)
-        return None if verdict is Comparison.UNDECIDED else verdict
-
-    verdict, enclosure = escalate(evaluate, against, cfg)
-    return verdict or Comparison.UNDECIDED, enclosure
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from .arith import (
     Factorization,
     FactorizationBudgetError,
     digit_count,
-    factorize,
     gcd,
     is_prime,
     omega,
@@ -46,7 +45,6 @@ from .interval import (
     DEFAULT_PRECISION,
     IntervalReal,
     PrecisionConfig,
-    decide,
     escalate,
     pow_interval,
     sqrt_ratio,
@@ -151,18 +149,6 @@ class EulerianCandidate:
     def descartes_frenicle_sorli(self) -> bool:
         """True when the Euler exponent k equals 1 (the conjectured value)."""
         return self.k == 1
-
-    def euler_factorization(self) -> Factorization:
-        """Factorization of q^k (q need not be prime)."""
-        return factorize(self.q) ** self.k
-
-    def full_factorization(self) -> Factorization:
-        """Factorization of N (works even when q is composite or shares a
-        prime with n; exponents merge)."""
-        return self.euler_factorization() * self.n.squared()
-
-    def least_prime(self) -> int:
-        return self.full_factorization().least_prime()
 
     def __str__(self) -> str:
         return f"q={render_exact(self.q)} k={self.k} n={self.n}"
@@ -332,8 +318,12 @@ def _side(lo: Fraction, t: int, threshold: Fraction | int) -> str | None:
     return "<" if lo * _GROWTH**t <= threshold else ">" if lo >= threshold else None
 
 
-# bound < I(n) passes, bound > I(n) fails
-_BOUND_STATUS = {Comparison.LESS: CheckStatus.PASS, Comparison.GREATER: CheckStatus.FAIL}
+def _certified(side: Comparison, passing: Comparison) -> CheckStatus | None:
+    """PASS on the passing side, FAIL on the other, None while the enclosures
+    touch: the stopping rule of every escalated check in this module."""
+    if side is Comparison.UNDECIDED:
+        return None
+    return CheckStatus.PASS if side is passing else CheckStatus.FAIL
 
 
 def _index_bound_check(candidate: EulerianCandidate, u: int, cfg: PrecisionConfig) -> Check:
@@ -341,13 +331,14 @@ def _index_bound_check(candidate: EulerianCandidate, u: int, cfg: PrecisionConfi
     if u == 2:
         return Check(name, CheckStatus.FAIL, "N is even; the bound assumes odd N")
     root_index = abundancy_index(candidate.n)
-    verdict, enclosure = decide(
+    # bound < I(n) passes, bound > I(n) fails
+    status, enclosure = escalate(
         lambda bits: index_lower_bound(Fraction(8, 5), u, PrecisionConfig(bits, bits)),
-        root_index,
+        lambda bound: _certified(bound.compare(root_index), Comparison.LESS),
         cfg,
     )
     witness = f"I(n) = {render_exact(root_index)} vs (8/5)^(1/x({u})) = {enclosure.render()}"
-    return Check(name, _BOUND_STATUS.get(verdict, CheckStatus.UNDECIDED), witness)
+    return Check(name, status or CheckStatus.UNDECIDED, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -460,17 +451,14 @@ def ceiling_scan(
         raise ValueError(f"required margin must be at least 0, got {required_margin}")
     expect_greater = u >= 5
     # the side of ceiling + margin that passes; touching it decides nothing
-    if expect_greater:
-        sides = {Comparison.GREATER: CheckStatus.PASS, Comparison.LESS: CheckStatus.FAIL}
-    else:
-        sides = {Comparison.LESS: CheckStatus.PASS, Comparison.GREATER: CheckStatus.FAIL}
+    passing = Comparison.GREATER if expect_greater else Comparison.LESS
 
     def against_ceiling(
         bound: Callable[[PrecisionConfig], IntervalReal], margin: Fraction
     ) -> tuple[CheckStatus | None, tuple[IntervalReal, IntervalReal]]:
         return escalate(
             lambda bits: (bound(PrecisionConfig(bits, bits)), ceiling_interval(bits)),
-            lambda pair: sides.get((pair[0] - pair[1]).compare(margin)),
+            lambda pair: _certified((pair[0] - pair[1]).compare(margin), passing),
             cfg,
         )
 

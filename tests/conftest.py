@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import mpmath
 
+from abundancy.interval import Comparison
+
 # 40-digit reference values, frozen from an independent high-precision
 # evaluation (mpmath at 40 dps) before the library was written.
 ORACLE = {
@@ -40,6 +42,17 @@ def assert_consistent(enclosure, key, tol=ORACLE_TOL):
     ref = Fraction(ORACLE[key])
     assert ref - tol <= enclosure.lo, f"{key}: lo {float(enclosure.lo)} below window"
     assert enclosure.hi <= ref + tol, f"{key}: hi {float(enclosure.hi)} above window"
+
+
+def separation(threshold):
+    """escalate's stopping rule for a verdict against an exact rational: the
+    side of it that the enclosure lies on, None while the two touch."""
+
+    def verdict(enclosure):
+        side = enclosure.compare(threshold)
+        return None if side is Comparison.UNDECIDED else side
+
+    return verdict
 
 
 def exponent_oracle(f, prec: int) -> Fraction:

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import separation
 from abundancy.arith import factorize, is_perfect, primes_up_to, sigma, sigma_oracle
 from abundancy.cli import main as cli_main
 from abundancy.index import (
@@ -21,7 +22,7 @@ from abundancy.index import (
     sample_odd_factorization,
     sandwich_check,
 )
-from abundancy.interval import Comparison, PrecisionConfig, decide, sqrt_ratio
+from abundancy.interval import Comparison, PrecisionConfig, escalate, sqrt_ratio
 from abundancy.mersenne import even_perfect_from_exponent, mersenne_scan
 from abundancy.opn import (
     CheckStatus,
@@ -239,7 +240,7 @@ def test_criterion_8_exactness_spot_checks():
     for _ in range(1000):
         q = rng.randrange(1, 10**6)
         n = rng.randrange(1, 10**6)
-        verdict, _ = decide(lambda bits: sqrt_ratio(3 * n * n, bits), q)
+        verdict, _ = escalate(lambda bits: sqrt_ratio(3 * n * n, bits), separation(q))
         enclosure_says_less = verdict is Comparison.GREATER  # q below sqrt(3 n^2)
         if acquaah_konyagin_holds(q, n) != enclosure_says_less:
             disagreements += 1

@@ -1,0 +1,49 @@
+"""Import hygiene of the package, read off its syntax trees: no module keeps
+an import it does not use, and the package re-exports only public names."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(importlib.import_module("abundancy").__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _imported(tree: ast.Module) -> set[str]:
+    """Names bound by the module's top-level imports (not __future__'s)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_top_level_import_is_used_or_exported(path):
+    tree = ast.parse(path.read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = _imported(tree) - used - _exported(tree)
+    assert not unused, f"{path.name} imports {sorted(unused)} and never uses them"
+
+
+def test_the_package_imports_only_names_its_modules_export():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 1, ast.unparse(node)
+            source = ast.parse((PACKAGE / f"{node.module}.py").read_text())
+            private = {a.name for a in node.names} - _exported(source)
+            assert not private, f"abundancy imports {sorted(private)} from {node.module}, outside its __all__"

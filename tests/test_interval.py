@@ -7,7 +7,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import BIG_PRIME, assert_consistent
+from conftest import BIG_PRIME, assert_consistent, separation
 from abundancy import index, interval
 from abundancy.arith import Factorization, primes_up_to
 from abundancy.index import SandwichStatus, abundancy_exponent, index_lower_bound, sandwich_check
@@ -16,7 +16,6 @@ from abundancy.interval import (
     Comparison,
     IntervalReal,
     PrecisionConfig,
-    decide,
     escalate,
     exp_interval,
     exp_ratio,
@@ -183,14 +182,14 @@ def test_decide_escalates():
     base = sqrt_ratio(2, 256)
     threshold = base.midpoint  # straddles at 256 bits by construction
     assert base.compare(threshold) is Comparison.UNDECIDED
-    verdict, enclosure = decide(lambda bits: sqrt_ratio(2, bits), threshold)
-    assert verdict is not Comparison.UNDECIDED
+    verdict, enclosure = escalate(lambda bits: sqrt_ratio(2, bits), separation(threshold))
+    assert verdict is not None
     assert enclosure.bits > 256
 
 
 def test_decide_touching_stays_undecided():
-    verdict, _ = decide(lambda bits: IntervalReal.exact(0, bits), 0, PrecisionConfig(64, 256))
-    assert verdict is Comparison.UNDECIDED
+    verdict, _ = escalate(lambda bits: IntervalReal.exact(0, bits), separation(0), PrecisionConfig(64, 256))
+    assert verdict is None
 
 
 def test_decide_against_rational_proxy():
@@ -199,14 +198,14 @@ def test_decide_against_rational_proxy():
         expo = ln_ratio(Fraction(6, 5), bits) / ln_ratio(Fraction(31, 25), bits)
         return pow_interval(IntervalReal.exact(2, bits), expo, bits) + 1
 
-    verdict, _ = decide(limit, Fraction(2732050808, 10**9))
+    verdict, _ = escalate(limit, separation(Fraction(2732050808, 10**9)))
     assert verdict is Comparison.GREATER
 
 
 def test_decide_order():
     # ln(4/3) < ln(13/9), certified as a strictly negative difference
-    verdict, gap = decide(
-        lambda bits: ln_ratio(Fraction(4, 3), bits) - ln_ratio(Fraction(13, 9), bits), 0
+    verdict, gap = escalate(
+        lambda bits: ln_ratio(Fraction(4, 3), bits) - ln_ratio(Fraction(13, 9), bits), separation(0)
     )
     assert verdict is Comparison.LESS
     assert gap.hi < 0
@@ -222,7 +221,7 @@ def test_escalate_propagates_an_evaluate_exception_from_the_first_rung():
 
     for run in (
         lambda: escalate(evaluate, lambda x: x.compare(2), PrecisionConfig(128, 2048)),
-        lambda: decide(evaluate, 2, PrecisionConfig(128, 2048)),
+        lambda: escalate(evaluate, separation(2), PrecisionConfig(128, 2048)),
     ):
         rungs.clear()
         with pytest.raises(ZeroDivisionError) as raised:

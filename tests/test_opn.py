@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import BIG_PRIME, assert_consistent
+from conftest import BIG_PRIME, assert_consistent, separation
 from abundancy import arith, opn
 from abundancy.arith import Factorization, factorize, is_prime, primes_up_to, trial_factor
 from abundancy.index import index_lower_bound, reciprocal_exponent
-from abundancy.interval import DEFAULT_PRECISION, Comparison, IntervalReal, PrecisionConfig, decide, pow_interval
+from abundancy.interval import DEFAULT_PRECISION, Comparison, IntervalReal, PrecisionConfig, escalate, pow_interval
 from abundancy.opn import (
     CheckStatus,
     EulerianCandidate,
@@ -42,8 +42,9 @@ def test_candidate_reconstruction():
     assert c.value == 45
     assert c.euler_part == 5
     assert c.root == 3
-    assert str(c.full_factorization()) == "3^2*5"
-    assert c.least_prime() == 3
+    # N = 3^2 * 5: the index bound is taken at the least prime, 3
+    bound = next(ch for ch in validate_eulerian(c).checks if ch.name == "I(n) > index lower bound")
+    assert "(8/5)^(1/x(3))" in bound.witness
 
 
 def test_candidate_parse_round_trip():
@@ -151,6 +152,17 @@ def test_validate_with_a_log_not_separated_from_zero_is_certified():
     check = next(c for c in report.checks if c.name == "I(n) > index lower bound")
     assert check.status is CheckStatus.FAIL
     assert check.witness.endswith(" = 1.432455532 ± 2e-1 @256b")
+
+
+def test_certified_truth_table():
+    less, greater, undecided = Comparison.LESS, Comparison.GREATER, Comparison.UNDECIDED
+    assert opn._certified(less, less) is CheckStatus.PASS
+    assert opn._certified(greater, less) is CheckStatus.FAIL
+    assert opn._certified(greater, greater) is CheckStatus.PASS
+    assert opn._certified(less, greater) is CheckStatus.FAIL
+    # touching or overlapping enclosures decide nothing on either passing side
+    assert opn._certified(undecided, less) is None
+    assert opn._certified(undecided, greater) is None
 
 
 def test_validate_q_past_the_str_digit_limit_is_reported():
@@ -343,9 +355,9 @@ def test_acquaah_konyagin_matches_enclosures():
     for _ in range(100):
         q = rng.randrange(1, 10**6)
         n = rng.randrange(1, 10**6)
-        verdict, _ = decide(lambda bits: sqrt_ratio(3 * n * n, bits), q)
+        verdict, _ = escalate(lambda bits: sqrt_ratio(3 * n * n, bits), separation(q))
         # sqrt(3 n^2) is irrational for n >= 1, so the verdict is never UNDECIDED
-        assert verdict is not Comparison.UNDECIDED
+        assert verdict is not None
         assert acquaah_konyagin_holds(q, n) == (verdict is Comparison.GREATER)
 
 
