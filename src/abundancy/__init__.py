@@ -15,7 +15,6 @@ from .arith import (
     is_perfect,
     is_prime,
     omega,
-    parse_factored,
     primes_up_to,
     sigma,
     sigma_oracle,
@@ -42,7 +41,6 @@ from .interval import (
     escalate,
     exp_interval,
     exp_ratio,
-    ln_interval,
     ln_ratio,
     pow_interval,
     sqrt_ratio,

@@ -27,7 +27,6 @@ __all__ = [
     "is_prime",
     "lucas_lehmer",
     "omega",
-    "parse_factored",
     "primes_up_to",
     "render_exact",
     "render_short",
@@ -242,10 +241,6 @@ class Factorization:
             out *= p**e
         return out
 
-    def squared(self) -> "Factorization":
-        """Factorization of value()**2 (exponents doubled, never refactored)."""
-        return self**2
-
     def __pow__(self, k: int) -> "Factorization":
         """Factorization of value()**k for k >= 1 (exponents scaled, no re-proof)."""
         if k < 1:
@@ -274,8 +269,12 @@ class Factorization:
 
     @classmethod
     def parse(cls, text: str) -> "Factorization":
-        """Parse the factored text form ``p1^e1*p2^e2*...`` (e.g. ``3^2*5``)."""
-        return cls(() if text.strip() == "1" else factor_pairs(text))
+        """Parse the factored text form ``p1^e1*p2^e2*...`` (e.g. ``3^2*5``),
+        or factor a bare integer such as ``45`` or ``1``."""
+        text = text.strip()
+        if text.isdigit():
+            return factorize(int(text))
+        return cls(factor_pairs(text))
 
 
 def factor_pairs(text: str) -> tuple[tuple[int, int], ...]:
@@ -417,14 +416,6 @@ def _brent_rho(n: int, effort: list[int]) -> int:
                 spend(1)
         if g != n:
             return g
-
-
-def parse_factored(text: str) -> Factorization:
-    """Parse either a bare integer or the ``p1^e1*p2^e2`` factored form."""
-    text = text.strip()
-    if text.isdigit():
-        return factorize(int(text))
-    return Factorization.parse(text)
 
 
 def digit_count(n: int) -> int:

@@ -12,7 +12,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .arith import Factorization, FactorizationBudgetError, factor_pairs, parse_factored, render_exact, sigma
+from .arith import Factorization, FactorizationBudgetError, factor_pairs, render_exact, sigma
 from .index import (
     SandwichStatus,
     abundancy_exponent,
@@ -20,9 +20,10 @@ from .index import (
     index_lower_bound,
     sandwich_check,
 )
-from .interval import PrecisionConfig
+from .interval import DEFAULT_PRECISION, PrecisionConfig
 from .mersenne import DESK_SCALE_CAP, mersenne_scan
 from .opn import (
+    DEFAULT_MARGIN,
     CheckStatus,
     EulerianCandidate,
     ceiling_scan,
@@ -53,10 +54,11 @@ def _exact_rational(text: str) -> Fraction:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--bits", type=int, default=os.environ.get(ENV_BITS, "256"),
-                        help="working precision in bits (default 256, env %s)" % ENV_BITS)
-    common.add_argument("--max-bits", type=int, default=4096,
-                        help="precision ceiling for escalation (default 4096)")
+    bits, max_bits = DEFAULT_PRECISION.initial_bits, DEFAULT_PRECISION.max_bits
+    common.add_argument("--bits", type=int, default=os.environ.get(ENV_BITS, bits),
+                        help=f"working precision in bits (default {bits}, env {ENV_BITS})")
+    common.add_argument("--max-bits", type=int, default=max_bits,
+                        help=f"precision ceiling for escalation (default {max_bits})")
     common.add_argument("--json", action="store_true", help="emit machine-readable JSON")
 
     parser = argparse.ArgumentParser(
@@ -98,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="certify f(q,u) against 1+sqrt(3) over primes q = 1 (mod 4)")
     p.add_argument("--qmax", required=True, type=int)
     p.add_argument("--u", required=True, type=int)
-    p.add_argument("--margin", type=_exact_rational, default="1/1000",
+    p.add_argument("--margin", type=_exact_rational, default=DEFAULT_MARGIN,
                    help="required clearance for u >= 5 (exact rational)")
     p.add_argument("--verbose", action="store_true", help="print every grid entry")
 
@@ -141,7 +143,7 @@ def _input_bits(text: str) -> int:
 
 def _parse(text: str) -> Factorization:
     _require_size("the input", _input_bits(text))
-    return parse_factored(text)
+    return Factorization.parse(text)
 
 
 def _require_scan_limit(limit: int) -> None:
@@ -200,7 +202,7 @@ def _cmd_sandwich(args) -> int:
 def _cmd_check(args) -> int:
     q, k, n_text = EulerianCandidate.fields(" ".join(args.candidate))
     _require_size("q^k * n^2", k * q.bit_length() + 2 * _input_bits(n_text))
-    candidate = EulerianCandidate(q, k, parse_factored(n_text))
+    candidate = EulerianCandidate(q, k, Factorization.parse(n_text))
     report = validate_eulerian(candidate, _cfg(args))
     lines = [f"candidate {candidate}"]
     for check in report.checks:

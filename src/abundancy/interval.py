@@ -44,7 +44,6 @@ __all__ = [
     "escalate",
     "exp_interval",
     "exp_ratio",
-    "ln_interval",
     "ln_ratio",
     "pow_interval",
     "sqrt_ratio",
@@ -360,17 +359,6 @@ def ln_ratio(r: RatioLike, bits: int = DEFAULT_PRECISION.initial_bits) -> Interv
     return _from_scaled(lo, hi, w, bits)
 
 
-def ln_interval(x: IntervalReal, bits: int = DEFAULT_PRECISION.initial_bits) -> IntervalReal:
-    """Enclosure of ln over an enclosure (ln is increasing); one log if exact."""
-    if x.lo <= 0:
-        raise ValueError("ln requires a strictly positive interval")
-    w = bits + GUARD_BITS
-    lo, hi = _ln_scaled(x.lo.numerator, x.lo.denominator, w)
-    if x.hi != x.lo:
-        hi = _ln_scaled(x.hi.numerator, x.hi.denominator, w)[1]
-    return _from_scaled(lo, hi, w, bits)
-
-
 def exp_ratio(x: RatioLike, bits: int = DEFAULT_PRECISION.initial_bits) -> IntervalReal:
     """Enclosure of exp(x) for an exact rational x: two chains, one per bound."""
     return exp_interval(IntervalReal.exact(x, bits), bits)
@@ -385,16 +373,13 @@ def exp_interval(x: IntervalReal, bits: int = DEFAULT_PRECISION.initial_bits) ->
 
 
 def pow_interval(
-    base: IntervalReal,
+    base: RatioLike,
     exponent: IntervalReal,
     bits: int = DEFAULT_PRECISION.initial_bits,
 ) -> IntervalReal:
-    """Enclosure of base**exponent via exp(exponent * ln(base)); the base
-    interval must be strictly positive."""
-    if base.lo <= 0:
-        raise ValueError("pow requires a strictly positive base interval")
-    log_base = ln_interval(base, bits)
-    return exp_interval(exponent * log_base, bits)
+    """Enclosure of base**exponent = exp(exponent * ln(base)) for an exact
+    rational base > 0: one log of the base, then exp (ValueError if base <= 0)."""
+    return exp_interval(exponent * ln_ratio(base, bits), bits)
 
 
 def sqrt_ratio(r: RatioLike, bits: int = DEFAULT_PRECISION.initial_bits) -> IntervalReal:

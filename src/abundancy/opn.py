@@ -26,7 +26,6 @@ from .arith import (
     gcd,
     is_prime,
     omega,
-    parse_factored,
     primes_up_to,
     render_exact,
     render_short,
@@ -157,7 +156,7 @@ class EulerianCandidate:
     def parse(cls, line: str) -> "EulerianCandidate":
         """Parse the candidate line format ``q=<int> k=<int> n=<factored>``."""
         q, k, n_text = cls.fields(line)
-        return cls(q, k, parse_factored(n_text))
+        return cls(q, k, Factorization.parse(n_text))
 
     @staticmethod
     def fields(line: str) -> tuple[int, int, str]:
@@ -265,7 +264,7 @@ def _factored_checks(
     witnesses show it.
     """
     euler_part = known**candidate.k
-    rest = euler_part * candidate.n.squared()
+    rest = euler_part * candidate.n**2
     # None when the cofactor shares a prime with n or may hold N's least prime
     if cofactor > 1 and (gcd(cofactor, candidate.root) != 1 or not rest.factors
                          or rest.least_prime() > 1 << TRIAL_BITS):
@@ -301,11 +300,12 @@ def _factored_checks(
             residual_witness = "sigma(N) = 2N"
         else:
             residual_witness = f"sigma(N) != 2N (N has {digit_count(big_n)} digits)"
+    omega_name, euler_name, _, residual_name = _FACTORED_CHECKS
     return [
-        _flag("omega(N) >= 10", least >= NIELSEN_MIN_OMEGA, omega_witness),
-        _flag("I(q^k) < 5/4", euler_side == "<", euler_witness),
+        _flag(omega_name, least >= NIELSEN_MIN_OMEGA, omega_witness),
+        _flag(euler_name, euler_side == "<", euler_witness),
         _index_bound_check(candidate, rest.least_prime(), cfg),
-        _flag("sigma(N) = 2N", residual_side == "=", residual_witness),
+        _flag(residual_name, residual_side == "=", residual_witness),
     ]
 
 
@@ -327,7 +327,7 @@ def _certified(side: Comparison, passing: Comparison) -> CheckStatus | None:
 
 
 def _index_bound_check(candidate: EulerianCandidate, u: int, cfg: PrecisionConfig) -> Check:
-    name = "I(n) > index lower bound"
+    name = _FACTORED_CHECKS[2]
     if u == 2:
         return Check(name, CheckStatus.FAIL, "N is even; the bound assumes odd N")
     root_index = abundancy_index(candidate.n)
@@ -416,13 +416,13 @@ def euler_sum_bound(q: int, u: int, cfg: PrecisionConfig = DEFAULT_PRECISION) ->
     if not is_prime(q) or q % 4 != 1:
         raise ValueError(f"q must be a prime with q = 1 (mod 4), got {render_short(q)}")
     y = reciprocal_exponent(u, cfg)
-    return pow_interval(IntervalReal.exact(Fraction(2 * q, q + 1), y.bits), y, y.bits) + Fraction(q + 1, q)
+    return pow_interval(Fraction(2 * q, q + 1), y, y.bits) + Fraction(q + 1, q)
 
 
 def euler_sum_bound_limit(u: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> IntervalReal:
     """Enclosure of the q -> infinity limit 1 + 2**(1/x(u)) of f(q, u)."""
     y = reciprocal_exponent(u, cfg)
-    return pow_interval(IntervalReal.exact(2, y.bits), y, y.bits) + 1
+    return pow_interval(2, y, y.bits) + 1
 
 
 @lru_cache(maxsize=None)

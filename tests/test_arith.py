@@ -15,7 +15,6 @@ from abundancy.arith import (
     is_perfect,
     is_prime,
     omega,
-    parse_factored,
     primes_up_to,
     render_exact,
     rho_factor,
@@ -333,8 +332,8 @@ def test_factorization_text_format():
     assert str(f) == "3^2*5"
     assert str(Factorization(())) == "1"
     assert Factorization.parse("1").value() == 1
-    assert parse_factored("45").factors == ((3, 2), (5, 1))
-    assert parse_factored("7").factors == ((7, 1),)
+    assert Factorization.parse("45").factors == ((3, 2), (5, 1))
+    assert Factorization.parse(" 7 ").factors == ((7, 1),)
     with pytest.raises(ValueError):
         Factorization.parse("4^2")
     with pytest.raises(ValueError):
@@ -349,15 +348,15 @@ def test_factorization_product_merges_exponents():
 
 def test_squared_doubles_exponents():
     f = Factorization.parse("3^2*5")
-    assert f.squared().factors == ((3, 4), (5, 2))
-    assert f.squared().value() == 45**2
+    assert (f**2).factors == ((3, 4), (5, 2))
+    assert (f**2).value() == 45**2
 
 
 def test_derived_factorizations_skip_primality(monkeypatch):
     a, b = Factorization.parse("3^2*5"), Factorization.parse("5*7")
     calls = []
     monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or True)
-    product, square, cube = a * b, a.squared(), a**3
+    product, square, cube = a * b, a**2, a**3
     assert calls == []
     monkeypatch.undo()
     assert product == Factorization.parse("3^2*5^2*7")

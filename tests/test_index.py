@@ -235,7 +235,7 @@ def test_split_log_never_decides_an_exponent_at_a_higher_rung():
 def test_exponent_range_is_exact_in_integers(factors):
     # 1 < x(n) < 2 is I(n) < I(n^2) < I(n)^2, i.e. sigma(n)*n < sigma(n^2) < sigma(n)^2
     f = Factorization(tuple(sorted(factors.items())))
-    assert sigma(f) * f.value() < sigma(f.squared()) < sigma(f) ** 2
+    assert sigma(f) * f.value() < sigma(f**2) < sigma(f) ** 2
 
 
 def test_sandwich_reuses_cached_prime_power_logs(monkeypatch):
@@ -300,7 +300,7 @@ def test_index_square_growth_is_strict():
     for _ in range(150):
         f = sample_odd_factorization(rng)
         index = abundancy_index(f)
-        squared = abundancy_index(f.squared())
+        squared = abundancy_index(f**2)
         assert index < squared < index**2
 
 

@@ -19,7 +19,6 @@ from abundancy.interval import (
     escalate,
     exp_interval,
     exp_ratio,
-    ln_interval,
     ln_ratio,
     pow_interval,
     sqrt_ratio,
@@ -86,18 +85,18 @@ def test_exp_negative_arguments():
 
 
 def test_pow_identity_exponent():
-    out = pow_interval(IntervalReal.exact(Fraction(7, 3)), IntervalReal.exact(1))
+    out = pow_interval(Fraction(7, 3), IntervalReal.exact(1))
     assert out.contains(Fraction(7, 3))
     assert out.width < Fraction(1, 2**200)
     rng = random.Random(13)
     for _ in range(40):
         r = Fraction(rng.randrange(1, 10**4), rng.randrange(1, 10**3))
-        out = pow_interval(IntervalReal.exact(r, 128), IntervalReal.exact(1, 128), 128)
+        out = pow_interval(r, IntervalReal.exact(1, 128), 128)
         assert out.contains(r), r
 
 
 def test_pow_square_root_agrees_with_isqrt_refinement():
-    via_pow = pow_interval(IntervalReal.exact(2), IntervalReal.exact(Fraction(1, 2)))
+    via_pow = pow_interval(2, IntervalReal.exact(Fraction(1, 2)))
     via_isqrt = sqrt_ratio(2)
     assert_consistent(via_pow, "sqrt(2)")
     assert_consistent(via_isqrt, "sqrt(2)")
@@ -106,14 +105,22 @@ def test_pow_square_root_agrees_with_isqrt_refinement():
 
 def test_pow_frozen_bound():
     expo = ln_ratio(Fraction(4, 3)) / ln_ratio(Fraction(13, 9))
-    out = pow_interval(IntervalReal.exact(Fraction(8, 5)), expo)
+    out = pow_interval(Fraction(8, 5), expo)
     assert_consistent(out, "bound(8/5,3)")
     assert out.width < Fraction(1, 10**10)
 
 
 def test_pow_rejects_nonpositive_base():
-    with pytest.raises(ValueError):
-        pow_interval(IntervalReal(Fraction(-1), Fraction(1), 256), IntervalReal.exact(2))
+    for base in (0, -1):
+        with pytest.raises(ValueError):
+            pow_interval(base, IntervalReal.exact(2))
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+@pytest.mark.parametrize("base", [Fraction(8, 5), Fraction(5, 3), 2])
+def test_pow_is_exp_of_the_exponent_times_ln_ratio(base, bits):
+    y = ln_ratio(Fraction(4, 3), bits) / ln_ratio(Fraction(13, 9), bits)
+    assert pow_interval(base, y, bits) == exp_interval(y * ln_ratio(base, bits), bits)
 
 
 def test_sqrt_three_ceiling():
@@ -196,7 +203,7 @@ def test_decide_against_rational_proxy():
     # 1 + 2^(ln(6/5)/ln(31/25)) ~ 2.7995 is above the sqrt(3) proxy 2.732050808
     def limit(bits):
         expo = ln_ratio(Fraction(6, 5), bits) / ln_ratio(Fraction(31, 25), bits)
-        return pow_interval(IntervalReal.exact(2, bits), expo, bits) + 1
+        return pow_interval(2, expo, bits) + 1
 
     verdict, _ = escalate(limit, separation(Fraction(2732050808, 10**9)))
     assert verdict is Comparison.GREATER
@@ -230,9 +237,9 @@ def test_escalate_propagates_an_evaluate_exception_from_the_first_rung():
         assert rungs == [128]
 
 
-def test_ln_of_exact_enclosure_takes_one_log(monkeypatch):
+def test_pow_of_rational_base_takes_one_log(monkeypatch):
     r = Fraction(8, 5)
-    assert ln_interval(IntervalReal.exact(r)) == ln_ratio(r)
+    y = ln_ratio(Fraction(4, 3)) / ln_ratio(Fraction(13, 9))
     index_lower_bound(r, 3)  # warm reciprocal_exponent's cache
     kernel = interval._ln_scaled
     calls = []
@@ -242,6 +249,9 @@ def test_ln_of_exact_enclosure_takes_one_log(monkeypatch):
         return kernel(num, den, w)
 
     monkeypatch.setattr(interval, "_ln_scaled", counted)
+    pow_interval(r, y)
+    assert calls == [(8, 5)]
+    calls.clear()
     index_lower_bound.cache_clear()  # evaluate the bound again, on the warm 1/x(3)
     index_lower_bound(r, 3)
     assert calls == [(8, 5)]
@@ -251,7 +261,7 @@ def test_render_format():
     text = ln_ratio(Fraction(4, 3)).render()
     assert re.fullmatch(r"0\.2876820725 ± \de-\d+ @256b", text)
     bound = pow_interval(
-        IntervalReal.exact(Fraction(8, 5)),
+        Fraction(8, 5),
         ln_ratio(Fraction(4, 3)) / ln_ratio(Fraction(13, 9)),
     )
     assert bound.render().startswith("1.444405574 ")

@@ -292,6 +292,22 @@ def test_bounded_witnesses_name_their_bound_and_stay_short():
     assert witnesses["sigma(N) = 2N"] == (CheckStatus.FAIL, f"sigma(N) != 2N: I(N) < 2 ({unfactored})")
 
 
+def test_factored_check_names_keep_one_order_however_they_are_decided():
+    # trial division factors q = 13; bounds decide the 964-digit cofactor;
+    # rho's budget runs out on q, the product of two primes above 2^64
+    big_q = 18446744073709551629 * 18446744073709551653
+    candidates = [
+        EulerianCandidate(13, 1, Factorization.parse("3^2")),
+        EulerianCandidate(5 * 65537**200, 1, Factorization.parse("3*7*11*13*17*19*23*29")),
+        EulerianCandidate(big_q, 1, Factorization(())),
+    ]
+    reports = [validate_eulerian(c) for c in candidates]
+    assert [c.status for c in _factored_part(reports[2])] == [CheckStatus.UNDECIDED] * 4
+    names = [[c.name for c in report.checks] for report in reports]
+    assert names[0] == names[1] == names[2]
+    assert [name for name in names[0] if name in opn._FACTORED_CHECKS] == list(opn._FACTORED_CHECKS)
+
+
 def test_a_perfect_known_part_is_decided_without_rho(monkeypatch):
     # q = 7 * 65537 * 65539, n = 2: the factored rest 7 * 2^2 = 28 is perfect,
     # so I(rest) = 2 and the unfactored cofactor pushes I(N) above 2
@@ -322,9 +338,9 @@ def test_reciprocal_exponent_and_the_bounds_climb_the_ladder():
     # with a 256-bit ceiling the range [1/2, 1] is what the bounds are built on
     cfg, y = PrecisionConfig(256, 256), IntervalReal(Fraction(1, 2), Fraction(1), 256)
     assert reciprocal_exponent(BIG_PRIME, cfg) == y
-    assert index_lower_bound(Fraction(8, 5), BIG_PRIME, cfg) == pow_interval(IntervalReal.exact(Fraction(8, 5)), y)
-    assert euler_sum_bound(5, BIG_PRIME, cfg) == pow_interval(IntervalReal.exact(Fraction(5, 3)), y) + Fraction(6, 5)
-    assert euler_sum_bound_limit(BIG_PRIME, cfg) == pow_interval(IntervalReal.exact(2), y) + 1
+    assert index_lower_bound(Fraction(8, 5), BIG_PRIME, cfg) == pow_interval(Fraction(8, 5), y)
+    assert euler_sum_bound(5, BIG_PRIME, cfg) == pow_interval(Fraction(5, 3), y) + Fraction(6, 5)
+    assert euler_sum_bound_limit(BIG_PRIME, cfg) == pow_interval(2, y) + 1
 
 
 def test_validate_coprimality_failure():

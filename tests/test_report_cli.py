@@ -16,7 +16,8 @@ from abundancy import arith, cli, report
 from abundancy.arith import Factorization
 from abundancy.cli import main
 from abundancy.index import ExponentValue
-from abundancy.interval import IntervalReal, PrecisionConfig
+from abundancy.interval import DEFAULT_PRECISION, IntervalReal, PrecisionConfig
+from abundancy.opn import DEFAULT_MARGIN
 from abundancy.report import ReportSizes, SuiteSummary, reference_constants, run_report
 
 SMALL = ReportSizes(
@@ -247,6 +248,17 @@ def test_cli_env_default_bits(capsys, monkeypatch):
     # parser defaults are read at build time, so rebuild through main()
     code, out = run_cli(capsys, "exponent", "3")
     assert code == 0 and "@128b" in out
+
+
+def test_cli_precision_and_margin_defaults_are_the_library_defaults(monkeypatch):
+    argv = ["scan", "--qmax", "100", "--u", "5"]
+    monkeypatch.delenv(cli.ENV_BITS, raising=False)
+    args = cli.build_parser().parse_args(argv)
+    assert args.bits == DEFAULT_PRECISION.initial_bits
+    assert args.max_bits == DEFAULT_PRECISION.max_bits
+    assert args.margin == DEFAULT_MARGIN
+    monkeypatch.setenv(cli.ENV_BITS, "128")
+    assert cli.build_parser().parse_args(argv).bits == 128
 
 
 def test_cli_env_invalid_bits_is_an_argument_error(capsys, monkeypatch):
