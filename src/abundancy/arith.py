@@ -423,7 +423,7 @@ def digit_count(n: int) -> int:
     for huge integers)."""
     if n <= 0:
         raise ValueError("positive input required")
-    d = max((n.bit_length() - 1) * 30103 // 100000, 0)
+    d = (n.bit_length() - 1) * 30102999566 // 10**11  # below log10(2): the loop only counts up
     while 10 ** (d + 1) <= n:
         d += 1
     return d + 1
@@ -442,15 +442,13 @@ def render_exact(x: int | Fraction) -> str:
 
 
 def render_short(n: int) -> str:
-    """str(n) for n of at most 40 digits, else the sign and the head/tail form."""
-    return f"{'-' if n < 0 else ''}{_abbreviated(abs(n))}" if abs(n) >= 10**40 else str(n)
-
-
-def _abbreviated(n: int) -> str:
-    """n >= 10^40 as its first and last 20 digits and its digit count."""
-    digits = digit_count(n)
-    head, tail = n // 10 ** (digits - 20), n % 10**20
-    return f"{head}...{tail:020d} ({digits} digits)"
+    """str(n) for n of at most 40 digits, else its sign, first and last 20 digits and digit count."""
+    size = abs(n)
+    if size < 10**40:
+        return str(n)
+    digits = digit_count(size)
+    head, tail = size // 10 ** (digits - 20), size % 10**20
+    return f"{'-' if n < 0 else ''}{head}...{tail:020d} ({digits} digits)"
 
 
 def sigma(f: Factorization) -> int:

@@ -146,11 +146,6 @@ def _parse(text: str) -> Factorization:
     return Factorization.parse(text)
 
 
-def _require_scan_limit(limit: int) -> None:
-    if limit > MAX_SCAN_LIMIT:
-        raise ValueError(f"scan limit {limit} exceeds the cap {MAX_SCAN_LIMIT}")
-
-
 def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -226,7 +221,8 @@ def _cmd_f(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    _require_scan_limit(args.qmax)
+    if args.qmax > MAX_SCAN_LIMIT:
+        raise ValueError(f"scan limit {args.qmax} exceeds the cap {MAX_SCAN_LIMIT}")
     report = ceiling_scan(args.qmax, args.u, _cfg(args), args.margin)
     per_q = [c for c in report.checks if c.name.startswith("f(")]
     bad = [c for c in report.checks if c.status is not CheckStatus.PASS]
@@ -292,7 +288,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, ArithmeticError, FactorizationBudgetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # one line of at most 200 characters; digit runs are cut on the text, so int() cannot raise
+        line = re.sub(r"\d{41,}", lambda m: f"{m[0][:20]}...{m[0][-20:]} ({len(m[0])} digits)",
+                      f"error: {exc}")
+        print(line[:199], file=sys.stderr)
         return 2
 
 

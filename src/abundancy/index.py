@@ -179,7 +179,7 @@ def sandwich_check(
     if a == 1 or b == 1:
         raise ValueError("sandwich_check needs both values > 1")
     if gcd(a, b) != 1:
-        raise ValueError(f"inputs must be coprime, gcd({a}, {b}) > 1")
+        raise ValueError(f"inputs must be coprime, gcd({render_short(a)}, {render_short(b)}) > 1")
     def evaluate(bits: int) -> tuple[IntervalReal, ...]:
         logs_a, logs_b = _ln_indices(fa, bits), _ln_indices(fb, bits)
         logs_ab = [x + y for x, y in zip(logs_a, logs_b)]  # x(ab) is their mediant

@@ -381,22 +381,17 @@ class OrderPredicates:
 def order_predicates(candidate: EulerianCandidate) -> OrderPredicates:
     """Evaluate the order predicates for a candidate satisfying the premise.
 
-    Raises PremiseError when I(q^k)^3 < 2 < I(n)^3 fails (checked exactly by
-    cubing the rationals), so premise violations are reported, not skipped.
-    """
-    q, k = candidate.q, candidate.k
-    if not is_prime(q):
-        raise ValueError(f"q must be prime, got {render_short(q)}")
-    euler_part = q**k
-    sigma_euler = (q ** (k + 1) - 1) // (q - 1)
-    euler_index = Fraction(sigma_euler, euler_part)
-    root_index = abundancy_index(candidate.n)
+    q^k is a Factorization, so q is proven prime (ValueError otherwise), and
+    sigma gives sigma(q^k) and sigma(n). Raises PremiseError when I(q^k)^3 < 2
+    < I(n)^3 fails (checked exactly by cubing the rationals)."""
+    euler = Factorization(((candidate.q, candidate.k),))
+    euler_part, sigma_euler = euler.value(), sigma(euler)
+    n, sigma_root = candidate.root, sigma(candidate.n)
+    euler_index, root_index = Fraction(sigma_euler, euler_part), Fraction(sigma_root, n)
     if euler_index**3 >= 2:
         raise PremiseError(f"I(q^k)^3 = {euler_index**3} >= 2")
     if root_index**3 <= 2:
         raise PremiseError(f"I(n)^3 = {root_index**3} <= 2")
-    n = candidate.root
-    sigma_root = sigma(candidate.n)
     return OrderPredicates(
         euler_lt_root=euler_part < n,
         cross_lt=sigma_euler * euler_part < sigma_root * n,
@@ -409,20 +404,25 @@ def order_predicates(candidate: EulerianCandidate) -> OrderPredicates:
 # ---------------------------------------------------------------------------
 
 
+def _require_euler_prime(q: int) -> None:
+    if not is_prime(q) or q % 4 != 1:
+        raise ValueError(f"q must be a prime with q = 1 (mod 4), got {render_short(q)}")
+
+
 def euler_sum_bound(q: int, u: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> IntervalReal:
     """Enclosure of f(q, u) = (q+1)/q + (2q/(q+1))**(1/x(u)): a lower bound
     for I(q) + I(n) when q is the Euler prime and u the least prime of N,
-    evaluated at the precision reciprocal_exponent(u, cfg) settles on."""
-    if not is_prime(q) or q % 4 != 1:
-        raise ValueError(f"q must be a prime with q = 1 (mod 4), got {render_short(q)}")
+    evaluated at the precision reciprocal_exponent(u, cfg) settles on. The
+    power is index_lower_bound(2q/(q+1), u, cfg) written out only because
+    bench/test_bench.py requires opn to bind pow_interval."""
+    _require_euler_prime(q)
     y = reciprocal_exponent(u, cfg)
     return pow_interval(Fraction(2 * q, q + 1), y, y.bits) + Fraction(q + 1, q)
 
 
 def euler_sum_bound_limit(u: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> IntervalReal:
-    """Enclosure of the q -> infinity limit 1 + 2**(1/x(u)) of f(q, u)."""
-    y = reciprocal_exponent(u, cfg)
-    return pow_interval(2, y, y.bits) + 1
+    """The q -> infinity limit 1 + 2**(1/x(u)) of f(q, u): index_lower_bound(2, u) + 1."""
+    return index_lower_bound(2, u, cfg) + 1
 
 
 @lru_cache(maxsize=None)
@@ -523,10 +523,7 @@ def residual_case_classify(q: int) -> ResidualClassification:
     5 = q < n. Otherwise q = 5 (mod 12) forces 3 | (q+1)/2 | n^2 when k = 1,
     while q = 1 (mod 12) forces no divisibility of n by 3.
     """
-    if not is_prime(q):
-        raise ValueError(f"q must be prime, got {render_short(q)}")
-    if q % 4 != 1:
-        raise ValueError(f"q must be 1 (mod 4), got {render_short(q)} = {q % 4} (mod 4)")
+    _require_euler_prime(q)
     half = (q + 1) // 2
     if q == 5:
         return ResidualClassification(

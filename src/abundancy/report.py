@@ -13,10 +13,9 @@ import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .arith import Factorization, factorize, primes_up_to, sigma, sigma_oracle
+from .arith import factorize, primes_up_to, sigma, sigma_oracle
 from .index import (
     SandwichStatus,
-    abundancy_exponent,
     index_lower_bound,
     prime_power_exponent,
     sample_coprime_odd_pair,
@@ -150,7 +149,7 @@ def reference_constants(cfg: PrecisionConfig = DEFAULT_PRECISION) -> tuple[Const
     """Re-derive the five reference constants as certified enclosures."""
     values = (
         index_lower_bound(Fraction(8, 5), 3, cfg),
-        abundancy_exponent(Factorization(((3, 1),)), cfg).value,
+        prime_power_exponent(3, 1, cfg).value,
         euler_sum_bound_limit(5, cfg),
         ceiling_interval(cfg.initial_bits),
         euler_sum_bound_limit(3, cfg),

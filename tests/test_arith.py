@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from abundancy.arith import (
     omega,
     primes_up_to,
     render_exact,
+    render_short,
     rho_factor,
     sigma,
     sigma_oracle,
@@ -390,6 +392,15 @@ def test_render_exact_past_the_str_limit():
     assert digit_count(big) == 5001
     assert render_exact(big) == "10000000000000000000...00000000000000000007 (5001 digits)"
     assert render_exact(Fraction(big, 3)) == render_exact(big) + "/3"
+    # just above these powers of two, (bits - 1) * 0.30103 overshoots log10(n)
+    wide = [2**13301, 2**26602, 65538 * (2**26586 - 1)]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert [digit_count(n) for n in wide] == [len(str(n)) for n in wide] == [4004, 8008, 8008]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert render_short(wide[2]) == "99990308115669126509...36257709544709226494 (8008 digits)"
 
 
 def test_sigma_examples():

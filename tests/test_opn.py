@@ -397,8 +397,8 @@ def test_order_predicates_examples():
 def test_order_predicates_premise_errors():
     with pytest.raises(PremiseError):
         order_predicates(candidate(5, 1, 5**2))  # I(25)^3 < 2
-    with pytest.raises(ValueError):
-        order_predicates(candidate(9, 1, 3))  # q not prime
+    with pytest.raises(ValueError, match="^9 is not prime$"):
+        order_predicates(candidate(9, 1, 3))  # q^k goes through Factorization
 
 
 def test_order_predicates_implication_logic():
@@ -546,10 +546,12 @@ def test_residual_classify_notes():
 
 
 def test_residual_classify_rejects_bad_q():
-    with pytest.raises(ValueError):
-        residual_case_classify(9)
-    with pytest.raises(ValueError):
-        residual_case_classify(7)  # 7 = 3 (mod 4)
+    for q in (9, 7):  # composite; 7 = 3 (mod 4)
+        message = rf"^q must be a prime with q = 1 \(mod 4\), got {q}$"
+        with pytest.raises(ValueError, match=message):
+            residual_case_classify(q)
+        with pytest.raises(ValueError, match=message):
+            euler_sum_bound(q, 5)
 
 
 def test_residual_partition():

@@ -429,6 +429,12 @@ WIDE_EVEN = 10**4000 + 2
     ["f", "--q", str(WIDE_EVEN), "--u", "5"],
     ["bound", "--L", "8/5", "--u", str(WIDE_EVEN)],
     ["sigma", f"2*{WIDE_EVEN}"],
+    ["scan", "--qmax", str(WIDE_EVEN), "--u", "5"],
+    ["mersenne", "--limit", str(WIDE_EVEN)],
+    ["mersenne", "--limit", str(-WIDE_EVEN)],
+    ["report", "--oracle-limit", str(WIDE_EVEN)],
+    ["scan", "--qmax", "100", "--u", "5", "--margin", str(-WIDE_EVEN)],
+    ["scan", "--qmax", "100", "--u", "5", "--margin", f"-1/{WIDE_EVEN}"],
 ])
 def test_cli_error_line_abbreviates_a_wide_integer(capsys, argv):
     assert main(argv) == 2
@@ -436,6 +442,22 @@ def test_cli_error_line_abbreviates_a_wide_integer(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 200
     shown = "10000000000000000000...00000000000000000002 (4001 digits)"
     assert shown in err and (f"-{shown}" in err) == (str(-WIDE_EVEN) in argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sandwich", "3^2000", "3^2000"],
+    ["sandwich", "3^20000", "3^20000"],  # 9,543 digits, past str()'s limit
+    ["sigma", f"3^{WIDE_EVEN}"],
+    ["check", "q=5", f"k={WIDE_EVEN}", "n=3"],
+    ["check", "q=5", "k=1", "n=3", "x" * 3000],
+    ["sigma", "x" * 3000],
+])
+def test_cli_error_line_is_one_bounded_line(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 200
+    if argv[1] == "3^20000":
+        assert "coprime" in err
 
 
 def test_cli_bound_error_line_abbreviates_a_wide_rational(capsys):
