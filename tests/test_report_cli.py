@@ -460,6 +460,24 @@ def test_cli_error_line_is_one_bounded_line(capsys, argv):
         assert "coprime" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["mersenne", "--limit", "x" * 3000],
+    ["mersenne", "--limit", "7" * 5000],  # past int()'s 4,300-digit limit
+    ["sigma", "45", "--bits", "x" * 3000],
+    ["x" * 3000],  # no such command
+])
+def test_cli_argparse_error_lines_are_bounded(capsys, argv):
+    # argparse's own errors never reach main's handler: its usage block, then
+    # its error line, cut like main's
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith("usage: abundancy") and ": error: argument " in lines[-1]
+    assert all(len(line) < 200 for line in lines)
+    assert ("(5000 digits)" in lines[-1]) == ("7" * 5000 in argv)
+
+
 def test_cli_bound_error_line_abbreviates_a_wide_rational(capsys):
     assert main(["bound", "--L", f"{10**3799}/{10**3800 - 1}", "--u", "3"]) == 2
     err = capsys.readouterr().err
