@@ -37,7 +37,7 @@ from .report import ReportSizes, run_report
 ENV_BITS = "ABUNDANCY_BITS"
 # Input caps, so that every command ends in bounded time and memory.
 # On a 2-core x86-64 VM, `exponent 3^32768` prints its 4096-bit enclosure after 0.14 s and
-# `scan --qmax 1000000 --u 5` takes 7 s; the sieve holds one byte per integer.
+# `scan --qmax 1000000 --u 5` takes 6.5-7.5 s; the sieve holds one byte per integer.
 MAX_INPUT_BITS = 1 << 16
 MAX_SCAN_LIMIT = 10**6
 # Each report corpus size is capped at or above its full-scale acceptance size.

@@ -9,8 +9,11 @@ floored chain at a few more bits, whose value is a lower bound, and add to it
 an analytic bound on what its floors, its truncated series and, for exp, the
 squarings of argument halving can have lost (midpoint-radius accounting, as
 in Johansson's Arb, IEEE TC 2017); both ends are then rounded outward to w
-bits. A power keeps the log of its base as scaled integers up to the exp
-chain. Containment is therefore unconditional, and the enclosures never
+bits. The exp chain sums its Taylor series by rectangular splitting, so most
+of its terms cost a division by a small integer instead of a full-width
+product. A power keeps the log of its base as scaled integers up to the exp
+chain, and picks the products with the exponent's ends by their signs.
+Containment is therefore unconditional, and the enclosures never
 touch floating point; only their text is rounded, correctly, by the
 `decimal` module from a short integer quotient of the exact rational.
 
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_HALF_UP, Context, Decimal
 from enum import Enum
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
+from functools import lru_cache
 from math import isqrt
 from typing import Callable, Iterator, Optional, TypeVar, Union
 
@@ -274,19 +277,58 @@ def _ln_scaled(num: int, den: int, w: int) -> tuple[int, int]:
 
 
 def _exp_chain(t: int, v: int, h: int) -> tuple[int, int]:
-    """(y, e) with y <= exp(t/2^v)^(2^h) 2^v <= y + e, for 0 <= t/2^v <= 1/2, from
-    one floored chain. The Taylor sum stops at its j-th term p <= 2; each of the
-    j - 1 terms floor(floor(p_(i-1) t / 2^v) / i) is short by less than
-    1/(1 - t/2^v) <= 2 and the terms after p sum to less than 6/5, so the sum
-    is short by less than 2j. A floored square floor(y^2 / 2^v) of a y short by
-    at most e is short by at most 1 + ceil(e (2y + e) / 2^v)."""
-    p = y = 1 << v
-    j = 1
-    while p > 2:
-        p = (p * t >> v) // j
-        y += p
-        j += 1
-    e = 2 * j
+    """(y, e) with y <= exp(t/2^v)^(2^h) 2^v <= y + e, for 0 <= x = t/2^v <= 1/2,
+    from one floored Taylor chain by rectangular splitting (Smith, Math. Comp.
+    1989; Brent and Zimmermann, Modern Computer Arithmetic, 4.4.3) into u =
+    max(1, isqrt(isqrt(v))) parallel sums. Term k = mu + i, 0 <= i < u, is
+    x^i A_k with A_k = x^(mu)/k!, all scaled by 2^v: inside a block A_k is
+    floor(A_(k-1) / k), at a block's start floor(floor(A_(k-1) T_u / 2^v) / k).
+    S_i sums the A_k of its class, and y = S_0 + sum floor(S_i T_i / 2^v) over
+    the table T_1 = t, T_i = floor(T_(i-1) t / 2^v). So the chain makes u - 1
+    wide products for the table, one per block and u - 1 for the sums.
+
+    Deficits, in units of 2^-v: each T_i is short by less than 1/(1 - x) <= 2.
+    A division by k leaves A_k short by less than δ_(k-1)/k + 1, a block's
+    start by less than (δ_(k-1) x^u + 3)/k + 1 (as A_(k-1) <= 2^v), so every
+    A_k is short by less than 4. Each floor(S_i T_i / 2^v) then loses less
+    than 4 n_i + 5 for its n_i terms, since their exact sum is below
+    e^x 2^v < 2^(v+1). The chain stops at its first term whose bit lengths
+    show A_k T_i < 2^(v+1) (T_0 = 2^v, so k >= 1). Its exact value is below
+    (A_k + 4)(T_i + 2) / 2^v < 7 units (below 4 for i = 0, the only class
+    when v < 16), and each later term is at most x/2 <= 1/4 of the one
+    before, so they sum to less than 7/3 < 3. After N terms the sum is short
+    by less than 4N + 5(u - 1) + 3. A floored square floor(y^2 / 2^v)
+    of a y short by at most e is short by at most 1 + ceil(e (2y + e) / 2^v).
+
+    The allowances are loose, and no test input comes near them (a floor
+    loses half a unit on average). For u >= 2, x^u <= 1/4 and the same steps
+    keep every A_k short by less than 20/7; a class i >= 1 enters times
+    x^i <= 1/2, and its product's other losses are below 1 + 3.3/i! (T_1 = t
+    is exact, and its exact sum is below e^x 2^v / i!). For u = 1 each A_k is
+    short by less than 2. So e exceeds the loss by more than 4 units
+    (8N/7 + 4(u - 1) - 2, or 2N + 1 for u = 1; N >= 2): enough for a unit
+    less per term, four less per sum, or no tail allowance; and a squaring
+    that floored its error term would map a slack s >= 1 to at least 2s - 1,
+    as y >= 2^v. The soundness of those sites rests on this argument."""
+    u = max(1, isqrt(isqrt(v)))
+    powers = [1 << v, t]
+    for _ in range(u - 1):
+        powers.append(powers[-1] * t >> v)
+    room = [v + 1 - p.bit_length() for p in powers]
+    sums = [0] * u
+    a = 1 << v
+    k = i = 0
+    while True:
+        sums[i] += a
+        if a.bit_length() <= room[i]:
+            break
+        k += 1
+        i = k % u
+        if i == 0:
+            a = a * powers[u] >> v
+        a //= k
+    y = sums[0] + sum(s * p >> v for s, p in zip(sums[1:], powers[1:]))
+    e = 4 * (k + 1) + 5 * (u - 1) + 3
     for _ in range(h):
         e = 1 - (-e * (2 * y + e) >> v)
         y = y * y >> v
@@ -306,7 +348,8 @@ def _exp_scaled(xn: int, xd: int, w: int) -> tuple[int, int]:
     (Brent and Zimmermann, Modern Computer Arithmetic, 4.3-4.4): the chain runs
     on r_lo / 2^h, h = isqrt(w) // 2, at v = w + c bits, c = h + 4 + bits(w),
     where it is r_lo shifted left by c - h, exactly. Its error after the h
-    squarings, about 2^(h+1) j, stays below 2^c, a unit of 2^-w. The upper end
+    squarings, about 2^(h+1) (4N + 5u) for N terms in u sums (about 2^(h+10)
+    at 4096 bits), stays below 2^c, a unit of 2^-w. The upper end
     grows by r_hi - r_lo; both ends are rounded outward to w bits and shifted
     by k. Negative x takes the reciprocals of both bounds of exp(-x).
     """
@@ -382,6 +425,21 @@ def exp_interval(x: IntervalReal, bits: int = DEFAULT_PRECISION.initial_bits) ->
     return _from_scaled(lo, hi, w, bits)
 
 
+def _least_product(y_lo: Fraction, y_hi: Fraction, l_lo: int, l_hi: int) -> tuple[Fraction, int]:
+    """The (y, l) of the least y l over [y_lo, y_hi] x [l_lo, l_hi], picked by
+    the signs of the ends as in interval multiplication: y l is increasing in
+    y where l >= 0 and decreasing where l <= 0, and likewise in l by the sign
+    of y. Only when both ranges straddle 0 are two candidates compared."""
+    if l_lo < 0 < l_hi:
+        if y_lo >= 0:
+            return y_hi, l_lo
+        if y_hi <= 0:
+            return y_lo, l_hi
+        return min((y_lo, l_hi), (y_hi, l_lo), key=lambda pair: pair[0] * pair[1])
+    y = y_lo if l_lo >= 0 else y_hi
+    return y, l_lo if y >= 0 else l_hi
+
+
 def pow_interval(
     base: RatioLike,
     exponent: IntervalReal,
@@ -389,16 +447,17 @@ def pow_interval(
 ) -> IntervalReal:
     """Enclosure of base**exponent = exp(exponent * ln(base)) for an exact
     rational base > 0 (ValueError otherwise): the least and greatest products
-    of the exponent's endpoints with the scaled-integer log of the base, picked
-    by cross-multiplication, go to the exp chain as integer pairs."""
+    of the exponent's endpoints with the scaled-integer log of the base,
+    picked by the signs of the endpoints, go to the exp chain as integer
+    pairs."""
     base = Fraction(base)
     if base <= 0:
         raise ValueError(f"pow requires a positive base, got {base}")
     w = bits + GUARD_BITS
-    logs = _ln_scaled(base.numerator, base.denominator, w)
-    products = [(y.numerator * ln, y.denominator << w) for y in (exponent.lo, exponent.hi) for ln in logs]
-    by_value = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
-    lo, hi = _exp_between(*min(products, key=by_value), *max(products, key=by_value), w)
+    ln = _ln_scaled(base.numerator, base.denominator, w)
+    ya, la = _least_product(exponent.lo, exponent.hi, *ln)
+    yb, lb = _least_product(exponent.lo, exponent.hi, -ln[1], -ln[0])  # the greatest is -yb lb
+    lo, hi = _exp_between(ya.numerator * la, ya.denominator << w, -yb.numerator * lb, yb.denominator << w, w)
     return _from_scaled(lo, hi, w, bits)
 
 

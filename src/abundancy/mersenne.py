@@ -37,8 +37,14 @@ def even_perfect_from_exponent(p: int) -> EuclideanForm:
     """Construct the even perfect number for a Lucas-Lehmer-certified p."""
     if not lucas_lehmer(p):
         raise ValueError(f"2^{p} - 1 is not prime")
+    return _euclidean_form(p)
+
+
+def _euclidean_form(p: int) -> EuclideanForm:
+    """The even perfect number for a p whose 2^p - 1 is already proven prime
+    (the report's suite takes its p from `mersenne_scan`)."""
     mersenne = (1 << p) - 1
-    # the factorization is known and Lucas-Lehmer has just proven its Mersenne
+    # the factorization is known and Lucas-Lehmer has proven its Mersenne
     # factor: the divisor-sum closed form confirms perfection with no re-proof
     known = Factorization._derived(((2, p - 1), (mersenne, 1)))
     form = EuclideanForm(p, mersenne, known.value())

@@ -27,7 +27,7 @@ from .interval import (
     IntervalReal,
     PrecisionConfig,
 )
-from .mersenne import even_perfect_from_exponent, mersenne_scan
+from .mersenne import _euclidean_form, mersenne_scan
 from .opn import (
     CheckStatus,
     ceiling_interval,
@@ -236,7 +236,7 @@ def _mersenne_suite(sizes: ReportSizes) -> SuiteSummary:
     failures = 0
     for p in exponents:
         try:
-            even_perfect_from_exponent(p)
+            _euclidean_form(p)
         except ArithmeticError:
             failures += 1
     detail = "p = " + ",".join(str(p) for p in exponents)

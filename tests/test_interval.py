@@ -124,6 +124,60 @@ def test_pow_is_exp_of_the_exponent_times_ln_ratio(base, bits):
     assert pow_interval(base, y, bits) == exp_interval(y * ln_ratio(base, bits), bits)
 
 
+# exponents of every sign pattern: points, [-, +], [0, +], [-, 0], [+, +], [-, -]
+POW_EXPONENTS = [
+    IntervalReal(Fraction(a), Fraction(b), 64)
+    for a, b in (
+        (Fraction(7, 3),) * 2, (Fraction(-7, 3),) * 2, (0, 0), (Fraction(-1, 3), Fraction(5, 2)),
+        (0, Fraction(5, 2)), (Fraction(-5, 2), 0), (Fraction(1, 3), Fraction(5, 2)), (Fraction(-5, 2), Fraction(-1, 3)),
+    )
+]
+
+
+def test_least_product_is_picked_by_the_signs_of_the_ends():
+    ends = [Fraction(-5, 2), Fraction(-1, 3), Fraction(0), Fraction(1, 3), Fraction(5, 2)]
+    logs = [-7, -2, 0, 3, 11]
+    for i, y_lo in enumerate(ends):
+        for y_hi in ends[i:]:
+            for j, l_lo in enumerate(logs):
+                for l_hi in logs[j:]:
+                    products = [y * l for y in (y_lo, y_hi) for l in (l_lo, l_hi)]
+                    y, l = interval._least_product(y_lo, y_hi, l_lo, l_hi)
+                    assert y in (y_lo, y_hi) and l in (l_lo, l_hi) and y * l == min(products)
+                    y, l = interval._least_product(y_lo, y_hi, -l_hi, -l_lo)
+                    assert y in (y_lo, y_hi) and -l in (l_lo, l_hi) and -y * l == max(products)
+
+
+def _pow_reference(base, exponent, bits):
+    """pow_interval's enclosure from the least and greatest of the four
+    `Fraction` products of the exponent's ends with the log's."""
+    w = bits + interval.GUARD_BITS
+    logs = interval._ln_scaled(base.numerator, base.denominator, w)
+    products = [y * Fraction(l, 2**w) for y in (exponent.lo, exponent.hi) for l in logs]
+    a, b = min(products), max(products)
+    lo, hi = interval._exp_between(a.numerator, a.denominator, b.numerator, b.denominator, w)
+    return interval._from_scaled(lo, hi, w, bits)
+
+
+def test_pow_matches_the_four_product_reference(monkeypatch):
+    for bits in (64, 256):
+        near = Fraction(1, 2 ** (bits + interval.GUARD_BITS + 3))
+        # below, at and above 1; within 2^-w of 1 the log's enclosure has 0 as an end
+        for base in (Fraction(1, 3), Fraction(1), Fraction(8, 5), 1 - near, 1 + near):
+            for y in POW_EXPONENTS:
+                assert pow_interval(base, y, bits) == _pow_reference(base, y, bits), (base, y)
+    # `_ln_scaled` makes a log that straddles 0 only below w = 4; its ln(3/2) at
+    # w = 1, [-2, 3], is still an enclosure at any w
+    kernel = interval._ln_scaled
+    monkeypatch.setattr(interval, "_ln_scaled", lambda num, den, w: tuple(l << (w - 1) for l in kernel(num, den, 1)))
+    assert interval._ln_scaled(3, 2, 96) == (-4 << 95, 6 << 95)
+    for y in POW_EXPONENTS:
+        out = pow_interval(Fraction(3, 2), y, 64)
+        assert out == _pow_reference(Fraction(3, 2), y, 64), y
+        for end in (y.lo, y.hi):
+            assert out.contains(_reference(lambda: mpmath.mpf(1.5) ** (mpmath.mpf(end.numerator) / end.denominator), 160))
+
+
 def test_sqrt_three_ceiling():
     x = sqrt_ratio(3) + 1
     assert_consistent(x, "1+sqrt(3)")
@@ -548,6 +602,74 @@ def test_exp_chain_declares_at_least_its_deficit():
                 y, e = interval._exp_chain(t, v, h)
                 ref, slack = _scaled_reference(lambda: mpmath.exp(mpmath.mpf(t) * 2**h / 2**v), v)
                 assert y <= ref + slack and ref - slack <= y + e, (t, v, h)
+
+
+def _chain_products(t, v, h, over, chain=interval._exp_chain):
+    """(y, e) of chain(t, v, h) and the number of products it makes whose
+    operands both have more than `over` bits: t is an int whose arithmetic
+    returns its own kind, so every value derived from it is counted."""
+    products = []
+
+    class Traced(int):
+        def __mul__(self, other):
+            if min(self.bit_length(), other.bit_length()) > over:
+                products.append(1)
+            return Traced(int(self) * int(other))
+
+        __rmul__ = __mul__
+
+        def __add__(self, other):
+            return Traced(int(self) + int(other))
+
+        __radd__ = __add__
+
+        def __rshift__(self, s):
+            return Traced(int(self) >> s)
+
+        def __floordiv__(self, d):
+            return Traced(int(self) // d)
+
+    y, e = chain(Traced(t), v, h)
+    return y, e, len(products)
+
+
+def test_exp_chain_edge_cases():
+    # the smallest v (u = 1 below v = 16), t = 0, t = 1 (x = 2^-v: its table
+    # T_2 = 0 ends the chain inside its first block when u > 2) and x at the
+    # 1/2 cap (the most terms and blocks); at h = 0 a chain that ends inside
+    # its first block makes 2(u - 1) products, the table's and the sums'
+    for v in [*range(1, 20), 309, 4177]:
+        u = max(1, isqrt(isqrt(v)))
+        for h in (0, 1, 3):
+            for t, first_block in ((0, u > 1), (1, u > 2), (2 ** (v - 1), False)):
+                y, e, products = _chain_products(t, v, h, -1)
+                ref, slack = _scaled_reference(lambda: mpmath.exp(mpmath.mpf(t) * 2**h / 2**v), v)
+                assert y <= ref + slack and ref - slack <= y + e, (t, v, h)
+                assert t or y == 2**v, (v, h)  # exp(0) = 1 exactly
+                if h == 0:
+                    assert (products == 2 * (u - 1)) == first_block, (t, v, products)
+
+
+def test_exp_chain_makes_few_wide_products(monkeypatch):
+    # products with both operands over v/2 bits in the chain of exp(693147/10^6),
+    # just below ln 2 where the chain is longest: the table, one per block of
+    # u terms, the u - 1 sums and the h squarings, not one per Taylor term
+    # (22/44/89 for a chain with one product per term)
+    kernel = interval._exp_chain
+    counts = []
+
+    def counted(t, v, h):
+        y, e, products = _chain_products(t, v, h, v // 2, kernel)
+        counts.append(products)
+        return y, e
+
+    for w, expected in ((288, 18), (1056, 30), (4128, 53)):
+        untraced = interval._exp_scaled(693147, 10**6, w)
+        counts.clear()
+        monkeypatch.setattr(interval, "_exp_chain", counted)
+        assert interval._exp_scaled(693147, 10**6, w) == untraced
+        monkeypatch.setattr(interval, "_exp_chain", kernel)
+        assert counts == [expected], w
 
 
 def test_grow_covers_exp_up_to_delta_one():

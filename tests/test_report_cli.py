@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import abundancy
 from conftest import BIG_PRIME, exponent_oracle
-from abundancy import arith, cli, report
+from abundancy import arith, cli, mersenne, report
 from abundancy.arith import Factorization
 from abundancy.cli import main
 from abundancy.index import ExponentValue
@@ -78,6 +78,21 @@ def test_report_mersenne_detail():
     mersenne = next(s for s in report.suites if s.name == "mersenne scan")
     assert mersenne.detail == "p = 2,3,5,7,13,17,19,31,61,89,107,127"
     assert mersenne.failures == 0
+
+
+def test_report_mersenne_suite_proves_each_exponent_once(monkeypatch):
+    # the scan's Lucas-Lehmer run is the proof the construction rests on
+    proven = []
+    kernel = mersenne.lucas_lehmer
+
+    def counted(p):
+        proven.append(p)
+        return kernel(p)
+
+    monkeypatch.setattr(mersenne, "lucas_lehmer", counted)
+    summary = report._mersenne_suite(SMALL)
+    assert (summary.cases, summary.failures) == (12, 0)
+    assert proven == list(range(2, SMALL.mersenne_limit + 1))
 
 
 def test_monotonicity_suite_counts_increases_and_overlaps(monkeypatch):
