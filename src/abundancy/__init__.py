@@ -52,6 +52,7 @@ from .mersenne import (
     mersenne_scan,
 )
 from .opn import (
+    CeilingScan,
     Check,
     CheckStatus,
     ConstraintReport,

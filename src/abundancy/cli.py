@@ -47,6 +47,15 @@ MAX_REPORT_SIZES = ReportSizes(oracle_limit=10**5, sandwich_pairs=10**4, grid_pr
 
 
 def _exact_rational(text: str) -> Fraction:
+    """text as a Fraction. Fraction builds 10^exponent in full, so the digits and
+    the exponent are held to MAX_INPUT_BITS first, from the text alone."""
+    head, _, exponent = text.lower().partition("e")
+    scale = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    places = sum(c.isdigit() for c in head) + (int(scale[:10]) if scale.isdecimal() else 0)
+    bits = (places * 3322 + 999) // 1000  # at least places * log2(10)
+    if bits > MAX_INPUT_BITS:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} has about {bits} bits; inputs are capped at {MAX_INPUT_BITS} bits")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -222,8 +231,9 @@ def _cmd_check(args) -> int:
 
 def _cmd_bound(args) -> int:
     value = index_lower_bound(args.L, args.u, _cfg(args))
-    text = f"({args.L})^(1/x({args.u})) = {value.render()}"
-    _emit(args, {"L": str(args.L), "u": args.u, "bound": value.render()}, text)
+    L = render_exact(args.L)
+    text = f"({L})^(1/x({args.u})) = {value.render()}"
+    _emit(args, {"L": L, "u": args.u, "bound": value.render()}, text)
     return 0
 
 
@@ -238,15 +248,13 @@ def _cmd_scan(args) -> int:
     if args.qmax > MAX_SCAN_LIMIT:
         raise ValueError(f"scan limit {args.qmax} exceeds the cap {MAX_SCAN_LIMIT}")
     report = ceiling_scan(args.qmax, args.u, _cfg(args), args.margin)
-    per_q = [c for c in report.checks if c.name.startswith("f(")]
-    bad = [c for c in report.checks if c.status is not CheckStatus.PASS]
-    summaries = [c for c in report.checks if not c.name.startswith("f(")]
-    lines = [f"scanned {len(per_q)} primes q = 1 (mod 4) up to {args.qmax} with u = {args.u}"]
-    shown = per_q if args.verbose else [c for c in per_q if c.status is not CheckStatus.PASS]
-    for check in shown + summaries:
+    rows, statuses = report.rows, [c.status for c in report.checks]
+    lines = [f"scanned {len(rows)} primes q = 1 (mod 4) up to {args.qmax} with u = {args.u}"]
+    shown = rows if args.verbose else tuple(c for c in rows if c.status is not CheckStatus.PASS)
+    for check in shown + report.checks[len(rows):]:  # the rows, then the minimum and the limit
         lines.append(f"  {check.status.value:9s} {check.name}: {check.witness}")
-    lines.append(f"failures: {sum(1 for c in bad if c.status is CheckStatus.FAIL)}, "
-                 f"undecided: {sum(1 for c in bad if c.status is CheckStatus.UNDECIDED)}")
+    lines.append(f"failures: {statuses.count(CheckStatus.FAIL)}, "
+                 f"undecided: {statuses.count(CheckStatus.UNDECIDED)}")
     _emit(args, {"qmax": args.qmax, "u": args.u, **report.to_dict()}, "\n".join(lines))
     return 0 if report.all_pass else 1
 

@@ -50,6 +50,7 @@ from .interval import (
 )
 
 __all__ = [
+    "CeilingScan",
     "Check",
     "CheckStatus",
     "ConstraintReport",
@@ -318,12 +319,27 @@ def _side(lo: Fraction, t: int, threshold: Fraction | int) -> str | None:
     return "<" if lo * _GROWTH**t <= threshold else ">" if lo >= threshold else None
 
 
-def _certified(side: Comparison, passing: Comparison) -> CheckStatus | None:
-    """PASS on the passing side, FAIL on the other, None while the enclosures
-    touch: the stopping rule of every escalated check in this module."""
-    if side is Comparison.UNDECIDED:
-        return None
-    return CheckStatus.PASS if side is passing else CheckStatus.FAIL
+def _certify(
+    value: Callable[[PrecisionConfig], IntervalReal],
+    threshold: Callable[[int], IntervalReal | Fraction],
+    passing: Comparison,
+    cfg: PrecisionConfig,
+) -> tuple[CheckStatus, IntervalReal]:
+    """The one verdict rule of every escalated check in this module: value and
+    threshold taken at each rung of cfg's ladder until they separate, then PASS
+    on the passing side and FAIL on the other; UNDECIDED at the ceiling. Also
+    returns value's enclosure at the last rung taken."""
+
+    def verdict(pair: tuple[IntervalReal, IntervalReal | Fraction]) -> CheckStatus | None:
+        side = pair[0].compare(pair[1])
+        if side is Comparison.UNDECIDED:
+            return None
+        return CheckStatus.PASS if side is passing else CheckStatus.FAIL
+
+    status, (enclosure, _) = escalate(
+        lambda bits: (value(PrecisionConfig(bits, bits)), threshold(bits)), verdict, cfg
+    )
+    return status or CheckStatus.UNDECIDED, enclosure
 
 
 def _index_bound_check(candidate: EulerianCandidate, u: int, cfg: PrecisionConfig) -> Check:
@@ -332,13 +348,10 @@ def _index_bound_check(candidate: EulerianCandidate, u: int, cfg: PrecisionConfi
         return Check(name, CheckStatus.FAIL, "N is even; the bound assumes odd N")
     root_index = abundancy_index(candidate.n)
     # bound < I(n) passes, bound > I(n) fails
-    status, enclosure = escalate(
-        lambda bits: index_lower_bound(Fraction(8, 5), u, PrecisionConfig(bits, bits)),
-        lambda bound: _certified(bound.compare(root_index), Comparison.LESS),
-        cfg,
-    )
+    status, enclosure = _certify(partial(index_lower_bound, Fraction(8, 5), u),
+                                 lambda bits: root_index, Comparison.LESS, cfg)
     witness = f"I(n) = {render_exact(root_index)} vs (8/5)^(1/x({u})) = {enclosure.render()}"
-    return Check(name, status or CheckStatus.UNDECIDED, witness)
+    return Check(name, status, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -431,12 +444,21 @@ def ceiling_interval(bits: int = DEFAULT_PRECISION.initial_bits) -> IntervalReal
     return sqrt_ratio(3, bits) + 1
 
 
+@dataclass(frozen=True)
+class CeilingScan(ConstraintReport):
+    """ceiling_scan's report: its checks are the rows, then the minimum when
+    there is one, then the limit."""
+
+    rows: tuple[Check, ...]  # one per q, ascending
+    minimum: Check | None  # None for an empty grid
+
+
 def ceiling_scan(
     q_limit: int,
     u: int,
     cfg: PrecisionConfig = DEFAULT_PRECISION,
     required_margin: Fraction = DEFAULT_MARGIN,
-) -> ConstraintReport:
+) -> CeilingScan:
     """Certify f(q, u) against 1 + sqrt(3) for every prime q = 1 (mod 4) with
     5 <= q <= q_limit.
 
@@ -448,55 +470,30 @@ def ceiling_scan(
     escalation up to cfg.max_bits. A negative required_margin is a ValueError.
     """
     if required_margin < 0:
-        raise ValueError(f"required margin must be at least 0, got {required_margin}")
+        shown = render_exact(required_margin)
+        raise ValueError(f"required margin must be at least 0, got {shown}")
     expect_greater = u >= 5
     # the side of ceiling + margin that passes; touching it decides nothing
     passing = Comparison.GREATER if expect_greater else Comparison.LESS
-
-    def against_ceiling(
-        bound: Callable[[PrecisionConfig], IntervalReal], margin: Fraction
-    ) -> tuple[CheckStatus | None, tuple[IntervalReal, IntervalReal]]:
-        return escalate(
-            lambda bits: (bound(PrecisionConfig(bits, bits)), ceiling_interval(bits)),
-            lambda pair: _certified((pair[0] - pair[1]).compare(margin), passing),
-            cfg,
-        )
-
     margin = required_margin if expect_greater else Fraction(0)
     relation = ">" if expect_greater else "<"
-    checks: list[Check] = []
-    minimum: IntervalReal | None = None
-    minimum_q = None
+    rows: list[Check] = []
+    bounds: dict[int, IntervalReal] = {}
     for q in primes_up_to(q_limit):
         if q < 5 or q % 4 != 1:
             continue
-        status, (bound, ceiling) = against_ceiling(partial(euler_sum_bound, q, u), margin)
-        checks.append(
-            Check(
-                f"f({q}, {u}) {relation} 1+sqrt(3)",
-                status or CheckStatus.UNDECIDED,
-                f"f = {bound.render()} vs ceiling = {ceiling.render()}",
-            )
-        )
-        if minimum is None or bound.lo < minimum.lo:
-            minimum, minimum_q = bound, q
-    if minimum is not None:
-        checks.append(
-            Check(
-                "minimum over scan",
-                CheckStatus.PASS,
-                f"q = {minimum_q}: f = {minimum.render()}",
-            )
-        )
-    limit_status, (limit, _) = against_ceiling(partial(euler_sum_bound_limit, u), Fraction(0))
-    checks.append(
-        Check(
-            "limit as q grows",
-            limit_status or CheckStatus.UNDECIDED,
-            f"1 + 2^(1/x({u})) = {limit.render()}",
-        )
-    )
-    return ConstraintReport(tuple(checks))
+        status, bound = _certify(partial(euler_sum_bound, q, u),
+                                 lambda bits: ceiling_interval(bits) + margin, passing, cfg)
+        witness = f"f = {bound.render()} vs ceiling = {ceiling_interval(bound.bits).render()}"
+        rows.append(Check(f"f({q}, {u}) {relation} 1+sqrt(3)", status, witness))
+        bounds[q] = bound
+    minimum = None
+    if bounds:
+        q = min(bounds, key=lambda q: bounds[q].lo)
+        minimum = Check("minimum over scan", CheckStatus.PASS, f"q = {q}: f = {bounds[q].render()}")
+    status, limit = _certify(partial(euler_sum_bound_limit, u), ceiling_interval, passing, cfg)
+    limit_row = Check("limit as q grows", status, f"1 + 2^(1/x({u})) = {limit.render()}")
+    return CeilingScan((*rows, *([minimum] if minimum else []), limit_row), tuple(rows), minimum)
 
 
 # ---------------------------------------------------------------------------

@@ -224,15 +224,15 @@ def _order_suite(seed: int, sizes: ReportSizes) -> SuiteSummary:
 
 def _scan_suite(u: int, sizes: ReportSizes, cfg: PrecisionConfig) -> SuiteSummary:
     report = ceiling_scan(sizes.scan_limit, u, cfg)
-    per_q = [c for c in report.checks if c.name.startswith("f(")]
-    failures = sum(1 for c in per_q if c.status is CheckStatus.FAIL)
-    undecided = sum(1 for c in per_q if c.status is CheckStatus.UNDECIDED)
-    minimum = next((c.witness for c in report.checks if c.name == "minimum over scan"), "")
-    return SuiteSummary(f"ceiling scan u={u}", len(per_q), failures, undecided, minimum)
+    statuses = [c.status for c in report.rows]
+    minimum = report.minimum.witness if report.minimum else ""
+    return SuiteSummary(f"ceiling scan u={u}", len(statuses), statuses.count(CheckStatus.FAIL),
+                        statuses.count(CheckStatus.UNDECIDED), minimum)
 
 
 def _mersenne_suite(sizes: ReportSizes) -> SuiteSummary:
-    exponents = mersenne_scan(sizes.mersenne_limit)
+    # like the other sizes, a limit of 0 (or 1) makes the suite empty
+    exponents = mersenne_scan(sizes.mersenne_limit) if sizes.mersenne_limit >= 2 else []
     failures = 0
     for p in exponents:
         try:

@@ -207,6 +207,18 @@ def test_directed_rounding_ring_ops():
                 assert (ia / ib).contains(a / b)
 
 
+def test_ring_ops_with_a_rational_have_exact_endpoints():
+    x = IntervalReal(Fraction(1, 3), Fraction(1, 2), 64)
+    assert x - Fraction(1, 6) == IntervalReal(Fraction(1, 6), Fraction(1, 3), 64)
+    assert x * Fraction(3, 2) == Fraction(3, 2) * x == IntervalReal(Fraction(1, 2), Fraction(3, 4), 64)
+    assert x * 0 == IntervalReal(Fraction(0), Fraction(0), 64)
+    assert x / Fraction(1, 2) == IntervalReal(Fraction(2, 3), Fraction(1), 64)
+    # a negative scalar swaps the ends
+    assert x * -6 == IntervalReal(Fraction(-3), Fraction(-2), 64)
+    assert x / -2 == IntervalReal(Fraction(-1, 4), Fraction(-1, 6), 64)
+    assert str(x) == x.render() == "0.4166666667 ± 9e-2 @64b"
+
+
 def test_monotone_refinement():
     for r in (Fraction(4, 3), Fraction(13, 9), Fraction(31, 25)):
         w256 = ln_ratio(r, 256).width

@@ -154,15 +154,41 @@ def test_validate_with_a_log_not_separated_from_zero_is_certified():
     assert check.witness.endswith(" = 1.432455532 ± 2e-1 @256b")
 
 
-def test_certified_truth_table():
-    less, greater, undecided = Comparison.LESS, Comparison.GREATER, Comparison.UNDECIDED
-    assert opn._certified(less, less) is CheckStatus.PASS
-    assert opn._certified(greater, less) is CheckStatus.FAIL
-    assert opn._certified(greater, greater) is CheckStatus.PASS
-    assert opn._certified(less, greater) is CheckStatus.FAIL
-    # touching or overlapping enclosures decide nothing on either passing side
-    assert opn._certified(undecided, less) is None
-    assert opn._certified(undecided, greater) is None
+def test_certify_truth_table():
+    # a constant enclosure against the threshold 0 at every rung of 64..256 bits
+    def certify(lo, hi, passing):
+        return opn._certify(
+            lambda cfg: IntervalReal(Fraction(lo), Fraction(hi), cfg.initial_bits),
+            lambda bits: Fraction(0),
+            passing,
+            PrecisionConfig(64, 256),
+        )
+
+    less, greater = Comparison.LESS, Comparison.GREATER
+    below, above, touching = (-2, -1), (1, 2), (-1, 1)
+    assert certify(*below, less) == (CheckStatus.PASS, IntervalReal(Fraction(-2), Fraction(-1), 64))
+    assert certify(*above, less)[0] is CheckStatus.FAIL
+    assert certify(*above, greater)[0] is CheckStatus.PASS
+    assert certify(*below, greater)[0] is CheckStatus.FAIL
+    # touching or overlapping enclosures decide nothing on either passing side,
+    # so only the ceiling rung answers, UNDECIDED
+    for passing in (less, greater):
+        status, enclosure = certify(*touching, passing)
+        assert status is CheckStatus.UNDECIDED and enclosure.bits == 256
+
+
+def test_certify_climbs_until_value_and_threshold_separate():
+    # 1/1000 within 2^-(bits/16) of it, against 0: separated only at 256 bits
+    def value(cfg):
+        radius = Fraction(1, 2 ** (cfg.initial_bits // 16))
+        return IntervalReal(Fraction(1, 1000) - radius, Fraction(1, 1000) + radius, cfg.initial_bits)
+
+    thresholds = []
+    status, enclosure = opn._certify(
+        value, lambda bits: thresholds.append(bits) or Fraction(0), Comparison.GREATER, PrecisionConfig(64, 1024)
+    )
+    assert status is CheckStatus.PASS and enclosure == value(PrecisionConfig(256, 256))
+    assert thresholds == [64, 128, 256]
 
 
 def test_validate_q_past_the_str_digit_limit_is_reported():
@@ -470,28 +496,27 @@ def test_exponent_equals_reciprocal_exponent():
 
 def test_ceiling_scan_u5_all_clear_with_margin():
     report = ceiling_scan(100, 5)
-    per_q = [c for c in report.checks if c.name.startswith("f(")]
-    assert len(per_q) == len([q for q in primes_up_to(100) if q % 4 == 1 and q >= 5])
-    assert all(c.status is CheckStatus.PASS for c in per_q)
-    minimum = next(c for c in report.checks if c.name == "minimum over scan")
-    assert "q = 5" in minimum.witness
-    limit = next(c for c in report.checks if c.name == "limit as q grows")
-    assert limit.status is CheckStatus.PASS
+    grid = [q for q in primes_up_to(100) if q % 4 == 1 and q >= 5]
+    assert [c.name for c in report.rows] == [f"f({q}, 5) > 1+sqrt(3)" for q in grid]
+    assert all(c.status is CheckStatus.PASS for c in report.rows)
+    assert report.minimum.name == "minimum over scan" and report.minimum.status is CheckStatus.PASS
+    assert "q = 5" in report.minimum.witness
+    assert report.checks == (*report.rows, report.minimum, report.checks[-1])
+    assert report.status_of("limit as q grows") is CheckStatus.PASS
     assert report.all_pass
 
 
 def test_ceiling_scan_u3_no_contradiction():
     report = ceiling_scan(100, 3)
-    per_q = [c for c in report.checks if c.name.startswith("f(")]
-    assert all(c.status is CheckStatus.PASS for c in per_q)  # PASS means f < ceiling here
-    limit = next(c for c in report.checks if c.name == "limit as q grows")
-    assert limit.status is CheckStatus.PASS
+    assert report.rows and all(c.name.endswith(" < 1+sqrt(3)") for c in report.rows)
+    assert all(c.status is CheckStatus.PASS for c in report.rows)  # PASS means f < ceiling here
+    assert report.status_of("limit as q grows") is CheckStatus.PASS
 
 
 def test_ceiling_scan_empty_grid():
     report = ceiling_scan(4, 5)
-    per_q = [c for c in report.checks if c.name.startswith("f(")]
-    assert per_q == []
+    assert report.rows == () and report.minimum is None
+    assert [c.name for c in report.checks] == ["limit as q grows"]
 
 
 @pytest.mark.parametrize("u", [9, 2])
@@ -505,8 +530,8 @@ def test_ceiling_scan_rejects_bad_u(q_limit, u):
 def test_ceiling_scan_margin_failure_is_certified():
     # an absurd margin requirement must FAIL (certified), not hang or pass
     report = ceiling_scan(30, 5, required_margin=Fraction(1, 2))
-    per_q = [c for c in report.checks if c.name.startswith("f(")]
-    assert all(c.status is CheckStatus.FAIL for c in per_q)
+    assert len(report.rows) == 4  # q = 5, 13, 17, 29
+    assert all(c.status is CheckStatus.FAIL for c in report.rows)
     # the margin is for the per-q checks only; the limit is compared with the ceiling
     assert report.status_of("limit as q grows") is CheckStatus.PASS
 

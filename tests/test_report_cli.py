@@ -198,6 +198,10 @@ def test_cli_scan_rejects_a_negative_margin(capsys):
     done = run_bounded("scan", "--qmax", "100", "--u", "5", "--margin", "-5")
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr == "error: required margin must be at least 0, got -5\n"
+    # past the 4,300-digit str() limit the margin is shown like a wide integer
+    assert main(["scan", "--qmax", "100", "--u", "5", "--margin", "-1e5000"]) == 2
+    shown = "-10000000000000000000...00000000000000000000 (5001 digits)"
+    assert capsys.readouterr().err == f"error: required margin must be at least 0, got {shown}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -251,6 +255,19 @@ def test_cli_report_deterministic(capsys):
     payload = json.loads(first)
     assert len(payload["constants"]) == 5
     assert all(c["match"] for c in payload["constants"])
+
+
+def size_flags(sizes):
+    """ReportSizes as report's command-line flags."""
+    return [arg for f in dataclasses.fields(ReportSizes)
+            for arg in ("--" + f.name.replace("_", "-"), str(getattr(sizes, f.name)))]
+
+
+def test_cli_report_text_is_the_rendered_report(capsys):
+    sizes = dataclasses.replace(SMALL, oracle_limit=50, sandwich_pairs=5, order_candidates=5, mersenne_limit=31)
+    code, out = run_cli(capsys, "report", "--seed", "7", *size_flags(sizes))
+    assert code == 0
+    assert out == run_report(7, DEFAULT_PRECISION, sizes).render() + "\n"
 
 
 def test_cli_respects_bits_flag(capsys):
@@ -500,6 +517,37 @@ def test_cli_bound_error_line_abbreviates_a_wide_rational(capsys):
     assert err.count("\n") == 1 and len(err) <= 200 and "(3800 digits)" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["bound", "--L", "1e10000000", "--u", "3"],
+    ["bound", "--L", "1e-10000000", "--u", "3"],
+    ["bound", "--L", "0e10000000", "--u", "3"],
+    ["scan", "--qmax", "20", "--u", "5", "--margin", "1e10000000"],
+])
+def test_cli_caps_a_rational_before_building_it(argv):
+    # Fraction would build 10^10000000 in full; the text alone shows its size
+    done = run_bounded(*argv, seconds=10)
+    assert done.returncode == 2 and done.stdout == ""
+    *usage, line = done.stderr.splitlines()
+    assert usage[0].startswith("usage: abundancy") and len(line) < 200
+    option = next(arg for arg in argv if arg in ("--L", "--margin"))
+    text = argv[argv.index(option) + 1]
+    assert line.endswith(f"error: argument {option}: {text!r} has about 33220004 bits; inputs are capped at 65536 bits")
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_cli_bound_takes_and_shows_a_wide_rational_inside_the_cap(capsys, json_flag):
+    # 10^5000 has more digits than str() converts; 10^10000 (33,220 bits) is inside the cap
+    for exponent, digits, head in ((5000, 5001, "4.459180988e+3911"), (10000, 10001, "1.988429508e+7823")):
+        code, out = run_cli(capsys, "bound", "--L", f"1e{exponent}", "--u", "3", *json_flag)
+        shown = f"10000000000000000000...00000000000000000000 ({digits} digits)"
+        assert code == 0
+        if json_flag:
+            payload = json.loads(out)
+            assert payload["L"] == shown and payload["bound"].startswith(head)
+        else:
+            assert out.startswith(f"({shown})^(1/x(3)) = {head} ")
+
+
 def test_cli_caps_the_size_before_proving_a_prime(capsys, monkeypatch):
     def unreachable(n):
         raise AssertionError("is_prime called before the size cap")
@@ -525,6 +573,17 @@ def test_cli_rejects_report_sizes_outside_their_caps(flag, size):
     done = run_bounded("report", flag, str(size), seconds=10)
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith(f"error: {flag} {size} is outside the range 0 to ")
+
+
+@pytest.mark.parametrize("limit", [0, 1])
+def test_cli_report_takes_a_mersenne_limit_below_two(capsys, limit):
+    # like every other size, a limit with nothing to scan leaves its suite empty
+    zero = {f.name: 0 for f in dataclasses.fields(ReportSizes)}
+    sizes = ReportSizes(**{**zero, "mersenne_limit": limit})
+    code, out = run_cli(capsys, "report", "--json", *size_flags(sizes))
+    assert code == 0
+    mersenne = next(s for s in json.loads(out)["suites"] if s["name"] == "mersenne scan")
+    assert (mersenne["cases"], mersenne["failures"], mersenne["undecided"]) == (0, 0, 0)
 
 
 def test_precision_config_guard():
