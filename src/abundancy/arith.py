@@ -10,6 +10,7 @@ oracle for cross-checking it.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -43,10 +44,16 @@ ORACLE_CAP = 10**7
 # trial_factor finds the primes below 2^TRIAL_BITS
 TRIAL_BITS = 16
 _TRIAL_LIMIT = 1 << TRIAL_BITS
-# Below this bound the first twelve prime bases make Miller-Rabin deterministic;
-# from it on is_prime is BPSW (strong base 2, then _strong_lucas).
-_MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# _MR_PSI[k - 1] is psi_k, the least strong pseudoprime to the first k prime
+# bases (Jaeschke, Math. Comp. 1993; Sorenson-Webster, Math. Comp. 2017), so
+# below it those k bases make Miller-Rabin a proof. From psi_13 on is_prime
+# is BPSW (strong base 2, then _strong_lucas).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+    3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
+)
 # Lucas-Lehmer first tries the candidate factors of 2^p - 1 below this bound.
 _LL_TRIAL_LIMIT = 1 << 18
 
@@ -85,25 +92,32 @@ def _prime_product(bits: int) -> int:
 def is_prime(n: int) -> bool:
     """Primality test, deterministic (no randomness anywhere).
 
-    A Mersenne-shaped n = 2^p - 1 is decided by the Lucas-Lehmer test, a proof
-    at every size. Below ~3.3e24 the strong Miller-Rabin test to the first
-    twelve prime bases is a proof. Above that bound n gets BPSW: a strong
-    test to base 2 and a strong Lucas test with Selfridge's parameters
-    (Baillie-Wagstaff 1980), so True is a probable-prime claim. No BPSW
-    pseudoprime is known, and none exists below 2^64.
+    Trial division by the thirteen bases 2..41 decides every n below 43^2 =
+    1849. A Mersenne-shaped n = 2^p - 1 is decided by the Lucas-Lehmer test,
+    a proof at every size. Below psi_k (see _MR_PSI: 2047, 1373653, ...,
+    psi_12 ~ 3.2e23, psi_13 ~ 3.3e24) the strong Miller-Rabin test to the
+    first k prime bases is a proof, for the least such k, so n < 2047 needs
+    base 2 only and psi_12 <= n < psi_13 all thirteen bases 2..41. From psi_13
+    on n gets BPSW: a strong test to base 2 and a strong Lucas test with
+    Selfridge's parameters (Baillie-Wagstaff 1980), so True is a
+    probable-prime claim. No BPSW pseudoprime is known, and none exists
+    below 2^64.
     """
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n < 1849:  # no prime factor up to 41, so none up to sqrt(n)
+        return True
     if n & (n + 1) == 0:
         return lucas_lehmer(n.bit_length())
     d = n - 1
     r = (d & -d).bit_length() - 1
     d >>= r
-    proven = n < _MR_DETERMINISTIC_BOUND
-    for a in _MR_BASES if proven else (2,):
+    k = bisect_right(_MR_PSI, n)  # psi_1..psi_k <= n < psi_(k+1)
+    proven = k < len(_MR_PSI)
+    for a in _MR_BASES[: k + 1] if proven else (2,):
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -217,15 +231,17 @@ class Factorization:
     factors: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
+        # order and exponents first, so a malformed form costs no primality proof
         prev = 1
         for p, e in self.factors:
-            if not is_prime(p):
-                raise ValueError(f"{render_short(p)} is not prime")
-            if p <= prev:
+            if 1 < p <= prev:  # p < 2 is left to the primality check below
                 raise ValueError(f"primes must increase, got {render_short(p)} after {render_short(prev)}")
             if e < 1:
                 raise ValueError(f"exponent of {render_short(p)} must be >= 1, got {render_short(e)}")
             prev = p
+        for p, _ in self.factors:
+            if not is_prime(p):
+                raise ValueError(f"{render_short(p)} is not prime")
 
     @classmethod
     def _derived(cls, factors: tuple[tuple[int, int], ...]) -> "Factorization":
@@ -332,8 +348,10 @@ def factorize(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
     pathological inputs fail cleanly in bounded time. Each reported prime is
     tested once, by the trial division, by the 2^32 rule or by its own
     is_prime call, so the result is not validated again. That is a proof
-    below ~3.3e24 and for Mersenne-shaped primes; any other prime above it is
-    a BPSW probable prime (none known; none below 2^64; see is_prime).
+    below psi_13 ~ 3.3e24 (Miller-Rabin to the first k of the thirteen prime
+    bases 2..41, k graded by size) and for Mersenne-shaped primes; any other
+    prime from psi_13 on is a BPSW probable prime (none known; none below
+    2^64; see is_prime).
     """
     small, cofactor = trial_factor(n)
     return small if cofactor == 1 else small * rho_factor(cofactor, budget)

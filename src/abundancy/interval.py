@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_HALF_UP, Context, Decimal
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import isqrt
 from typing import Callable, Iterator, Optional, TypeVar, Union
 
@@ -193,10 +193,14 @@ class IntervalReal:
     def render(self) -> str:
         """Decimal rendering: midpoint to 10 significant digits with explicit
         radius and achieved precision, e.g. ``1.444405574 ± 2e-87 @256b``."""
-        mid = self.midpoint
-        mid_text = _decimal(mid, 10)
-        rad_text = _radius_text(self.radius)
-        return f"{mid_text} ± {rad_text} @{self.bits}b"
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
+        # render's text, kept in the instance's __dict__ on first use: not a
+        # field, so equality, hashing and repr do not see it, and a cached
+        # enclosure is rendered once however often it is shown
+        return f"{_decimal(self.midpoint, 10)} ± {_radius_text(self.radius)} @{self.bits}b"
 
 
 # ---------------------------------------------------------------------------

@@ -44,9 +44,23 @@ def test_is_prime_large():
     assert is_prime(2**89 - 1)
 
 
-# psi_12 (Jaeschke): the least strong pseudoprime to the first twelve prime
-# bases, and so the least n that is_prime hands to BPSW
-PSI_12 = 3_317_044_064_679_887_385_961_981
+# psi_k (Jaeschke, Math. Comp. 1993; Sorenson-Webster, Math. Comp. 2017): the
+# least strong pseudoprime to the first k prime bases, for k = 1..13, written
+# out here independently of arith. psi_13 is the least n that is_prime hands
+# to BPSW.
+PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+    3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
+)
+PSI_12, PSI_13 = PSI[11], PSI[12]
+# a proper divisor of each, as the composite witness
+PSI_DIVISOR = {
+    2047: 23, 1373653: 829, 25326001: 2251, 3215031751: 151, 2152302898747: 6763,
+    3474749660383: 1303, 341550071728321: 10670053, 3825123056546413051: 149491,
+    PSI_12: 399165290221, PSI_13: 1287836182261,
+}
+FIRST_13_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def _strong_probable_prime(n, a):
@@ -66,10 +80,75 @@ def _strong_probable_prime(n, a):
 
 
 def test_strong_lucas_rejects_a_strong_pseudoprime_to_the_first_13_prime_bases():
-    assert PSI_12 == arith._MR_DETERMINISTIC_BOUND
-    assert all(_strong_probable_prime(PSI_12, a) for a in primes_up_to(41))
-    assert not arith._strong_lucas(PSI_12)
-    assert not is_prime(PSI_12)
+    assert PSI_13 == arith._MR_PSI[-1]
+    assert all(_strong_probable_prime(PSI_13, a) for a in FIRST_13_PRIMES)
+    assert not arith._strong_lucas(PSI_13)
+    assert not is_prime(PSI_13)
+
+
+def test_every_psi_k_is_a_composite_that_passes_its_k_bases_and_is_rejected():
+    for k, psi in enumerate(PSI, 1):
+        assert psi % PSI_DIVISOR[psi] == 0 and 1 < PSI_DIVISOR[psi] < psi
+        assert all(_strong_probable_prime(psi, a) for a in FIRST_13_PRIMES[:k])
+        assert not is_prime(psi), k
+
+
+def test_psi_12_is_not_proven_prime_by_twelve_bases():
+    # psi_12 passes the first twelve prime bases, and only base 41 rejects it
+    # below psi_13: twelve bases prove nothing from psi_12 on
+    n, p, q = PSI_12, 399165290221, 798330580441
+    assert p * q == n and is_prime(p) and is_prime(q)
+    assert all(_strong_probable_prime(n, a) for a in FIRST_13_PRIMES[:12])
+    assert not _strong_probable_prime(n, 41)
+    assert not is_prime(n)
+    assert factorize(n).factors == ((p, 1), (q, 1))
+    with pytest.raises(ValueError, match=f"^{n} is not prime$"):
+        Factorization(((n, 1),))
+
+
+def test_is_prime_matches_a_sieve_below_two_million():
+    limit = 2 * 10**6
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(limit - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+
+
+def _counting_pow(monkeypatch):
+    exponentiations = []
+
+    def counting_pow(base, exp, mod=None):
+        exponentiations.append(exp)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(arith, "pow", counting_pow, raising=False)
+    return exponentiations
+
+
+def _largest_prime_below(n):
+    # a proof below psi_13: the strong test to the first thirteen prime bases
+    n -= 1 + n % 2
+    while not all(n % p and _strong_probable_prime(n, p) for p in FIRST_13_PRIMES):
+        n -= 2
+    return n
+
+
+def test_proof_bases_are_graded_by_size(monkeypatch):
+    exponentiations = _counting_pow(monkeypatch)
+    # trial division by 2..41 decides every n below 43^2
+    assert [n for n in range(1849) if is_prime(n)] == primes_up_to(1848)
+    assert exponentiations == []
+    # a prime just below psi_k costs the least j with psi_j above it: psi_7 =
+    # psi_8 and psi_9 = psi_10 = psi_11, so 7 bases cover the first, 9 the second
+    costs = []
+    for psi in PSI:
+        n = _largest_prime_below(psi)
+        exponentiations.clear()
+        assert is_prime(n)
+        costs.append(len(exponentiations))
+    assert costs == [1, 2, 3, 4, 5, 6, 7, 7, 9, 9, 9, 12, 13]
 
 
 def test_strong_lucas_rejects_strong_base_2_pseudoprimes_above_the_bound():
@@ -77,7 +156,7 @@ def test_strong_lucas_rejects_strong_base_2_pseudoprimes_above_the_bound():
     # Aurifeuillian factor 2^p + 2^((p+1)/2) + 1 of 4^p + 1 shows it composite
     for p in (43, 101, 199):
         n = (4**p + 1) // 5
-        assert n > PSI_12 and 1 < gcd(n, 2**p + 2 ** ((p + 1) // 2) + 1) < n
+        assert n > PSI_13 and 1 < gcd(n, 2**p + 2 ** ((p + 1) // 2) + 1) < n
         assert _strong_probable_prime(n, 2)
         assert not arith._strong_lucas(n)
         assert not is_prime(n)
@@ -99,19 +178,13 @@ def test_strong_lucas_rejects_the_square_of_a_prime():
 
 def test_a_prime_above_the_bound_costs_one_modular_exponentiation(monkeypatch):
     # BPSW: strong base 2 is the only pow; the Lucas chain multiplies
-    exponentiations = []
-
-    def counting_pow(base, exp, mod=None):
-        exponentiations.append(exp)
-        return pow(base, exp, mod)
-
-    monkeypatch.setattr(arith, "pow", counting_pow, raising=False)
+    exponentiations = _counting_pow(monkeypatch)
     p = 2**127 + 45  # prime, not Mersenne-shaped
-    assert p > PSI_12 and is_prime(p)
+    assert p > PSI_13 and is_prime(p)
     assert len([e for e in exponentiations if e > 0]) == 1
     exponentiations.clear()
-    assert is_prime(PSI_12 - 168)  # the largest prime below the bound
-    assert len(exponentiations) == 12  # a proof: the twelve bases
+    assert is_prime(PSI_13 - 168)  # the largest prime below the bound
+    assert len(exponentiations) == 13  # a proof: the thirteen bases
 
 
 _DIGITS = st.integers(20, 60).flatmap(lambda k: st.integers(10 ** (k - 1), 10**k - 1))
@@ -326,6 +399,17 @@ def test_factorization_validation():
         Factorization(((5, 1), (3, 1)))  # not ascending
     with pytest.raises(ValueError):
         Factorization(((3, 0),))  # unit entry
+
+
+def test_a_malformed_factorization_is_refused_before_any_primality_proof(monkeypatch):
+    calls = []
+    monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or True)
+    big = 10**1200 + 1  # a proof of it would take a BPSW run of a tenth of a second
+    with pytest.raises(ValueError, match="^exponent of .* must be >= 1, got 0$"):
+        Factorization(((3, 1), (big, 0)))
+    with pytest.raises(ValueError, match="^primes must increase, got 3 after "):
+        Factorization(((big, 1), (3, 1)))
+    assert calls == []
 
 
 def test_factorization_text_format():

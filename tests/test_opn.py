@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import BIG_PRIME, assert_consistent, separation
-from abundancy import arith, opn
+from abundancy import arith, interval, opn
 from abundancy.arith import Factorization, factorize, is_prime, primes_up_to, trial_factor
 from abundancy.index import index_lower_bound, reciprocal_exponent
 from abundancy.interval import DEFAULT_PRECISION, Comparison, IntervalReal, PrecisionConfig, escalate, pow_interval
@@ -401,6 +401,30 @@ def test_acquaah_konyagin_matches_enclosures():
         # sqrt(3 n^2) is irrational for n >= 1, so the verdict is never UNDECIDED
         assert verdict is not None
         assert acquaah_konyagin_holds(q, n) == (verdict is Comparison.GREATER)
+
+
+def test_the_cached_index_bound_is_rendered_once(monkeypatch):
+    # candidates that share a least prime share its cached (8/5)^(1/x(u))
+    # enclosure, whose text is rendered on its first use only
+    rounded, bounds = [], []
+    original_rounded, original_bound = interval._rounded, opn.index_lower_bound
+    monkeypatch.setattr(interval, "_rounded", lambda *a: rounded.append(a) or original_rounded(*a))
+    monkeypatch.setattr(opn, "index_lower_bound", lambda *a: bounds.append(original_bound(*a)) or bounds[-1])
+    rng = random.Random(0)
+    witnesses = []
+    for _ in range(200):
+        bounds.clear()
+        report = validate_eulerian(sample_surrogate(rng))
+        check = next(c for c in report.checks if c.name == "I(n) > index lower bound")
+        witnesses.append((check.witness, bounds[-1]))
+    distinct = {id(bound) for _, bound in witnesses}
+    assert len(distinct) < 20
+    assert len(rounded) <= 2 * len(distinct)
+    monkeypatch.undo()
+    for witness, bound in witnesses:
+        fresh = IntervalReal(bound.lo, bound.hi, bound.bits)
+        assert fresh == bound and fresh is not bound
+        assert witness.endswith(f") = {fresh.render()}")
 
 
 # ---------------------------------------------------------------------------
