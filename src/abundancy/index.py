@@ -210,7 +210,8 @@ def reciprocal_exponent(u: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> Int
     1 < x(u) < 2 shows, with the same [1, 2] fallback."""
     if u < 3 or not is_prime(u):
         raise ValueError(f"u must be an odd prime, got {render_short(u)}")
-    index1, index2 = prime_power_index(u, 1), prime_power_index(u, 2)
+    proven = Factorization._derived(((u, 1),))
+    index1, index2 = abundancy_index(proven), abundancy_index(proven**2)
     def evaluate(bits: int) -> IntervalReal:
         ln1, ln2 = ln_ratio(index1, bits), ln_ratio(index2, bits)
         return _log_quotient(ln1.lo, ln1.hi, ln2.lo, ln2.hi, bits)
@@ -247,17 +248,15 @@ _CORPUS_PRIMES = tuple(p for p in primes_up_to(100) if p % 2 == 1)
 
 def sample_odd_factorization(rng: random.Random, exclude: tuple[int, ...] = ()) -> Factorization:
     """Random odd integer in (1, 10^6] in factored form: up to 5 distinct odd
-    primes below 100 with exponents up to 4, rejected until the value fits."""
+    primes below 100 (sieved, so not proven again) with exponents up to 4,
+    rejected until the value fits."""
     pool = [p for p in _CORPUS_PRIMES if p not in exclude]
     while True:
         count = rng.randint(1, min(5, len(pool)))
         chosen = sorted(rng.sample(pool, count))
-        factors = tuple((p, rng.randint(1, 4)) for p in chosen)
-        value = 1
-        for p, e in factors:
-            value *= p**e
-        if 1 < value <= 10**6:
-            return Factorization(factors)
+        f = Factorization._derived(tuple((p, rng.randint(1, 4)) for p in chosen))
+        if 1 < f.value() <= 10**6:
+            return f
 
 
 def sample_coprime_odd_pair(rng: random.Random) -> tuple[Factorization, Factorization]:

@@ -1,17 +1,17 @@
 """Even perfect numbers via Mersenne primes.
 
-Every even perfect number is (2^p - 1) * 2^(p-1) with p and 2^p - 1 prime;
-the Lucas-Lehmer residue recurrence certifies the Mersenne side. It lives in
-`arith` (re-exported here) because `is_prime` proves every Mersenne-shaped
-input with it. This is the one corner of the subject where genuine perfect
-numbers can be constructed and verified against the divisor-sum closed form.
+Every even perfect number is (2^p - 1) * 2^(p-1) with p and 2^p - 1 prime
+(Euclid-Euler). Once the Lucas-Lehmer recurrence has proven 2^p - 1 prime,
+the construction is perfect by Euclid's theorem, and nothing is checked
+again. The recurrence lives in `arith` (re-exported here) because `is_prime`
+proves every Mersenne-shaped input with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import Factorization, lucas_lehmer, sigma
+from .arith import lucas_lehmer
 
 __all__ = [
     "DESK_SCALE_CAP",
@@ -34,23 +34,12 @@ class EuclideanForm:
 
 
 def even_perfect_from_exponent(p: int) -> EuclideanForm:
-    """Construct the even perfect number for a Lucas-Lehmer-certified p."""
+    """Construct the even perfect number for a Lucas-Lehmer-certified p:
+    perfect by Euclid's theorem, since 2^p - 1 is proven prime."""
     if not lucas_lehmer(p):
         raise ValueError(f"2^{p} - 1 is not prime")
-    return _euclidean_form(p)
-
-
-def _euclidean_form(p: int) -> EuclideanForm:
-    """The even perfect number for a p whose 2^p - 1 is already proven prime
-    (the report's suite takes its p from `mersenne_scan`)."""
     mersenne = (1 << p) - 1
-    # the factorization is known and Lucas-Lehmer has proven its Mersenne
-    # factor: the divisor-sum closed form confirms perfection with no re-proof
-    known = Factorization._derived(((2, p - 1), (mersenne, 1)))
-    form = EuclideanForm(p, mersenne, known.value())
-    if sigma(known) != 2 * form.perfect:
-        raise ArithmeticError(f"sigma check failed for p = {p}")
-    return form
+    return EuclideanForm(p, mersenne, mersenne << (p - 1))
 
 
 def mersenne_scan(limit: int) -> list[int]:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import BIG_PRIME, assert_consistent, exponent_oracle
-from abundancy import index
+from abundancy import arith, index
 from abundancy.arith import Factorization, factorize, primes_up_to, sigma
 from abundancy.index import (
     SandwichStatus,
@@ -101,6 +101,34 @@ def test_exponent_of_big_prime_escalates_past_zero_divisor():
     ):
         assert x.bits == 1024
         assert x.lo > 1 and x.hi < 2
+
+
+def _counted_is_prime(monkeypatch) -> list[int]:
+    """Every is_prime argument, through arith's binding and index's."""
+    calls, original = [], arith.is_prime
+
+    def counted(n):
+        calls.append(n)
+        return original(n)
+
+    for module in (arith, index):
+        monkeypatch.setattr(module, "is_prime", counted)
+    return calls
+
+
+def test_a_reciprocal_exponent_miss_proves_u_once(monkeypatch):
+    reciprocal_exponent.cache_clear()
+    calls = _counted_is_prime(monkeypatch)
+    reciprocal_exponent(BIG_PRIME, PrecisionConfig(256, 256))
+    assert calls == [BIG_PRIME]  # I(u) and I(u^2) rest on that one proof
+
+
+def test_the_sampler_proves_no_sieved_prime_and_keeps_its_draws(monkeypatch):
+    calls = _counted_is_prime(monkeypatch)
+    rng = random.Random(99)
+    draws = [str(sample_odd_factorization(rng)) for _ in range(6)]
+    assert draws == ["11", "13^2", "5^2*29^2*43", "19^2", "13^3*17", "17^2*47*71"]
+    assert calls == []
 
 
 def test_reciprocal_exponent_with_a_log_not_separated_from_zero_is_the_range():

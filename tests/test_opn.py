@@ -298,6 +298,32 @@ def test_bounded_checks_decline_and_fall_back_to_rho(case):
     assert sorted(got, key=lambda c: c.name) == sorted(expected, key=lambda c: c.name)
 
 
+# q's cofactor shares a prime with n, so no bound decides; each of these used
+# to end with four UNDECIDED checks once rho's one budget ran out on what the
+# shared prime left
+_SHARED_PRIME_EXAMPLES = [
+    ((2, 137438953481, 146364636083, 274877906951), (2, 137438953481)),
+    ((64927166597, 549755813911, 688341721679), (64927166597,)),
+    ((2, 7208677459, 274877906951, 549755813911), (2, 7208677459)),
+    ((2, 36396289499, 84121526927, 274877906951), (2, 36396289499)),
+]
+
+
+def test_the_rho_path_takes_the_primes_q_shares_with_n_first(monkeypatch):
+    for q_primes, n_primes in _SHARED_PRIME_EXAMPLES:
+        q_factors = Factorization(tuple((p, 1) for p in q_primes))
+        candidate = EulerianCandidate(q_factors.value(), 1, Factorization(tuple((p, 1) for p in n_primes)))
+        expected = opn._factored_checks(candidate, q_factors, 1, DEFAULT_PRECISION)
+        got = _factored_part(validate_eulerian(candidate))
+        assert sorted(got, key=lambda c: c.name) == sorted(expected, key=lambda c: c.name), q_primes
+    # with nothing shared, rho gets the composite cofactor untested
+    tested = []
+    monkeypatch.setattr(opn, "is_prime", lambda n: tested.append(n) or is_prime(n))
+    cofactor = 65537 * 65539
+    assert opn._factor_cofactor(cofactor, Factorization.parse("3*5")) == Factorization.parse("65537*65539")
+    assert cofactor not in tested
+
+
 def test_bounded_witnesses_name_their_bound_and_stay_short():
     # the cofactor 65537^200 has 964 digits; q is 5 times it, n has eight
     # primes, so omega(N) = 10 and I(q) < 6/5 * (65537/65536)^200 < 5/4
