@@ -357,20 +357,19 @@ def factorize(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
     return small if cofactor == 1 else small * rho_factor(cofactor, budget)
 
 
-def rho_factor(m: int, budget: int = DEFAULT_BUDGET) -> Factorization:
+def rho_factor(m: int, budget: int = DEFAULT_BUDGET, known: tuple[int, ...] = ()) -> Factorization:
     """Factorization of a cofactor m that trial_factor left: composite, every
     prime factor above 2^16.
 
-    Brent-rho splitting with a fixed parameter schedule; m itself is not
-    tested again, each smaller cofactor once. A prime once found is divided
-    out of every later cofactor, so a repeated prime costs no second walk.
-    Raises FactorizationBudgetError once `budget` is spent (see _brent_rho
-    for what an iteration costs).
+    Brent-rho splitting with a fixed parameter schedule. The primes `known`
+    (already proven) and each prime found are divided out of every cofactor
+    before it is tested or walked, so they cost no walk; m itself is not
+    tested again, each other cofactor once. Raises FactorizationBudgetError
+    once `budget` is spent (see _brent_rho for what an iteration costs).
     """
     effort = [budget]
-    found: dict[int, int] = {}
-    d = _brent_rho(m, effort)
-    stack = [m // d, d]
+    found = dict.fromkeys(known, 0)
+    stack = [m]
     while stack:
         c = stack.pop()
         for p in found:
@@ -380,13 +379,12 @@ def rho_factor(m: int, budget: int = DEFAULT_BUDGET) -> Factorization:
         if c == 1:
             continue
         # every prime factor exceeds 2^16, so below 2^32 c is prime
-        if c < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(c):
+        if c != m and (c < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(c)):
             found[c] = 1
             continue
         d = _brent_rho(c, effort)
-        stack.append(c // d)
-        stack.append(d)
-    return Factorization._derived(tuple(sorted(found.items())))
+        stack += (c // d, d)
+    return Factorization._derived(tuple(sorted((p, e) for p, e in found.items() if e)))
 
 
 def _brent_rho(n: int, effort: list[int]) -> int:

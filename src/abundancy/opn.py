@@ -205,10 +205,10 @@ def validate_eulerian(
     prime" and leaves a cofactor m that is 1 or composite with every prime
     factor above 2^16. One evaluator, _factored_checks, decides the checks
     that need q's factorization: exactly when m = 1, else from exact bounds on
-    m's share of N. Only when a bound cannot decide is m factored (n's primes
-    first, then rho on the rest; see _factor_cofactor) and the evaluator run
-    once more, with m = 1; if rho exhausts the budget those checks are
-    UNDECIDED. Failures are report entries, never exceptions.
+    m's share of N. Only when a bound cannot decide is m factored (by
+    rho_factor, which divides n's proven primes out before it walks) and the
+    evaluator run once more, with m = 1; if rho exhausts the budget those
+    checks are UNDECIDED. Failures are report entries, never exceptions.
     """
     q, k = candidate.q, candidate.k
     n = candidate.root
@@ -218,7 +218,7 @@ def validate_eulerian(
     factored = _factored_checks(candidate, small, cofactor, cfg)
     if factored is None:
         try:
-            known = small * _factor_cofactor(cofactor, candidate.n)
+            known = small * rho_factor(cofactor, known=candidate.n.primes())
         except FactorizationBudgetError as exc:
             factored = [Check(name, CheckStatus.UNDECIDED, str(exc)) for name in _FACTORED_CHECKS]
         else:
@@ -241,22 +241,6 @@ def validate_eulerian(
     else:
         order = Check("q < n for k > 1", CheckStatus.PASS, "k = 1, not applicable")
     return ConstraintReport(tuple(checks + bounds + [order, residual]))
-
-
-def _factor_cofactor(m: int, n: Factorization) -> Factorization:
-    """Factorization of a cofactor m that trial_factor left (composite, every
-    prime factor above 2^16). n's primes are proven, so those that divide m
-    are divided out first, and rho walks only on what is left; that is tested
-    for primality only when something was divided out."""
-    shared: dict[int, int] = {}
-    for p in n.primes():
-        while m % p == 0:
-            m //= p
-            shared[p] = shared.get(p, 0) + 1
-    known = Factorization._derived(tuple(shared.items()))
-    if m > 1:
-        known *= Factorization._derived(((m, 1),)) if shared and is_prime(m) else rho_factor(m)
-    return known
 
 
 # Every prime factor of an unfactored cofactor m is at least 2^16 + 1, so m

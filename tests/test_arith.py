@@ -368,6 +368,27 @@ def test_rho_walks_a_repeated_prime_once(monkeypatch):
     assert walks == [(p * b * b, b, 1_013_246)]
 
 
+@pytest.mark.parametrize("m, factors, walked", [
+    # a square is split at its root, and the second root divides down to 1
+    (65537**2, ((65537, 2),), [(65537**2, 65537)]),
+    # 65537 * 65539 > 2^32 is not taken as prime: a second walk splits it
+    (65537 * 65539 * 65543, ((65537, 1), (65539, 1), (65543, 1)),
+     [(65537 * 65539 * 65543, 65537), (65539 * 65543, 65543)]),
+])
+def test_rho_walks_each_composite_cofactor(monkeypatch, m, factors, walked):
+    walks = []
+    original = arith._brent_rho
+
+    def counting_rho(n, effort):
+        d = original(n, effort)
+        walks.append((n, d))
+        return d
+
+    monkeypatch.setattr(arith, "_brent_rho", counting_rho)
+    assert rho_factor(m).factors == factors
+    assert walks == walked
+
+
 def test_factorize_budget_error_renders_a_cofactor_past_the_str_digit_limit(monkeypatch):
     # only the message is under test: a real is_prime on this 14.6k-bit
     # cofactor takes seconds, so every cofactor is taken to be composite

@@ -47,3 +47,14 @@ def test_the_package_imports_only_names_its_modules_export():
             source = ast.parse((PACKAGE / f"{node.module}.py").read_text())
             private = {a.name for a in node.names} - _exported(source)
             assert not private, f"abundancy imports {sorted(private)} from {node.module}, outside its __all__"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if _exported(ast.parse(p.read_text()))], ids=lambda p: p.name
+)
+def test_every_name_in_all_is_bound(path):
+    # a stale __all__ entry breaks `from abundancy.<module> import *` and any
+    # getattr over the exported names
+    module = importlib.import_module(f"abundancy.{path.stem}")
+    unbound = sorted(name for name in module.__all__ if not hasattr(module, name))
+    assert not unbound, f"{path.name} exports {unbound} and never binds them"

@@ -318,10 +318,14 @@ def test_the_rho_path_takes_the_primes_q_shares_with_n_first(monkeypatch):
         assert sorted(got, key=lambda c: c.name) == sorted(expected, key=lambda c: c.name), q_primes
     # with nothing shared, rho gets the composite cofactor untested
     tested = []
-    monkeypatch.setattr(opn, "is_prime", lambda n: tested.append(n) or is_prime(n))
+    monkeypatch.setattr(arith, "is_prime", lambda n: tested.append(n) or is_prime(n))
     cofactor = 65537 * 65539
-    assert opn._factor_cofactor(cofactor, Factorization.parse("3*5")) == Factorization.parse("65537*65539")
+    assert arith.rho_factor(cofactor, known=(3, 5)).factors == ((65537, 1), (65539, 1))
     assert cofactor not in tested
+    # a prime left once a known prime is divided out is tested once, not walked
+    tested.clear()
+    assert arith.rho_factor(65537 * 4294967311, known=(65537,)).factors == ((65537, 1), (4294967311, 1))
+    assert tested == [4294967311]
 
 
 def test_bounded_witnesses_name_their_bound_and_stay_short():
@@ -363,7 +367,7 @@ def test_factored_check_names_keep_one_order_however_they_are_decided():
 def test_a_perfect_known_part_is_decided_without_rho(monkeypatch):
     # q = 7 * 65537 * 65539, n = 2: the factored rest 7 * 2^2 = 28 is perfect,
     # so I(rest) = 2 and the unfactored cofactor pushes I(N) above 2
-    monkeypatch.setattr(opn, "rho_factor", lambda m: pytest.fail("rho ran"))
+    monkeypatch.setattr(opn, "rho_factor", lambda *args, **kwargs: pytest.fail("rho ran"))
     report = validate_eulerian(EulerianCandidate(7 * 65537 * 65539, 1, Factorization(((2, 1),))))
     unfactored = "(cofactor 4295229443 unfactored, primes > 2^16)"
     assert [(c.name, c.status, c.witness) for c in _factored_part(report)] == [
@@ -372,6 +376,16 @@ def test_a_perfect_known_part_is_decided_without_rho(monkeypatch):
         ("I(n) > index lower bound", CheckStatus.FAIL, "N is even; the bound assumes odd N"),
         ("sigma(N) = 2N", CheckStatus.FAIL, f"sigma(N) != 2N: I(N) > 2 {unfactored}"),
     ]
+
+
+def test_a_perfect_number_past_10_to_30_is_witnessed_without_its_digits():
+    # N = (2^107 - 1) * 2^106, the even perfect number of p = 107 (65 digits):
+    # sigma(N) = 2N is certified, and the other checks still fail on even n
+    report = validate_eulerian(EulerianCandidate(2**107 - 1, 1, Factorization(((2, 53),))))
+    checks = {c.name: (c.status, c.witness) for c in report.checks}
+    assert checks["sigma(N) = 2N"] == (CheckStatus.PASS, "sigma(N) = 2N")
+    assert checks["n odd"][0] is CheckStatus.FAIL
+    assert checks["I(n) > index lower bound"] == (CheckStatus.FAIL, "N is even; the bound assumes odd N")
 
 
 def test_reciprocal_exponent_and_the_bounds_climb_the_ladder():

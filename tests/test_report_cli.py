@@ -15,9 +15,9 @@ from conftest import BIG_PRIME, exponent_oracle
 from abundancy import arith, cli, mersenne, report
 from abundancy.arith import Factorization
 from abundancy.cli import main
-from abundancy.index import ExponentValue
+from abundancy.index import ExponentValue, SandwichStatus
 from abundancy.interval import DEFAULT_PRECISION, IntervalReal, PrecisionConfig
-from abundancy.opn import DEFAULT_MARGIN
+from abundancy.opn import DEFAULT_MARGIN, OrderPredicates
 from abundancy.report import ReportSizes, SuiteSummary, reference_constants, run_report
 
 SMALL = ReportSizes(
@@ -268,6 +268,32 @@ def test_cli_report_text_is_the_rendered_report(capsys):
     code, out = run_cli(capsys, "report", "--seed", "7", *size_flags(sizes))
     assert code == 0
     assert out == run_report(7, DEFAULT_PRECISION, sizes).render() + "\n"
+
+
+def test_a_failed_or_undecided_case_makes_the_report_unclean(capsys, monkeypatch):
+    # in each run the first sandwich pair reads VIOLATED and the second
+    # UNDECIDED, sigma disagrees with the oracle at n = 7, and no order
+    # implication holds
+    rigged = [SandwichStatus.VIOLATED, SandwichStatus.UNDECIDED]
+    check, oracle = report.sandwich_check, report.sigma_oracle
+
+    def sandwich(fa, fb, cfg):
+        result = check(fa, fb, cfg)
+        return dataclasses.replace(result, status=rigged.pop(0)) if rigged else result
+
+    monkeypatch.setattr(report, "sandwich_check", sandwich)
+    monkeypatch.setattr(report, "sigma_oracle", lambda n: oracle(n) + (n == 7))
+    monkeypatch.setattr(report, "order_predicates", lambda candidate: OrderPredicates(True, False, False))
+    sizes = dataclasses.replace(SMALL, oracle_limit=50, sandwich_pairs=5, order_candidates=5, mersenne_limit=31)
+    built = run_report(7, DEFAULT_PRECISION, sizes)
+    suites = {s.name: s for s in built.suites}
+    assert suites["sigma oracle equivalence"] == SuiteSummary("sigma oracle equivalence", 50, 1, 0)
+    assert suites["sandwich corpus"] == SuiteSummary("sandwich corpus", 5, 1, 1)
+    assert suites["order implications"] == SuiteSummary("order implications", 5, 5, 0, "converse observed in 5/5")
+    assert built.clean is False
+    rigged[:] = [SandwichStatus.VIOLATED, SandwichStatus.UNDECIDED]
+    code, out = run_cli(capsys, "report", "--seed", "7", *size_flags(sizes))
+    assert code == 1 and out == built.render() + "\n"
 
 
 def test_cli_respects_bits_flag(capsys):
@@ -532,6 +558,17 @@ def test_cli_caps_a_rational_before_building_it(argv):
     option = next(arg for arg in argv if arg in ("--L", "--margin"))
     text = argv[argv.index(option) + 1]
     assert line.endswith(f"error: argument {option}: {text!r} has about 33220004 bits; inputs are capped at 65536 bits")
+
+
+def test_cli_caps_a_rational_in_process(capsys):
+    # 10^100000 needs about 332,204 bits, past the cap (10^10000, inside it, is
+    # taken by test_cli_bound_takes_and_shows_a_wide_rational_inside_the_cap)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bound", "--L", "1e100000", "--u", "3"])
+    assert exit_info.value.code == 2
+    usage, *_, line = capsys.readouterr().err.splitlines()
+    assert usage.startswith("usage: abundancy bound")
+    assert line == "abundancy bound: error: argument --L: '1e100000' has about 332204 bits; inputs are capped at 65536 bits"
 
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])
