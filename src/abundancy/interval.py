@@ -140,37 +140,28 @@ class IntervalReal:
         return self.compare(other) is Comparison.UNDECIDED
 
     # Endpoint arithmetic is exact, so these operations are themselves exact
-    # enclosures of the pointwise image; no rounding happens here.
+    # enclosures of the pointwise image; no rounding happens here. A rational
+    # operand is its degenerate enclosure, and `_least_product` picks every end.
 
     def __neg__(self) -> "IntervalReal":
         return IntervalReal(-self.hi, -self.lo, self.bits)
 
     def __add__(self, other: Union["IntervalReal", RatioLike]) -> "IntervalReal":
-        if isinstance(other, IntervalReal):
-            return IntervalReal(self.lo + other.lo, self.hi + other.hi, min(self.bits, other.bits))
-        v = Fraction(other)
-        return IntervalReal(self.lo + v, self.hi + v, self.bits)
+        if not isinstance(other, IntervalReal):
+            other = IntervalReal.exact(other, self.bits)
+        return IntervalReal(self.lo + other.lo, self.hi + other.hi, min(self.bits, other.bits))
 
     __radd__ = __add__
 
     def __sub__(self, other: Union["IntervalReal", RatioLike]) -> "IntervalReal":
-        if isinstance(other, IntervalReal):
-            return self + (-other)
-        return self + (-Fraction(other))
+        return self + (-other)
 
     def __mul__(self, other: Union["IntervalReal", RatioLike]) -> "IntervalReal":
-        if isinstance(other, IntervalReal):
-            products = (
-                self.lo * other.lo,
-                self.lo * other.hi,
-                self.hi * other.lo,
-                self.hi * other.hi,
-            )
-            return IntervalReal(min(products), max(products), min(self.bits, other.bits))
-        v = Fraction(other)
-        if v >= 0:
-            return IntervalReal(self.lo * v, self.hi * v, self.bits)
-        return IntervalReal(self.hi * v, self.lo * v, self.bits)
+        if not isinstance(other, IntervalReal):
+            other = IntervalReal.exact(other, self.bits)
+        ya, la = _least_product(self.lo, self.hi, other.lo, other.hi)
+        yb, lb = _least_product(self.lo, self.hi, -other.hi, -other.lo)  # the greatest is -yb lb
+        return IntervalReal(ya * la, -yb * lb, min(self.bits, other.bits))
 
     __rmul__ = __mul__
 
@@ -179,13 +170,7 @@ class IntervalReal:
             other = IntervalReal.exact(other, self.bits)
         if other.lo <= 0 <= other.hi:
             raise ZeroDivisionError("divisor interval touches zero")
-        quotients = (
-            self.lo / other.lo,
-            self.lo / other.hi,
-            self.hi / other.lo,
-            self.hi / other.hi,
-        )
-        return IntervalReal(min(quotients), max(quotients), min(self.bits, other.bits))
+        return self * IntervalReal(1 / other.hi, 1 / other.lo, other.bits)
 
     def __str__(self) -> str:
         return self.render()
@@ -429,11 +414,13 @@ def exp_interval(x: IntervalReal, bits: int = DEFAULT_PRECISION.initial_bits) ->
     return _from_scaled(lo, hi, w, bits)
 
 
-def _least_product(y_lo: Fraction, y_hi: Fraction, l_lo: int, l_hi: int) -> tuple[Fraction, int]:
+def _least_product(y_lo: Fraction, y_hi: Fraction, l_lo: RatioLike, l_hi: RatioLike) -> tuple[Fraction, RatioLike]:
     """The (y, l) of the least y l over [y_lo, y_hi] x [l_lo, l_hi], picked by
-    the signs of the ends as in interval multiplication: y l is increasing in
-    y where l >= 0 and decreasing where l <= 0, and likewise in l by the sign
-    of y. Only when both ranges straddle 0 are two candidates compared."""
+    the signs of the ends: y l is increasing in y where l >= 0 and decreasing
+    where l <= 0, and likewise in l by the sign of y. Only when both ranges
+    straddle 0 are two candidates compared. It is the rule for every product
+    of enclosures: `IntervalReal.__mul__`, `__truediv__` through it, and
+    `pow_interval`; each takes the greatest as -y l over [-l_hi, -l_lo]."""
     if l_lo < 0 < l_hi:
         if y_lo >= 0:
             return y_hi, l_lo
@@ -450,10 +437,11 @@ def pow_interval(
     bits: int = DEFAULT_PRECISION.initial_bits,
 ) -> IntervalReal:
     """Enclosure of base**exponent = exp(exponent * ln(base)) for an exact
-    rational base > 0 (ValueError otherwise): the least and greatest products
-    of the exponent's endpoints with the scaled-integer log of the base,
-    picked by the signs of the endpoints, go to the exp chain as integer
-    pairs."""
+    rational base > 0 (ValueError otherwise): `_least_product` picks the least
+    and greatest products of the exponent's ends with the scaled-integer log
+    of the base, as in `IntervalReal.__mul__`, and they go to the exp chain as
+    integer pairs. That log never straddles 0 (lo >= 0 for base >= 1, hi <= 0
+    for base <= 1), so only `__mul__` of two straddling enclosures compares."""
     base = Fraction(base)
     if base <= 0:
         raise ValueError(f"pow requires a positive base, got {base}")

@@ -514,6 +514,17 @@ def test_sigma_examples():
     assert sigma(Factorization(((3, 2), (5, 1)))) == 78
 
 
+def test_inputs_outside_the_domain_are_named():
+    with pytest.raises(ValueError, match="^1 has no prime factors$"):
+        Factorization(()).least_prime()
+    with pytest.raises(ValueError, match="^positive input required$"):
+        digit_count(0)
+    with pytest.raises(ValueError, match="^sigma_oracle needs n >= 1, got 0$"):
+        sigma_oracle(0)
+    with pytest.raises(ValueError, match="^is_perfect needs n >= 1, got 0$"):
+        is_perfect(0)
+
+
 def test_sigma_oracle_examples():
     assert sigma_oracle(6) == 12
     assert sigma_oracle(1) == 1

@@ -1,3 +1,4 @@
+import operator
 import random
 import re
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_HALF_UP, Context, Decimal
@@ -183,6 +184,11 @@ def test_sqrt_three_ceiling():
     assert_consistent(x, "1+sqrt(3)")
 
 
+def test_sqrt_rejects_a_negative_argument():
+    with pytest.raises(ValueError, match="^sqrt requires a non-negative argument, got -1$"):
+        sqrt_ratio(-1)
+
+
 def test_sqrt_containment_squares():
     rng = random.Random(5)
     for _ in range(40):
@@ -217,6 +223,60 @@ def test_ring_ops_with_a_rational_have_exact_endpoints():
     assert x * -6 == IntervalReal(Fraction(-3), Fraction(-2), 64)
     assert x / -2 == IntervalReal(Fraction(-1, 4), Fraction(-1, 6), 64)
     assert str(x) == x.render() == "0.4166666667 ± 9e-2 @64b"
+
+
+def _random_enclosure(rng):
+    """An enclosure with small rational ends at a random precision: a point of
+    either sign, positive, touching 0 from either side, straddling 0, or negative."""
+    a, b = sorted(Fraction(rng.randint(1, 30), rng.randint(1, 6)) for _ in range(2))
+    ends = rng.choice([(a, a), (-a, -a), (a, b), (Fraction(0), b), (-b, Fraction(0)), (-a, b), (-b, -a)])
+    return IntervalReal(*ends, rng.choice((64, 128, 256)))
+
+
+def test_ring_ops_are_the_hull_of_the_endpoint_combinations():
+    # an int or Fraction operand is the degenerate enclosure at the other's bits;
+    # a rational on the left reaches __radd__ and __rmul__ (there is no reflected - or /)
+    ops = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+    rng = random.Random(27)
+    for _ in range(400):
+        x, other = _random_enclosure(rng), _random_enclosure(rng)
+        scalar = rng.choice((rng.randint(-4, 4), Fraction(rng.randint(-9, 9), rng.randint(1, 4))))
+        point = IntervalReal.exact(scalar, x.bits)
+        for left, right, (a, b), symbols in (
+            (x, other, (x, other), "+-*/"), (x, scalar, (x, point), "+-*/"), (scalar, x, (point, x), "+*"),
+        ):
+            for symbol in symbols:
+                op = ops[symbol]
+                if symbol == "/" and b.contains(0):
+                    with pytest.raises(ZeroDivisionError, match="^divisor interval touches zero$"):
+                        op(left, right)
+                    continue
+                ends = [op(p, q) for p in (a.lo, a.hi) for q in (b.lo, b.hi)]
+                assert op(left, right) == IntervalReal(min(ends), max(ends), min(a.bits, b.bits)), (left, symbol, right)
+
+
+def test_the_log_of_an_exact_rational_never_straddles_zero():
+    # at every w the library uses (w >= GUARD_BITS; see the w = 1 log in
+    # test_pow_matches_the_four_product_reference), so pow_interval's products
+    # never reach _least_product's comparison
+    rng = random.Random(28)
+    for _ in range(20000):
+        d = rng.randrange(1, 2 ** rng.choice((8, 64)))
+        shape = rng.choice(("narrow", "wide", "near a power of 2"))
+        if shape == "narrow":
+            n = max(1, d + rng.randint(-3, 3))
+        elif shape == "wide":
+            n = rng.randrange(1, 2**64)
+        else:  # n/d or d/n within a few units of 2^k
+            n = max(1, (d << rng.randint(0, 8)) + rng.randint(-2, 2))
+            if rng.random() < 0.5:
+                n, d = d, n
+        w = rng.randint(1, 300) + interval.GUARD_BITS
+        lo, hi = interval._ln_scaled(n, d, w)
+        if n >= d:
+            assert lo >= 0, (n, d, w)
+        if n <= d:
+            assert hi <= 0, (n, d, w)
 
 
 def test_monotone_refinement():

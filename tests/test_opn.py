@@ -93,6 +93,8 @@ def test_validate_small_candidate():
     assert report.status_of("q = 1 (mod 4)") is CheckStatus.PASS
     assert report.status_of("N > 10^1500") is CheckStatus.FAIL
     assert report.status_of("omega(N) >= 10") is CheckStatus.FAIL
+    with pytest.raises(KeyError, match="no such check"):
+        report.status_of("no such check")
     residual = next(c for c in report.checks if c.name == "sigma(N) = 2N")
     assert residual.status is CheckStatus.FAIL
     assert "78/45" in residual.witness and "26/15" in residual.witness
@@ -485,6 +487,8 @@ def test_order_predicates_examples():
 
 
 def test_order_predicates_premise_errors():
+    with pytest.raises(PremiseError, match=r"^I\(q\^k\)\^3 = 64/27 >= 2$"):
+        order_predicates(candidate(3, 1, 5))
     with pytest.raises(PremiseError):
         order_predicates(candidate(5, 1, 5**2))  # I(25)^3 < 2
     with pytest.raises(ValueError, match="^9 is not prime$"):
