@@ -10,6 +10,8 @@ oracle for cross-checking it.
 from __future__ import annotations
 
 import itertools
+import re
+import reprlib
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,6 +30,7 @@ __all__ = [
     "is_prime",
     "lucas_lehmer",
     "omega",
+    "parse_integer",
     "primes_up_to",
     "render_exact",
     "render_short",
@@ -293,12 +296,27 @@ class Factorization:
         return cls(factor_pairs(text))
 
 
+_INTEGER_TEXT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")  # the texts int() reads in base 10
+
+
+def parse_integer(text: str, what: str) -> int:
+    """int(text); a text int() cannot read is a ValueError that names what it
+    stands for and shows it cut as reprlib cuts it. A well-formed integer
+    past int()'s digit limit keeps int()'s own error."""
+    if not _INTEGER_TEXT.fullmatch(text):
+        raise ValueError(f"{what} must be an integer, got {reprlib.repr(text)}")
+    return int(text)
+
+
 def factor_pairs(text: str) -> tuple[tuple[int, int], ...]:
-    """The unchecked (p, e) pairs of the factored text form: no prime is proven."""
+    """The unchecked (p, e) pairs of the factored text form: no prime is proven.
+    A factor that is not p or p^e is a ValueError that names it."""
     pairs = []
     for part in text.strip().split("*"):
         p_text, caret, e_text = part.partition("^")
-        pairs.append((int(p_text), int(e_text) if caret else 1))
+        form = reprlib.repr(part)
+        pairs.append((parse_integer(p_text, f"p in the factor {form}"),
+                      parse_integer(e_text, f"e in the factor {form}") if caret else 1))
     return tuple(pairs)
 
 

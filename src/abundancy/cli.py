@@ -248,10 +248,10 @@ def _cmd_scan(args) -> int:
     if args.qmax > MAX_SCAN_LIMIT:
         raise ValueError(f"scan limit {args.qmax} exceeds the cap {MAX_SCAN_LIMIT}")
     report = ceiling_scan(args.qmax, args.u, _cfg(args), args.margin)
-    rows, statuses = report.rows, [c.status for c in report.checks]
-    lines = [f"scanned {len(rows)} primes q = 1 (mod 4) up to {args.qmax} with u = {args.u}"]
-    shown = rows if args.verbose else tuple(c for c in rows if c.status is not CheckStatus.PASS)
-    for check in shown + report.checks[len(rows):]:  # the rows, then the minimum and the limit
+    statuses = [c.status for c in report.checks]
+    lines = [f"scanned {len(report.rows)} primes q = 1 (mod 4) up to {args.qmax} with u = {args.u}"]
+    shown = [c for c in report.rows if args.verbose or c.status is not CheckStatus.PASS]
+    for check in filter(None, (*shown, report.minimum, report.limit)):  # an empty grid has no minimum
         lines.append(f"  {check.status.value:9s} {check.name}: {check.witness}")
     lines.append(f"failures: {statuses.count(CheckStatus.FAIL)}, "
                  f"undecided: {statuses.count(CheckStatus.UNDECIDED)}")
@@ -308,7 +308,13 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # so that a reader who closed the pipe is met here
+        return code
+    except BrokenPipeError:
+        # as in Python's note on SIGPIPE: with stdout on devnull, the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, ArithmeticError, FactorizationBudgetError) as exc:
         print(_error_line(f"error: {exc}"), file=sys.stderr)
         return 2

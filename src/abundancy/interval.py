@@ -99,6 +99,11 @@ class IntervalReal:
     bits: int
 
     def __post_init__(self) -> None:
+        # an int end becomes a Fraction, so that `/` can never make a float end
+        if type(self.lo) is not Fraction:
+            object.__setattr__(self, "lo", Fraction(self.lo))
+        if type(self.hi) is not Fraction:
+            object.__setattr__(self, "hi", Fraction(self.hi))
         if self.lo > self.hi:
             raise ValueError(f"inverted interval: {self.lo} > {self.hi}")
 

@@ -26,6 +26,7 @@ from .arith import (
     gcd,
     is_prime,
     omega,
+    parse_integer,
     primes_up_to,
     render_exact,
     render_short,
@@ -88,6 +89,9 @@ class Check:
     status: CheckStatus
     witness: str
 
+    def to_dict(self) -> dict:
+        return {"name": self.name, "status": self.status.value, "witness": self.witness}
+
 
 @dataclass(frozen=True)
 class ConstraintReport:
@@ -104,12 +108,7 @@ class ConstraintReport:
         return all(check.status is CheckStatus.PASS for check in self.checks)
 
     def to_dict(self) -> dict:
-        return {
-            "checks": [
-                {"name": c.name, "status": c.status.value, "witness": c.witness}
-                for c in self.checks
-            ]
-        }
+        return {"checks": [c.to_dict() for c in self.checks]}
 
 
 @dataclass(frozen=True)
@@ -175,7 +174,7 @@ class EulerianCandidate:
         missing = {"q", "k", "n"} - fields.keys()
         if missing:
             raise ValueError(f"candidate line is missing {sorted(missing)}")
-        return int(fields["q"]), int(fields["k"]), fields["n"]
+        return parse_integer(fields["q"], "q"), parse_integer(fields["k"], "k"), fields["n"]
 
 
 def acquaah_konyagin_holds(q: int, n: int) -> bool:
@@ -447,11 +446,15 @@ def ceiling_interval(bits: int = DEFAULT_PRECISION.initial_bits) -> IntervalReal
 
 @dataclass(frozen=True)
 class CeilingScan(ConstraintReport):
-    """ceiling_scan's report: its checks are the rows, then the minimum when
-    there is one, then the limit."""
+    """ceiling_scan's report: its checks are its verdicts, the rows and then
+    the limit. The minimum is shown beside them and decides nothing."""
 
     rows: tuple[Check, ...]  # one per q, ascending
-    minimum: Check | None  # None for an empty grid
+    minimum: Check | None  # always PASS; None for an empty grid
+    limit: Check  # the q -> infinity limit against the ceiling itself
+
+    def to_dict(self) -> dict:
+        return {**super().to_dict(), "minimum": self.minimum and self.minimum.to_dict()}
 
 
 def ceiling_scan(
@@ -466,9 +469,10 @@ def ceiling_scan(
     For u >= 5 each q must clear the ceiling by more than required_margin
     (this is the contradiction that forces q < n). For u = 3 each q must stay
     strictly below it (no contradiction is available there). The report ends
-    with the scan minimum and the q -> infinity limit, which is compared with
-    the ceiling itself; UNDECIDED entries only appear after precision
-    escalation up to cfg.max_bits. A negative required_margin is a ValueError.
+    with the q -> infinity limit, which is compared with the ceiling itself,
+    and gives the scan minimum (the first q on a tie) beside its checks;
+    UNDECIDED entries only appear after precision escalation up to
+    cfg.max_bits. A negative required_margin is a ValueError.
     """
     if required_margin < 0:
         shown = render_exact(required_margin)
@@ -476,10 +480,9 @@ def ceiling_scan(
     expect_greater = u >= 5
     # the side of ceiling + margin that passes; touching it decides nothing
     passing = Comparison.GREATER if expect_greater else Comparison.LESS
-    margin = required_margin if expect_greater else Fraction(0)
-    relation = ">" if expect_greater else "<"
+    margin, relation = (required_margin, ">") if expect_greater else (Fraction(0), "<")
     rows: list[Check] = []
-    bounds: dict[int, IntervalReal] = {}
+    minimum = least = None
     for q in primes_up_to(q_limit):
         if q < 5 or q % 4 != 1:
             continue
@@ -487,14 +490,12 @@ def ceiling_scan(
                                  lambda bits: ceiling_interval(bits) + margin, passing, cfg)
         witness = f"f = {bound.render()} vs ceiling = {ceiling_interval(bound.bits).render()}"
         rows.append(Check(f"f({q}, {u}) {relation} 1+sqrt(3)", status, witness))
-        bounds[q] = bound
-    minimum = None
-    if bounds:
-        q = min(bounds, key=lambda q: bounds[q].lo)
-        minimum = Check("minimum over scan", CheckStatus.PASS, f"q = {q}: f = {bounds[q].render()}")
+        if least is None or bound.lo < least.lo:
+            least, minimum = bound, Check("minimum over scan", CheckStatus.PASS,
+                                          f"q = {q}: f = {bound.render()}")
     status, limit = _certify(partial(euler_sum_bound_limit, u), ceiling_interval, passing, cfg)
     limit_row = Check("limit as q grows", status, f"1 + 2^(1/x({u})) = {limit.render()}")
-    return CeilingScan((*rows, *([minimum] if minimum else []), limit_row), tuple(rows), minimum)
+    return CeilingScan((*rows, limit_row), tuple(rows), minimum, limit_row)
 
 
 # ---------------------------------------------------------------------------

@@ -224,7 +224,7 @@ def _order_suite(seed: int, sizes: ReportSizes) -> SuiteSummary:
 
 def _scan_suite(u: int, sizes: ReportSizes, cfg: PrecisionConfig) -> SuiteSummary:
     report = ceiling_scan(sizes.scan_limit, u, cfg)
-    statuses = [c.status for c in report.rows]
+    statuses = [c.status for c in report.checks]
     minimum = report.minimum.witness if report.minimum else ""
     return SuiteSummary(f"ceiling scan u={u}", len(statuses), statuses.count(CheckStatus.FAIL),
                         statuses.count(CheckStatus.UNDECIDED), minimum)

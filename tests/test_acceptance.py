@@ -154,6 +154,8 @@ def test_criterion_5_ceiling_scans():
     report3 = ceiling_scan(10**4, 3)
     per_q3 = report3.rows
     failures3 = [c for c in per_q3 if c.status is not CheckStatus.PASS]
+    # the q -> infinity limit 1 + 2^(1/x(u)): above the ceiling for u = 5, below it for u = 3
+    limits_hold = report5.limit.status is report3.limit.status is CheckStatus.PASS
 
     # f(q, u) is certified increasing along the full grid for both u
     increase_violations = 0
@@ -170,6 +172,7 @@ def test_criterion_5_ceiling_scans():
         and min_is_at_5
         and min_near_derived
         and not failures3
+        and limits_hold
         and increase_violations == 0
     )
     _line(
@@ -183,6 +186,7 @@ def test_criterion_5_ceiling_scans():
     assert min_is_at_5, minimum.witness
     assert min_near_derived, f55.render()
     assert not failures3, failures3[:3]
+    assert limits_hold, (report5.limit, report3.limit)
     assert increase_violations == 0
 
 

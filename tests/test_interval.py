@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 import re
@@ -227,8 +228,11 @@ def test_ring_ops_with_a_rational_have_exact_endpoints():
 
 def _random_enclosure(rng):
     """An enclosure with small rational ends at a random precision: a point of
-    either sign, positive, touching 0 from either side, straddling 0, or negative."""
+    either sign, positive, touching 0 from either side, straddling 0, or negative.
+    A quarter of them are given int ends, which IntervalReal takes as Fractions."""
     a, b = sorted(Fraction(rng.randint(1, 30), rng.randint(1, 6)) for _ in range(2))
+    if rng.random() < 0.25:
+        a, b = math.ceil(a), math.ceil(b)
     ends = rng.choice([(a, a), (-a, -a), (a, b), (Fraction(0), b), (-b, Fraction(0)), (-a, b), (-b, -a)])
     return IntervalReal(*ends, rng.choice((64, 128, 256)))
 
@@ -252,7 +256,19 @@ def test_ring_ops_are_the_hull_of_the_endpoint_combinations():
                         op(left, right)
                     continue
                 ends = [op(p, q) for p in (a.lo, a.hi) for q in (b.lo, b.hi)]
-                assert op(left, right) == IntervalReal(min(ends), max(ends), min(a.bits, b.bits)), (left, symbol, right)
+                result = op(left, right)
+                assert result == IntervalReal(min(ends), max(ends), min(a.bits, b.bits)), (left, symbol, right)
+                assert type(result.lo) is type(result.hi) is Fraction
+
+
+def test_int_ends_are_taken_as_fractions():
+    # a float end would lose containment and break render
+    quotient = IntervalReal(1, 2, 64) / IntervalReal(3, 3, 64)
+    assert (quotient.lo, quotient.hi) == (Fraction(1, 3), Fraction(2, 3))
+    assert type(quotient.lo) is type(quotient.hi) is Fraction
+    assert quotient.contains(Fraction(2, 3))
+    assert quotient.render() == "0.5000000000 ± 2e-1 @64b"
+    assert IntervalReal(1, 2, 8).midpoint == Fraction(3, 2)
 
 
 def test_the_log_of_an_exact_rational_never_straddles_zero():

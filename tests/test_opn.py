@@ -569,9 +569,20 @@ def test_ceiling_scan_u5_all_clear_with_margin():
     assert all(c.status is CheckStatus.PASS for c in report.rows)
     assert report.minimum.name == "minimum over scan" and report.minimum.status is CheckStatus.PASS
     assert "q = 5" in report.minimum.witness
-    assert report.checks == (*report.rows, report.minimum, report.checks[-1])
-    assert report.status_of("limit as q grows") is CheckStatus.PASS
+    # the verdicts are the rows, then the limit; the minimum stands beside them
+    assert report.checks == (*report.rows, report.limit) and report.minimum not in report.checks
+    assert report.limit.name == "limit as q grows" and report.limit.status is CheckStatus.PASS
     assert report.all_pass
+    assert report.to_dict() == {"checks": [c.to_dict() for c in report.checks],
+                                "minimum": report.minimum.to_dict()}
+
+
+def test_ceiling_scan_minimum_keeps_the_first_q_on_a_tie(monkeypatch):
+    # every q gets the same enclosure: the minimum is the first q, as min() gives
+    tied = opn.euler_sum_bound(5, 5)
+    monkeypatch.setattr(opn, "euler_sum_bound", lambda q, u, cfg: tied)
+    report = ceiling_scan(100, 5)
+    assert report.minimum.witness == f"q = 5: f = {tied.render()}"
 
 
 def test_ceiling_scan_u3_no_contradiction():
@@ -584,7 +595,8 @@ def test_ceiling_scan_u3_no_contradiction():
 def test_ceiling_scan_empty_grid():
     report = ceiling_scan(4, 5)
     assert report.rows == () and report.minimum is None
-    assert [c.name for c in report.checks] == ["limit as q grows"]
+    assert report.checks == (report.limit,) and report.limit.name == "limit as q grows"
+    assert report.to_dict()["minimum"] is None
 
 
 @pytest.mark.parametrize("u", [9, 2])

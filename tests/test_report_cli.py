@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import abundancy
 from conftest import BIG_PRIME, exponent_oracle
-from abundancy import arith, cli, mersenne, report
+from abundancy import arith, cli, mersenne, opn, report
 from abundancy.arith import Factorization
 from abundancy.cli import main
 from abundancy.index import ExponentValue, SandwichStatus
@@ -61,16 +61,16 @@ def test_run_report_clean_and_deterministic():
 
 
 def test_report_with_no_admissible_scan_q(capsys):
-    # no prime q = 1 (mod 4) with q >= 5 lies at or below 4
+    # no prime q = 1 (mod 4) with q >= 5 lies at or below 4: each scan's one case is its limit
     scans = [s for s in run_report(sizes=dataclasses.replace(SMALL, scan_limit=4)).suites
              if s.name.startswith("ceiling scan")]
-    assert scans == [SuiteSummary("ceiling scan u=5", 0, 0, 0), SuiteSummary("ceiling scan u=3", 0, 0, 0)]
+    assert scans == [SuiteSummary("ceiling scan u=5", 1, 0, 0), SuiteSummary("ceiling scan u=3", 1, 0, 0)]
     code, out = run_cli(capsys, "report", "--json", "--scan-limit", "4", "--oracle-limit", "100",
                         "--sandwich-pairs", "10", "--grid-prime-limit", "10", "--chain-prime-limit", "20",
                         "--order-candidates", "10", "--mersenne-limit", "20")
     assert code == 0
     suites = {s["name"]: s for s in json.loads(out)["suites"]}
-    assert suites["ceiling scan u=5"]["cases"] == suites["ceiling scan u=3"]["cases"] == 0
+    assert suites["ceiling scan u=5"]["cases"] == suites["ceiling scan u=3"]["cases"] == 1
 
 
 def test_report_mersenne_detail():
@@ -294,6 +294,76 @@ def test_a_failed_or_undecided_case_makes_the_report_unclean(capsys, monkeypatch
     rigged[:] = [SandwichStatus.VIOLATED, SandwichStatus.UNDECIDED]
     code, out = run_cli(capsys, "report", "--seed", "7", *size_flags(sizes))
     assert code == 1 and out == built.render() + "\n"
+
+
+def test_a_failed_or_undecided_scan_limit_makes_the_report_unclean(capsys, monkeypatch):
+    # the u = 5 limit reads 2, below the ceiling (FAIL); the u = 3 limit is the
+    # ceiling itself (UNDECIDED); the report's own constants are left alone
+    def limit(u, cfg):
+        return IntervalReal.exact(2, cfg.initial_bits) if u == 5 else opn.ceiling_interval(cfg.initial_bits)
+
+    monkeypatch.setattr(opn, "euler_sum_bound_limit", limit)
+    sizes = dataclasses.replace(SMALL, oracle_limit=50, sandwich_pairs=5, order_candidates=5, mersenne_limit=31)
+    built = run_report(7, DEFAULT_PRECISION, sizes)
+    grid = len([q for q in arith.primes_up_to(sizes.scan_limit) if q % 4 == 1])
+    suites = {s.name: s for s in built.suites}
+    assert (suites["ceiling scan u=5"].cases, suites["ceiling scan u=5"].failures) == (grid + 1, 1)
+    assert (suites["ceiling scan u=3"].cases, suites["ceiling scan u=3"].undecided) == (grid + 1, 1)
+    assert all(c.match for c in built.constants)
+    assert built.clean is False
+    code, out = run_cli(capsys, "report", "--seed", "7", *size_flags(sizes))
+    assert code == 1 and out == built.render() + "\n"
+    code, out = run_cli(capsys, "scan", "--qmax", "100", "--u", "5", "--json")
+    assert code == 1 and json.loads(out)["checks"][-1]["status"] == "FAIL"
+
+
+def test_cli_scan_json_gives_the_verdicts_and_the_minimum_beside_them(capsys):
+    code, out = run_cli(capsys, "scan", "--qmax", "30", "--u", "5", "--json")
+    payload = json.loads(out)
+    assert code == 0
+    assert [c["name"] for c in payload["checks"]] == [
+        "f(5, 5) > 1+sqrt(3)", "f(13, 5) > 1+sqrt(3)", "f(17, 5) > 1+sqrt(3)", "f(29, 5) > 1+sqrt(3)",
+        "limit as q grows",
+    ]
+    assert payload["minimum"]["name"] == "minimum over scan"
+    assert payload["minimum"]["status"] == "PASS" and payload["minimum"]["witness"].startswith("q = 5: f = 2.74")
+    code, out = run_cli(capsys, "scan", "--qmax", "4", "--u", "3", "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["minimum"] is None
+    assert [c["name"] for c in payload["checks"]] == ["limit as q grows"]
+
+
+def test_cli_leaves_no_traceback_when_the_reader_closes_stdout():
+    # the JSON (about 100 kB) outgrows the pipe, so the writer is still writing when the reader leaves
+    src = os.path.dirname(os.path.dirname(abundancy.__file__))
+    argv = [sys.executable, "-m", "abundancy", "scan", "--qmax", "10000", "--u", "5", "--json"]
+    with subprocess.Popen(argv, env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as process:
+        assert process.stdout.read(100).startswith(b"{")
+        process.stdout.close()
+        err = process.stderr.read()
+        code = process.wait(timeout=30)
+    assert (code, err) == (1, b"")
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (["sigma", "3*"], "p in the factor '' must be an integer, got ''"),
+    (["sigma", "3^"], "e in the factor '3^' must be an integer, got ''"),
+    (["sigma", "^2"], "p in the factor '^2' must be an integer, got ''"),
+    (["sigma", "3^2^2"], "e in the factor '3^2^2' must be an integer, got '2^2'"),
+    (["sigma", ""], "p in the factor '' must be an integer, got ''"),
+    (["sigma", "x"], "p in the factor 'x' must be an integer, got 'x'"),
+    (["abundancy", "3*5^x"], "e in the factor '5^x' must be an integer, got 'x'"),
+    (["sigma", "y" * 1000], "p in the factor 'yyyyyyyyyyyy...yyyyyyyyyyyyy' must be an integer, "
+                            "got 'yyyyyyyyyyyy...yyyyyyyyyyyyy'"),
+    (["check", "q=x", "k=1", "n=9"], "q must be an integer, got 'x'"),
+    (["check", "q=5", "k=1.5", "n=9"], "k must be an integer, got '1.5'"),
+    (["check", "q=5", "k=1", "n=3^"], "e in the factor '3^' must be an integer, got ''"),
+])
+def test_cli_names_malformed_text(capsys, argv, shown):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {shown}\n"
 
 
 def test_cli_respects_bits_flag(capsys):
