@@ -288,12 +288,12 @@ class Factorization:
 
     @classmethod
     def parse(cls, text: str) -> "Factorization":
-        """Parse the factored text form ``p1^e1*p2^e2*...`` (e.g. ``3^2*5``),
-        or factor a bare integer such as ``45`` or ``1``."""
-        text = text.strip()
-        if text.isdigit():
-            return factorize(int(text))
-        return cls(factor_pairs(text))
+        """Parse the factored text form ``p1^e1*p2^e2*...`` (e.g. ``3^2*5``), or factor
+        a bare integer n >= 0 such as ``45``; int() reads every integer (``+4_5`` is 45)."""
+        pairs = factor_pairs(text)
+        if "*" not in text and "^" not in text and pairs[0][0] >= 0:
+            return factorize(pairs[0][0])
+        return cls(pairs)
 
 
 _INTEGER_TEXT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")  # the texts int() reads in base 10

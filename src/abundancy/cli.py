@@ -90,61 +90,60 @@ def build_parser() -> argparse.ArgumentParser:
         "and odd-perfect-number constraints.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # argparse takes only tokens like -5 and -.5 for negative numbers and any
+    # other token that starts with '-' for an option; no option here starts
+    # with a digit, so a negative rational such as -1/1000 is a value too
+    negative_number = re.compile(r"^-\.?\d")
 
-    p = sub.add_parser("sigma", parents=[common], help="divisor sum of n")
+    def command(handler, help: str) -> argparse.ArgumentParser:
+        """The subcommand named after handler (`_cmd_<name>`), which main calls."""
+        p = sub.add_parser(handler.__name__.removeprefix("_cmd_"), parents=[common], help=help)
+        p.set_defaults(handler=handler)
+        p._negative_number_matcher = negative_number
+        return p
+
+    p = command(_cmd_sigma, help="divisor sum of n")
     p.add_argument("value", help="integer or factored form like 3^2*5")
 
-    p = sub.add_parser("abundancy", parents=[common], help="abundancy index sigma(n)/n")
+    p = command(_cmd_abundancy, help="abundancy index sigma(n)/n")
     p.add_argument("value")
 
-    p = sub.add_parser("exponent", parents=[common], help="abundancy exponent x(n)")
+    p = command(_cmd_exponent, help="abundancy exponent x(n)")
     p.add_argument("value")
 
-    p = sub.add_parser("sandwich", parents=[common],
-                       help="certify min(x(a),x(b)) < x(ab) < max(x(a),x(b))")
+    p = command(_cmd_sandwich, help="certify min(x(a),x(b)) < x(ab) < max(x(a),x(b))")
     p.add_argument("a")
     p.add_argument("b")
 
-    p = sub.add_parser("check", parents=[common],
-                       help="validate an odd-perfect-number candidate line")
+    p = command(_cmd_check, help="validate an odd-perfect-number candidate line")
     p.add_argument("candidate", nargs="+", help="e.g. q=5 k=1 n=3^2")
 
-    p = sub.add_parser("bound", parents=[common],
-                       help="certified lower bound L^(1/x(u))")
+    p = command(_cmd_bound, help="certified lower bound L^(1/x(u))")
     p.add_argument("--L", required=True, type=_exact_rational, help="exact rational, e.g. 8/5")
     p.add_argument("--u", required=True, type=int, help="odd prime")
 
-    p = sub.add_parser("f", parents=[common],
-                       help="Euler-prime bound f(q,u) = (q+1)/q + (2q/(q+1))^(1/x(u))")
+    p = command(_cmd_f, help="Euler-prime bound f(q,u) = (q+1)/q + (2q/(q+1))^(1/x(u))")
     p.add_argument("--q", required=True, type=int)
     p.add_argument("--u", required=True, type=int)
 
-    p = sub.add_parser("scan", parents=[common],
-                       help="certify f(q,u) against 1+sqrt(3) over primes q = 1 (mod 4)")
+    p = command(_cmd_scan, help="certify f(q,u) against 1+sqrt(3) over primes q = 1 (mod 4)")
     p.add_argument("--qmax", required=True, type=int)
     p.add_argument("--u", required=True, type=int)
     p.add_argument("--margin", type=_exact_rational, default=DEFAULT_MARGIN,
                    help="required clearance for u >= 5 (exact rational)")
     p.add_argument("--verbose", action="store_true", help="print every grid entry")
 
-    p = sub.add_parser("classify", parents=[common],
-                       help="residual case of an Euler prime mod 12")
+    p = command(_cmd_classify, help="residual case of an Euler prime mod 12")
     p.add_argument("q", type=int)
 
-    p = sub.add_parser("mersenne", parents=[common], help="Lucas-Lehmer exponent scan")
+    p = command(_cmd_mersenne, help="Lucas-Lehmer exponent scan")
     p.add_argument("--limit", required=True, type=int,
                    help=f"largest exponent to test, at most {DESK_SCALE_CAP}")
 
-    p = sub.add_parser("report", parents=[common], help="full reproduction document")
+    p = command(_cmd_report, help="full reproduction document")
     p.add_argument("--seed", type=int, default=42)
     for field in dataclasses.fields(ReportSizes):
         p.add_argument("--" + field.name.replace("_", "-"), type=int, default=field.default)
-
-    # argparse takes only tokens like -5 and -.5 for negative numbers and any
-    # other token that starts with '-' for an option; no option here starts
-    # with a digit, so a negative rational such as -1/1000 is a value too
-    for p in sub.choices.values():
-        p._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 
@@ -283,32 +282,14 @@ def _cmd_report(args) -> int:
         if not 0 <= size <= cap:
             raise ValueError(f"--{name.replace('_', '-')} {size} is outside the range 0 to {cap}")
     report = run_report(args.seed, _cfg(args), sizes)
-    if args.json:
-        print(report.to_json())
-    else:
-        print(report.render())
+    _emit(args, report.to_dict(), report.render())
     return 0 if report.clean else 1
-
-
-_COMMANDS = {
-    "sigma": _cmd_sigma,
-    "abundancy": _cmd_abundancy,
-    "exponent": _cmd_exponent,
-    "sandwich": _cmd_sandwich,
-    "check": _cmd_check,
-    "bound": _cmd_bound,
-    "f": _cmd_f,
-    "scan": _cmd_scan,
-    "classify": _cmd_classify,
-    "mersenne": _cmd_mersenne,
-    "report": _cmd_report,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = _COMMANDS[args.command](args)
+        code = args.handler(args)
         sys.stdout.flush()  # so that a reader who closed the pipe is met here
         return code
     except BrokenPipeError:

@@ -255,7 +255,7 @@ def sample_odd_factorization(rng: random.Random, exclude: tuple[int, ...] = ()) 
         count = rng.randint(1, min(5, len(pool)))
         chosen = sorted(rng.sample(pool, count))
         f = Factorization._derived(tuple((p, rng.randint(1, 4)) for p in chosen))
-        if 1 < f.value() <= 10**6:
+        if f.value() <= 10**6:  # at least one odd prime, so above 1
             return f
 
 

@@ -249,8 +249,6 @@ def _ln_scaled(num: int, den: int, w: int) -> tuple[int, int]:
     (decided by the exact test m^2 >= 2), then ln m = 2 atanh((m-1)/(m+1))
     with |(m-1)/(m+1)| <= 3 - 2*sqrt(2) < 0.1716.
     """
-    if num == den:
-        return 0, 0
     if num < den:
         lo, hi = _ln_scaled(den, num, w)
         return -hi, -lo
@@ -516,11 +514,8 @@ def _decimal(x: Fraction, sig: int) -> str:
     when the exponent is moderate, scientifically otherwise."""
     if x == 0:
         return "0"
-    d = _rounded(x, sig, ROUND_HALF_UP)
-    sign, digits, _ = d.as_tuple()
-    e = d.adjusted()
-    padded = Decimal((sign, digits + (0,) * (sig - len(digits)), e - sig + 1))
-    return format(padded, "f" if -4 <= e < sig else "e")
+    d = _rounded(x, sig, ROUND_HALF_UP)  # exactly sig digits, trailing zeros kept
+    return format(d, "f" if -4 <= d.adjusted() < sig else "e")
 
 
 def _radius_text(radius: Fraction) -> str:

@@ -384,7 +384,7 @@ class OrderPredicates:
     @property
     def implications_hold(self) -> bool:
         p1, p2, p3 = self.euler_lt_root, self.cross_lt, self.sigma_lt
-        return (not p1 or p3) and (not p1 or p2) and (not p2 or p3)
+        return (not p1 or p2) and (not p2 or p3)  # so p1 -> p3 as well
 
     @property
     def converse_observed(self) -> bool:

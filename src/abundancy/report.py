@@ -8,7 +8,6 @@ byte-identical JSON: nothing time- or platform-dependent is recorded.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -115,9 +114,6 @@ class ReproductionReport:
             "suites": [asdict(s) for s in self.suites],
             "environment": self.environment,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def render(self) -> str:
         lines = ["reference constants:"]

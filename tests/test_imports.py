@@ -58,3 +58,20 @@ def test_every_name_in_all_is_bound(path):
     module = importlib.import_module(f"abundancy.{path.stem}")
     unbound = sorted(name for name in module.__all__ if not hasattr(module, name))
     assert not unbound, f"{path.name} exports {unbound} and never binds them"
+
+
+# the one private name a module may take from a sibling: the split log in
+# index needs the scaled log kernel itself
+SHARED_PRIVATE = {("index.py", "_ln_scaled")}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_a_private_name_from_a_sibling(path):
+    private = {
+        (path.name, alias.name)
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("abundancy"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    } - SHARED_PRIVATE
+    assert not private, f"{path.name} imports the private names {sorted(n for _, n in private)}"

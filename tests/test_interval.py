@@ -446,6 +446,8 @@ def test_render_edge_cases():
     (Fraction(12345678901), "1.234567890e+10"),
     (Fraction(1234567891, 10**13), "0.0001234567891"),
     (Fraction(1234567891, 10**14), "1.234567891e-5"),
+    (Fraction(-99999999995, 10**10), "-10.00000000"),
+    (Fraction(99999999995, 10), "1.000000000e+10"),  # the carry leaves the positional range
 ])
 def test_decimal_pinned(x, text):
     assert interval._decimal(x, 10) == text

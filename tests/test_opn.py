@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -496,9 +497,10 @@ def test_order_predicates_premise_errors():
 
 
 def test_order_predicates_implication_logic():
-    assert OrderPredicates(True, True, True).implications_hold
-    assert not OrderPredicates(True, False, False).implications_hold
-    assert not OrderPredicates(False, True, False).implications_hold
+    # all three implications p1 -> p2, p2 -> p3 and p1 -> p3, over every input
+    for p1, p2, p3 in itertools.product([False, True], repeat=3):
+        holds = all(not a or b for a, b in [(p1, p2), (p2, p3), (p1, p3)])
+        assert OrderPredicates(p1, p2, p3).implications_hold is holds, (p1, p2, p3)
     assert OrderPredicates(False, False, True).implications_hold  # converse failing is fine
     assert not OrderPredicates(False, False, True).converse_observed
 

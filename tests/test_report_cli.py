@@ -1,4 +1,7 @@
+import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import random
@@ -9,6 +12,7 @@ import mpmath
 import pytest
 
 from fractions import Fraction
+from pathlib import Path
 
 import abundancy
 from conftest import BIG_PRIME, exponent_oracle
@@ -55,7 +59,7 @@ def test_run_report_clean_and_deterministic():
         "mersenne scan",
     }
     second = run_report(seed=42, sizes=SMALL)
-    assert first.to_json() == second.to_json()
+    assert first.to_dict() == second.to_dict()
     different = run_report(seed=43, sizes=SMALL)
     assert different.environment["seed"] == 43
 
@@ -128,6 +132,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def test_every_subcommand_calls_its_own_handler():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, command in sub.choices.items():
+        assert command.get_default("handler") is getattr(cli, f"_cmd_{name}"), name
+    assert {f"_cmd_{name}" for name in sub.choices} == {n for n in vars(cli) if n.startswith("_cmd_")}
 
 
 def test_cli_sigma(capsys):
@@ -499,6 +511,18 @@ def test_cli_names_a_non_positive_factor_as_not_prime(capsys, argv, bad):
     assert captured.err == f"error: {bad} is not prime\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["sigma", "4_5"],
+    ["sigma", "+45"],
+    ["check", "q=5", "k=1", "n=4_5"],
+])
+def test_cli_reads_a_bare_integer_as_int_does(capsys, argv):
+    # a bare n and every factor follow one grammar, int()'s: 4_5 and +45 are 45
+    main(argv)
+    captured = capsys.readouterr()
+    assert captured.err == "" and "3^2*5" in captured.out.splitlines()[0]
+
+
 @pytest.mark.parametrize("flag", ["--bits", "--max-bits"])
 def test_cli_rejects_precision_above_cap(capsys, flag):
     code = main(["bound", "--L", "8/5", "--u", "3", flag, "16385"])
@@ -696,3 +720,52 @@ def test_cli_report_takes_a_mersenne_limit_below_two(capsys, limit):
 def test_precision_config_guard():
     with pytest.raises(ValueError):
         PrecisionConfig(0, 10)
+
+
+# A fixed battery of CLI runs, each pinned by its exit code, stdout and stderr.
+# Argparse usage and help text, which vary across Python versions, are left
+# out, and so is the report, which report-seed42.json pins. Regenerate the
+# file with `PYTHONPATH=src python tests/test_report_cli.py`.
+CLI_GOLDEN = Path(__file__).parent / "data" / "cli-golden.json"
+CLI_BATTERY = [
+    ["sigma", "45"], ["sigma", "3^2*5"], ["sigma", "1", "--json"], ["sigma", "2^15000"],
+    ["sigma", str(10000000019 * 20000000089)],
+    ["abundancy", "45"], ["abundancy", "3^2*5", "--json"],
+    ["exponent", "45"], ["exponent", "3^2*5", "--json"], ["exponent", "3^5000"],
+    ["exponent", str(2**300 + 157), "--max-bits", "256"],  # the least prime above 2^300
+    ["sandwich", "3", "5"], ["sandwich", "9", "25", "--json"], ["sandwich", "3", "9"],
+    ["check", "q=5", "k=1", "n=3^2"], ["check", "q=5", "k=1", "n=3^2", "--json"],
+    ["check", "q=5", "k=1", "n=3^2", "q=13"],
+    ["bound", "--L", "8/5", "--u", "5"], ["bound", "--L", "8/5", "--u", "3", "--json"],
+    ["f", "--q", "5", "--u", "5"], ["f", "--q", "13", "--u", "3", "--json"],
+    ["scan", "--qmax", "100", "--u", "5", "--verbose"], ["scan", "--qmax", "100", "--u", "3"],
+    ["scan", "--qmax", "60", "--u", "5", "--json"], ["scan", "--qmax", "60", "--u", "3", "--verbose", "--json"],
+    ["scan", "--qmax", "100", "--u", "5", "--margin=-1/1000"],
+    ["classify", "13"], ["classify", "17", "--json"], ["classify", "9"],
+    ["mersenne", "--limit", "200"], ["mersenne", "--limit", "200", "--json"], ["mersenne", "--limit", "99999"],
+    ["sigma", "3^x"], ["sigma", "3*"], ["abundancy", "3^-1"], ["sigma", "5*3"], ["sigma", "9^2"],
+    ["sigma", "-7"], ["sigma", "0"], ["check", "q=5", "k=1", "n=3^^2"],
+    ["sigma", "2^70000"], ["exponent", "3^100000"], ["check", "q=5", "k=40000", "n=3"],
+    ["scan", "--qmax", "2000000", "--u", "5"], ["exponent", "3", "--bits", "20000"],
+]
+
+
+def _cli_run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def test_cli_output_matches_the_golden_file(monkeypatch):
+    monkeypatch.delenv(cli.ENV_BITS, raising=False)
+    golden = json.loads(CLI_GOLDEN.read_text(encoding="utf-8"))
+    assert [run["argv"] for run in golden] == CLI_BATTERY
+    for run in golden:
+        assert _cli_run(run["argv"]) == run
+
+
+if __name__ == "__main__":
+    os.environ.pop(cli.ENV_BITS, None)
+    runs = [_cli_run(argv) for argv in CLI_BATTERY]
+    CLI_GOLDEN.write_text(json.dumps(runs, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
