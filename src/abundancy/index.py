@@ -33,7 +33,6 @@ from .interval import (
     Comparison,
     IntervalReal,
     PrecisionConfig,
-    RatioLike,
     _ln_scaled,
     escalate,
     ln_ratio,
@@ -116,13 +115,14 @@ def _ln_indices(f: Factorization, bits: int) -> tuple[int, int, int, int]:
     return lo1, hi1, lo2, hi2
 
 
-def _log_quotient(lo1: RatioLike, hi1: RatioLike, lo2: RatioLike, hi2: RatioLike, bits: int) -> IntervalReal:
-    """ln I(n^2) / ln I(n) from the endpoints of both logs (scaled integers or
-    exact rationals); while either log is not separated from 0 (its lower end
-    <= 0), the exact range [1, 2] is the enclosure."""
+def _log_quotient(lo1: int, hi1: int, lo2: int, hi2: int, bits: int) -> IntervalReal:
+    """ln I(n^2) / ln I(n) from the ends of both logs, integers over one scale
+    (which cancels), as the integer ratios lo2/hi1 and hi2/lo1; while either
+    log is not separated from 0 (its lower end <= 0), the exact range [1, 2]
+    is the enclosure."""
     if lo1 <= 0 or lo2 <= 0:
-        return IntervalReal(Fraction(1), Fraction(2), bits)
-    return IntervalReal(Fraction(lo2, hi1), Fraction(hi2, lo1), bits)
+        return IntervalReal(1, 2, bits)
+    return IntervalReal._of((lo2, hi1), (hi2, lo1), bits)
 
 
 def _within_one_and_two(x: IntervalReal) -> bool | None:
@@ -214,7 +214,8 @@ def reciprocal_exponent(u: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> Int
     index1, index2 = abundancy_index(proven), abundancy_index(proven**2)
     def evaluate(bits: int) -> IntervalReal:
         ln1, ln2 = ln_ratio(index1, bits), ln_ratio(index2, bits)
-        return _log_quotient(ln1.lo, ln1.hi, ln2.lo, ln2.hi, bits)
+        # both logs are integers over the same 2^w, so their numerators suffice
+        return _log_quotient(ln1._lo[0], ln1._hi[0], ln2._lo[0], ln2._hi[0], bits)
 
     _, x = escalate(evaluate, _within_one_and_two, cfg)
     return IntervalReal.exact(1, x.bits) / x

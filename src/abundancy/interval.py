@@ -1,8 +1,9 @@
 """Rigorous real enclosures over exact rational endpoints.
 
-An IntervalReal is a pair of Fractions [lo, hi] guaranteed to contain the
-exact real value it stands for. Ring operations combine endpoints in exact
-rational arithmetic, so they introduce no error at all. Transcendental
+An IntervalReal [lo, hi] is guaranteed to contain the exact real value it
+stands for. Its ends are exact rationals kept as unreduced integer ratios,
+which ring operations combine exactly and comparisons cross-multiply; a
+reduced Fraction is built only when an end is read. Transcendental
 evaluations (ln, exp, powers, square roots) run in fixed-point integer
 arithmetic at w = ``bits + GUARD_BITS`` bits. ln and exp each run one
 floored chain at a few more bits, whose value is a lower bound, and add to it
@@ -13,9 +14,9 @@ bits. The exp chain sums its Taylor series by rectangular splitting, so most
 of its terms cost a division by a small integer instead of a full-width
 product. A power keeps the log of its base as scaled integers up to the exp
 chain, and picks the products with the exponent's ends by their signs.
-Containment is therefore unconditional, and the enclosures never
-touch floating point; only their text is rounded, correctly, by the
-`decimal` module from a short integer quotient of the exact rational.
+Containment is therefore unconditional, and the enclosures never touch
+floating point (a float end is refused); only their text is rounded,
+correctly, by the `decimal` module from a short integer quotient.
 
 Strict inequalities are decided only by enclosure separation, and one method
 spells it out: `IntervalReal.compare`, against another enclosure or an exact
@@ -54,6 +55,7 @@ __all__ = [
 GUARD_BITS = 32
 
 RatioLike = Union[Fraction, int]
+Ratio = tuple[int, int]  # an enclosure end (n, d), d > 0, not reduced
 T = TypeVar("T")
 V = TypeVar("V")
 
@@ -89,28 +91,76 @@ class PrecisionConfig:
 DEFAULT_PRECISION = PrecisionConfig()
 
 
-@dataclass(frozen=True)
+def _ratio(x: RatioLike) -> Ratio:
+    """An int or Fraction end as (n, d); a float is not the decimal it shows."""
+    if isinstance(x, int):
+        return x, 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    raise TypeError(f"an enclosure end must be an int or a Fraction, got {type(x).__name__}")
+
+
+def _less(a: Ratio, b: Ratio) -> bool:
+    """a < b for integer ratios with positive denominators, cross-multiplied."""
+    return a[0] * b[1] < b[0] * a[1]
+
+
 class IntervalReal:
     """Enclosure [lo, hi] of a real value; `bits` is the precision it was
-    produced at (metadata only, the endpoints are exact rationals)."""
+    produced at (metadata only, the ends are exact rationals). Immutable.
 
-    lo: Fraction
-    hi: Fraction
-    bits: int
+    Each end is kept as an unreduced integer ratio (n, d) with d > 0: the ring
+    operators, `compare` and the evaluators combine and cross-multiply those
+    integers with no gcd, and a reduced Fraction is built only where an end is
+    read (`lo`, `hi`, `width`, `midpoint`, `radius`, `render`, `repr`).
+    Equality and hashing follow the values and `bits`."""
 
-    def __post_init__(self) -> None:
-        # an int end becomes a Fraction, so that `/` can never make a float end
-        if type(self.lo) is not Fraction:
-            object.__setattr__(self, "lo", Fraction(self.lo))
-        if type(self.hi) is not Fraction:
-            object.__setattr__(self, "hi", Fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"inverted interval: {self.lo} > {self.hi}")
+    def __init__(self, lo: RatioLike, hi: RatioLike, bits: int) -> None:
+        self._set(_ratio(lo), _ratio(hi), bits)
+
+    @classmethod
+    def _of(cls, lo: Ratio, hi: Ratio, bits: int) -> "IntervalReal":
+        """The enclosure of two integer ratios with positive denominators."""
+        self = object.__new__(cls)
+        self._set(lo, hi, bits)
+        return self
+
+    def _set(self, lo: Ratio, hi: Ratio, bits: int) -> None:
+        if _less(hi, lo):
+            raise ValueError(f"inverted interval: {Fraction(*lo)} > {Fraction(*hi)}")
+        self.__dict__.update(_lo=lo, _hi=hi, bits=bits)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: IntervalReal is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}: IntervalReal is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IntervalReal):
+            return NotImplemented
+        return self.bits == other.bits and all(
+            a[0] * b[1] == b[0] * a[1] for a, b in ((self._lo, other._lo), (self._hi, other._hi))
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi, self.bits))
+
+    def __repr__(self) -> str:
+        return f"IntervalReal(lo={self.lo!r}, hi={self.hi!r}, bits={self.bits!r})"
 
     @classmethod
     def exact(cls, value: RatioLike, bits: int = DEFAULT_PRECISION.initial_bits) -> "IntervalReal":
-        v = Fraction(value)
-        return cls(v, v, bits)
+        v = _ratio(value)
+        return cls._of(v, v, bits)
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(*self._lo)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(*self._hi)
 
     @property
     def width(self) -> Fraction:
@@ -129,12 +179,12 @@ class IntervalReal:
         degenerate enclosure [t, t]): LESS iff hi < other.lo, GREATER iff
         lo > other.hi, else UNDECIDED (touching or overlapping)."""
         if isinstance(other, IntervalReal):
-            other_lo, other_hi = other.lo, other.hi
+            other_lo, other_hi = other._lo, other._hi
         else:
-            other_lo = other_hi = Fraction(other)
-        if self.hi < other_lo:
+            other_lo = other_hi = _ratio(other)
+        if _less(self._hi, other_lo):
             return Comparison.LESS
-        if self.lo > other_hi:
+        if _less(other_hi, self._lo):
             return Comparison.GREATER
         return Comparison.UNDECIDED
 
@@ -145,16 +195,19 @@ class IntervalReal:
         return self.compare(other) is Comparison.UNDECIDED
 
     # Endpoint arithmetic is exact, so these operations are themselves exact
-    # enclosures of the pointwise image; no rounding happens here. A rational
-    # operand is its degenerate enclosure, and `_least_product` picks every end.
+    # enclosures of the pointwise image; no rounding happens here, and no gcd:
+    # the ends stay unreduced integer ratios. A rational operand is its
+    # degenerate enclosure, and `_least_product` picks every end of a product.
 
     def __neg__(self) -> "IntervalReal":
-        return IntervalReal(-self.hi, -self.lo, self.bits)
+        (ln, ld), (hn, hd) = self._lo, self._hi
+        return IntervalReal._of((-hn, hd), (-ln, ld), self.bits)
 
     def __add__(self, other: Union["IntervalReal", RatioLike]) -> "IntervalReal":
         if not isinstance(other, IntervalReal):
             other = IntervalReal.exact(other, self.bits)
-        return IntervalReal(self.lo + other.lo, self.hi + other.hi, min(self.bits, other.bits))
+        ends = [(a * d + c * b, b * d) for (a, b), (c, d) in ((self._lo, other._lo), (self._hi, other._hi))]
+        return IntervalReal._of(*ends, min(self.bits, other.bits))
 
     __radd__ = __add__
 
@@ -164,18 +217,21 @@ class IntervalReal:
     def __mul__(self, other: Union["IntervalReal", RatioLike]) -> "IntervalReal":
         if not isinstance(other, IntervalReal):
             other = IntervalReal.exact(other, self.bits)
-        ya, la = _least_product(self.lo, self.hi, other.lo, other.hi)
-        yb, lb = _least_product(self.lo, self.hi, -other.hi, -other.lo)  # the greatest is -yb lb
-        return IntervalReal(ya * la, -yb * lb, min(self.bits, other.bits))
+        (ln, ld), (hn, hd) = other._lo, other._hi
+        least = _least_product(self._lo, self._hi, other._lo, other._hi)
+        n, d = _least_product(self._lo, self._hi, (-hn, hd), (-ln, ld))  # the greatest is -n/d
+        return IntervalReal._of(least, (-n, d), min(self.bits, other.bits))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Union["IntervalReal", RatioLike]) -> "IntervalReal":
         if not isinstance(other, IntervalReal):
             other = IntervalReal.exact(other, self.bits)
-        if other.lo <= 0 <= other.hi:
+        (ln, ld), (hn, hd) = other._lo, other._hi
+        if ln <= 0 <= hn:
             raise ZeroDivisionError("divisor interval touches zero")
-        return self * IntervalReal(1 / other.hi, 1 / other.lo, other.bits)
+        s = 1 if ln > 0 else -1  # both ends have this sign; 1/(n/d) is sd/sn
+        return self * IntervalReal._of((s * hd, s * hn), (s * ld, s * ln), other.bits)
 
     def __str__(self) -> str:
         return self.render()
@@ -386,7 +442,7 @@ def _sqrt_scaled(num: int, den: int, w: int) -> tuple[int, int]:
 
 def _from_scaled(lo: int, hi: int, w: int, bits: int) -> IntervalReal:
     scale = 1 << w
-    return IntervalReal(Fraction(lo, scale), Fraction(hi, scale), bits)
+    return IntervalReal._of((lo, scale), (hi, scale), bits)
 
 
 # ---------------------------------------------------------------------------
@@ -413,25 +469,27 @@ def exp_interval(x: IntervalReal, bits: int = DEFAULT_PRECISION.initial_bits) ->
     """Enclosure of exp over an enclosure (exp is increasing): one chain, or
     two for an enclosure wider than 2^-(w/2), w = bits + GUARD_BITS."""
     w = bits + GUARD_BITS
-    lo, hi = _exp_between(x.lo.numerator, x.lo.denominator, x.hi.numerator, x.hi.denominator, w)
+    lo, hi = _exp_between(*x._lo, *x._hi, w)
     return _from_scaled(lo, hi, w, bits)
 
 
-def _least_product(y_lo: Fraction, y_hi: Fraction, l_lo: RatioLike, l_hi: RatioLike) -> tuple[Fraction, RatioLike]:
-    """The (y, l) of the least y l over [y_lo, y_hi] x [l_lo, l_hi], picked by
-    the signs of the ends: y l is increasing in y where l >= 0 and decreasing
-    where l <= 0, and likewise in l by the sign of y. Only when both ranges
-    straddle 0 are two candidates compared. It is the rule for every product
-    of enclosures: `IntervalReal.__mul__`, `__truediv__` through it, and
-    `pow_interval`; each takes the greatest as -y l over [-l_hi, -l_lo]."""
-    if l_lo < 0 < l_hi:
-        if y_lo >= 0:
-            return y_hi, l_lo
-        if y_hi <= 0:
-            return y_lo, l_hi
-        return min((y_lo, l_hi), (y_hi, l_lo), key=lambda pair: pair[0] * pair[1])
-    y = y_lo if l_lo >= 0 else y_hi
-    return y, l_lo if y >= 0 else l_hi
+def _least_product(y_lo: Ratio, y_hi: Ratio, l_lo: Ratio, l_hi: Ratio) -> Ratio:
+    """The least y l over [y_lo, y_hi] x [l_lo, l_hi], as the unreduced ratio
+    of the product of the ends picked by their signs: y l is increasing in y
+    where l >= 0 and decreasing where l <= 0, and likewise in l by the sign of
+    y. Only when both ranges straddle 0 are two candidates compared. It is the
+    rule for every product of enclosures: `IntervalReal.__mul__`, `__truediv__`
+    through it, and `pow_interval`; each takes the greatest as -y l over
+    [-l_hi, -l_lo]."""
+    if l_lo[0] < 0 < l_hi[0]:
+        if y_lo[0] < 0 < y_hi[0]:
+            a, b = (y_lo[0] * l_hi[0], y_lo[1] * l_hi[1]), (y_hi[0] * l_lo[0], y_hi[1] * l_lo[1])
+            return a if _less(a, b) else b
+        y, l = (y_hi, l_lo) if y_lo[0] >= 0 else (y_lo, l_hi)
+    else:
+        y = y_lo if l_lo[0] >= 0 else y_hi
+        l = l_lo if y[0] >= 0 else l_hi
+    return y[0] * l[0], y[1] * l[1]
 
 
 def pow_interval(
@@ -449,11 +507,11 @@ def pow_interval(
     if base <= 0:
         raise ValueError(f"pow requires a positive base, got {base}")
     w = bits + GUARD_BITS
-    ln = _ln_scaled(base.numerator, base.denominator, w)
-    ya, la = _least_product(exponent.lo, exponent.hi, *ln)
-    yb, lb = _least_product(exponent.lo, exponent.hi, -ln[1], -ln[0])  # the greatest is -yb lb
-    lo, hi = _exp_between(ya.numerator * la, ya.denominator << w, -yb.numerator * lb, yb.denominator << w, w)
-    return _from_scaled(lo, hi, w, bits)
+    lo, hi = _ln_scaled(base.numerator, base.denominator, w)
+    scale = 1 << w
+    an, ad = _least_product(exponent._lo, exponent._hi, (lo, scale), (hi, scale))
+    bn, bd = _least_product(exponent._lo, exponent._hi, (-hi, scale), (-lo, scale))  # the greatest is -bn/bd
+    return _from_scaled(*_exp_between(an, ad, -bn, bd, w), w, bits)
 
 
 def sqrt_ratio(r: RatioLike, bits: int = DEFAULT_PRECISION.initial_bits) -> IntervalReal:

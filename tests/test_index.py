@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -303,6 +304,59 @@ def test_sandwich_verdict_truth_table():
     assert _sandwich_verdict((low, high, x(2, 3))) is None
     assert _sandwich_verdict((low, high, x(4, 5))) is None
     assert _sandwich_verdict((low, high, x(0, 9))) is None
+
+
+def _reference_sandwich(fa, fb):
+    """sandwich_check recomputed with plain Fractions from the same cached
+    logs: (status, rung, [(lo, hi) of x(a), x(b), x(ab)])."""
+    for bits in PrecisionConfig().ladder():
+        logs_a, logs_b = index._ln_indices(fa, bits), index._ln_indices(fb, bits)
+        ends = [
+            (Fraction(1), Fraction(2)) if lo1 <= 0 or lo2 <= 0 else (Fraction(lo2, hi1), Fraction(hi2, lo1))
+            for lo1, hi1, lo2, hi2 in (logs_a, logs_b, [x + y for x, y in zip(logs_a, logs_b)])
+        ]
+        ab_lo, ab_hi = ends[2]
+        sides = {"LESS" if ab_hi < lo else "GREATER" if ab_lo > hi else None for lo, hi in ends[:2]}
+        if sides == {"LESS", "GREATER"}:
+            return SandwichStatus.HOLDS, bits, ends
+        if len(sides) == 1 and None not in sides:
+            return SandwichStatus.VIOLATED, bits, ends
+    return SandwichStatus.UNDECIDED, bits, ends
+
+
+def test_sandwich_matches_a_plain_fraction_reference():
+    rng = random.Random(20240501)  # the criterion-2 corpus
+    for _ in range(2000):
+        fa, fb = sample_coprime_odd_pair(rng)
+        result = sandwich_check(fa, fb)
+        status, bits, ends = _reference_sandwich(fa, fb)
+        assert result.status is status, (str(fa), str(fb))
+        xs = (result.x_a, result.x_b, result.x_ab)
+        assert [(x.lo, x.hi) for x in xs] == ends and {x.bits for x in xs} == {bits}, (str(fa), str(fb))
+
+
+def test_a_warm_sandwich_check_builds_no_fraction(monkeypatch):
+    # a deterministic work count: timer noise cannot blur it
+    fa, fb = sample_coprime_odd_pair(random.Random(20240501))
+    sandwich_check(fa, fb)  # fills the log caches
+    counts = {"Fraction": 0, "gcd": 0}
+    new, gcd = Fraction.__new__, math.gcd
+
+    def counting_new(cls, *args, **kwargs):
+        counts["Fraction"] += 1
+        return new(cls, *args, **kwargs)
+
+    def counting_gcd(*args):
+        counts["gcd"] += 1
+        return gcd(*args)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    monkeypatch.setattr(math, "gcd", counting_gcd)  # as Fraction sees it
+    monkeypatch.setattr(index, "gcd", counting_gcd)  # the coprimality check
+    result = sandwich_check(fa, fb)
+    monkeypatch.undo()
+    assert result.status is SandwichStatus.HOLDS and result.x_a.bits == 256
+    assert counts == {"Fraction": 0, "gcd": 1}
 
 
 def test_sandwich_rejects_bad_inputs():

@@ -144,10 +144,12 @@ def test_least_product_is_picked_by_the_signs_of_the_ends():
             for j, l_lo in enumerate(logs):
                 for l_hi in logs[j:]:
                     products = [y * l for y in (y_lo, y_hi) for l in (l_lo, l_hi)]
-                    y, l = interval._least_product(y_lo, y_hi, l_lo, l_hi)
-                    assert y in (y_lo, y_hi) and l in (l_lo, l_hi) and y * l == min(products)
-                    y, l = interval._least_product(y_lo, y_hi, -l_hi, -l_lo)
-                    assert y in (y_lo, y_hi) and -l in (l_lo, l_hi) and -y * l == max(products)
+                    # the ends as unreduced integer ratios, the logs over a common 2^3
+                    ys = [(3 * y.numerator, 3 * y.denominator) for y in (y_lo, y_hi)]
+                    n, d = interval._least_product(*ys, (l_lo << 3, 8), (l_hi << 3, 8))
+                    assert d > 0 and Fraction(n, d) == min(products)
+                    n, d = interval._least_product(*ys, (-l_hi << 3, 8), (-l_lo << 3, 8))
+                    assert d > 0 and -Fraction(n, d) == max(products)
 
 
 def _pow_reference(base, exponent, bits):
@@ -269,6 +271,46 @@ def test_int_ends_are_taken_as_fractions():
     assert quotient.contains(Fraction(2, 3))
     assert quotient.render() == "0.5000000000 ± 2e-1 @64b"
     assert IntervalReal(1, 2, 8).midpoint == Fraction(3, 2)
+
+
+def test_float_ends_are_refused():
+    # 0.1 is 3602879701896397/2^55, so [0.1, 0.2] would not contain 1/10
+    for lo, hi in ((0.1, 0.2), (Fraction(1, 10), 0.2), (0, 1.0)):
+        with pytest.raises(TypeError, match="int or a Fraction, got float"):
+            IntervalReal(lo, hi, 64)
+    x = IntervalReal(1, 2, 64)
+    uses = (lambda: IntervalReal.exact(0.5), lambda: x + 0.5, lambda: 0.5 * x, lambda: x / 0.5, lambda: x.compare(0.5))
+    for use in uses:
+        with pytest.raises(TypeError):
+            use()
+
+
+def test_equal_values_are_equal_enclosures_however_built():
+    w = 8 + interval.GUARD_BITS
+    scaled = interval._from_scaled(3 << (w - 2), 5 << (w - 2), w, 8)  # [3/4, 5/4] over 2^w
+    plain = IntervalReal(Fraction(3, 4), Fraction(5, 4), 8)
+    assert scaled == plain and hash(scaled) == hash(plain) and len({scaled, plain}) == 1
+    assert scaled != IntervalReal(Fraction(3, 4), Fraction(5, 4), 16)
+    assert repr(scaled) == "IntervalReal(lo=Fraction(3, 4), hi=Fraction(5, 4), bits=8)"
+    quotient, expected = index._log_quotient(4, 6, 9, 12, 8), IntervalReal(Fraction(3, 2), 3, 8)  # [9/6, 12/4]
+    assert quotient == expected and hash(quotient) == hash(expected)
+    with pytest.raises(AttributeError):
+        scaled.bits = 16
+    with pytest.raises(ValueError, match=r"^inverted interval: 2 > 3/2$"):
+        IntervalReal._of((4, 2), (3, 2), 8)
+
+
+def test_negative_operands_keep_positive_denominators():
+    x = IntervalReal(Fraction(-7, 3), Fraction(-1, 5), 64)
+    cases = {
+        "-x": (-x, Fraction(1, 5), Fraction(7, 3)),
+        "1/x": (IntervalReal.exact(1, 64) / x, Fraction(-5), Fraction(-3, 7)),
+        "x/-2": (x / -2, Fraction(1, 10), Fraction(7, 6)),
+        "x/x": (x / x, Fraction(3, 35), Fraction(35, 3)),
+    }
+    for name, (result, lo, hi) in cases.items():
+        assert result._lo[1] > 0 and result._hi[1] > 0, name
+        assert (result.lo, result.hi) == (lo, hi), name
 
 
 def test_the_log_of_an_exact_rational_never_straddles_zero():
