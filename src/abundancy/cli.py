@@ -34,7 +34,6 @@ from .opn import (
 )
 from .report import ReportSizes, run_report
 
-ENV_BITS = "ABUNDANCY_BITS"
 # Input caps, so that every command ends in bounded time and memory.
 # On a 2-core x86-64 VM, `exponent 3^32768` prints its 4096-bit enclosure after 0.14 s and
 # `scan --qmax 1000000 --u 5` takes 6.5-7.5 s; the sieve holds one byte per integer.
@@ -78,8 +77,8 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     bits, max_bits = DEFAULT_PRECISION.initial_bits, DEFAULT_PRECISION.max_bits
-    common.add_argument("--bits", type=int, default=os.environ.get(ENV_BITS, bits),
-                        help=f"working precision in bits (default {bits}, env {ENV_BITS})")
+    common.add_argument("--bits", type=int, default=bits,
+                        help=f"working precision in bits (default {bits})")
     common.add_argument("--max-bits", type=int, default=max_bits,
                         help=f"precision ceiling for escalation (default {max_bits})")
     common.add_argument("--json", action="store_true", help="emit machine-readable JSON")

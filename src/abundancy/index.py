@@ -221,7 +221,7 @@ def reciprocal_exponent(u: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> Int
     return IntervalReal.exact(1, x.bits) / x
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=512, typed=True)  # so that 2.0 does not hit the cached bound of 2
 def index_lower_bound(
     L: Fraction | int,
     u: int,
@@ -234,8 +234,8 @@ def index_lower_bound(
     L = 8/5 (root part of a candidate) and L = 2q/(q+1) (Euler-prime scans).
     """
     if L <= 1:
-        shown = f"{render_short(L.numerator)}/{render_short(L.denominator)}"
-        raise ValueError(f"the bound collapses for L <= 1, got {shown}")
+        n, d = L.as_integer_ratio()  # a float below 1 too; pow_interval refuses one above
+        raise ValueError(f"the bound collapses for L <= 1, got {render_short(n)}/{render_short(d)}")
     y = reciprocal_exponent(u, cfg)
     return pow_interval(L, y, y.bits)
 

@@ -14,9 +14,9 @@ bits. The exp chain sums its Taylor series by rectangular splitting, so most
 of its terms cost a division by a small integer instead of a full-width
 product. A power keeps the log of its base as scaled integers up to the exp
 chain, and picks the products with the exponent's ends by their signs.
-Containment is therefore unconditional, and the enclosures never touch
-floating point (a float end is refused); only their text is rounded,
-correctly, by the `decimal` module from a short integer quotient.
+Containment is therefore unconditional. Every exact rational, an end or an
+evaluator's argument, is read by `_ratio` as an int or a Fraction, never a
+float. Only text is rounded: correctly, by `decimal`, from a short quotient.
 
 Strict inequalities are decided only by enclosure separation, and one method
 spells it out: `IntervalReal.compare`, against another enclosure or an exact
@@ -92,12 +92,12 @@ DEFAULT_PRECISION = PrecisionConfig()
 
 
 def _ratio(x: RatioLike) -> Ratio:
-    """An int or Fraction end as (n, d); a float is not the decimal it shows."""
+    """An int or Fraction as (n, d), d > 0; a float is not the decimal it shows."""
     if isinstance(x, int):
         return x, 1
     if isinstance(x, Fraction):
         return x.numerator, x.denominator
-    raise TypeError(f"an enclosure end must be an int or a Fraction, got {type(x).__name__}")
+    raise TypeError(f"an exact rational must be an int or a Fraction, got {type(x).__name__}")
 
 
 def _less(a: Ratio, b: Ratio) -> bool:
@@ -452,12 +452,11 @@ def _from_scaled(lo: int, hi: int, w: int, bits: int) -> IntervalReal:
 
 def ln_ratio(r: RatioLike, bits: int = DEFAULT_PRECISION.initial_bits) -> IntervalReal:
     """Enclosure of ln(r) for an exact rational r > 0."""
-    r = Fraction(r)
-    if r <= 0:
-        raise ValueError(f"ln requires a positive argument, got {r}")
+    n, d = _ratio(r)
+    if n <= 0:
+        raise ValueError(f"ln requires a positive argument, got {Fraction(n, d)}")
     w = bits + GUARD_BITS
-    lo, hi = _ln_scaled(r.numerator, r.denominator, w)
-    return _from_scaled(lo, hi, w, bits)
+    return _from_scaled(*_ln_scaled(n, d, w), w, bits)
 
 
 def exp_ratio(x: RatioLike, bits: int = DEFAULT_PRECISION.initial_bits) -> IntervalReal:
@@ -469,8 +468,7 @@ def exp_interval(x: IntervalReal, bits: int = DEFAULT_PRECISION.initial_bits) ->
     """Enclosure of exp over an enclosure (exp is increasing): one chain, or
     two for an enclosure wider than 2^-(w/2), w = bits + GUARD_BITS."""
     w = bits + GUARD_BITS
-    lo, hi = _exp_between(*x._lo, *x._hi, w)
-    return _from_scaled(lo, hi, w, bits)
+    return _from_scaled(*_exp_between(*x._lo, *x._hi, w), w, bits)
 
 
 def _least_product(y_lo: Ratio, y_hi: Ratio, l_lo: Ratio, l_hi: Ratio) -> Ratio:
@@ -500,14 +498,15 @@ def pow_interval(
     """Enclosure of base**exponent = exp(exponent * ln(base)) for an exact
     rational base > 0 (ValueError otherwise): `_least_product` picks the least
     and greatest products of the exponent's ends with the scaled-integer log
-    of the base, as in `IntervalReal.__mul__`, and they go to the exp chain as
-    integer pairs. That log never straddles 0 (lo >= 0 for base >= 1, hi <= 0
-    for base <= 1), so only `__mul__` of two straddling enclosures compares."""
-    base = Fraction(base)
-    if base <= 0:
-        raise ValueError(f"pow requires a positive base, got {base}")
+    of the base, which never straddles 0, and they go to the exp chain as
+    integer pairs. That is the enclosure of `exp_interval(exponent *
+    ln_ratio(base, bits), bits)`, whose `_of` would cross-multiply the
+    ~8,250-bit product ends: 15 % more per call at 4096 bits."""
+    n, d = _ratio(base)
+    if n <= 0:
+        raise ValueError(f"pow requires a positive base, got {Fraction(n, d)}")
     w = bits + GUARD_BITS
-    lo, hi = _ln_scaled(base.numerator, base.denominator, w)
+    lo, hi = _ln_scaled(n, d, w)
     scale = 1 << w
     an, ad = _least_product(exponent._lo, exponent._hi, (lo, scale), (hi, scale))
     bn, bd = _least_product(exponent._lo, exponent._hi, (-hi, scale), (-lo, scale))  # the greatest is -bn/bd
@@ -517,12 +516,11 @@ def pow_interval(
 def sqrt_ratio(r: RatioLike, bits: int = DEFAULT_PRECISION.initial_bits) -> IntervalReal:
     """Enclosure of sqrt(r) for an exact rational r >= 0, from integer square
     root refinement (no decimal literals anywhere)."""
-    r = Fraction(r)
-    if r < 0:
-        raise ValueError(f"sqrt requires a non-negative argument, got {r}")
+    n, d = _ratio(r)
+    if n < 0:
+        raise ValueError(f"sqrt requires a non-negative argument, got {Fraction(n, d)}")
     w = bits + GUARD_BITS
-    lo, hi = _sqrt_scaled(r.numerator, r.denominator, w)
-    return _from_scaled(lo, hi, w, bits)
+    return _from_scaled(*_sqrt_scaled(n, d, w), w, bits)
 
 
 def escalate(

@@ -400,6 +400,11 @@ def test_index_lower_bound_rejects_degenerate():
         index_lower_bound(Fraction(8, 5), 9)  # not prime
     with pytest.raises(ValueError):
         index_lower_bound(Fraction(8, 5), 2)  # not odd
+    # a float is no exact rational: 1.6 is not 8/5, and 2.0 must not hit the cached bound of 2
+    index_lower_bound(2, 3)
+    for L in (1.6, 0.5, 2.0):
+        with pytest.raises((TypeError, ValueError)):
+            index_lower_bound(L, 3)
 
 
 def test_index_lower_bound_beats_trivial_sqrt():

@@ -279,9 +279,12 @@ def test_float_ends_are_refused():
         with pytest.raises(TypeError, match="int or a Fraction, got float"):
             IntervalReal(lo, hi, 64)
     x = IntervalReal(1, 2, 64)
-    uses = (lambda: IntervalReal.exact(0.5), lambda: x + 0.5, lambda: 0.5 * x, lambda: x / 0.5, lambda: x.compare(0.5))
+    uses = (lambda: IntervalReal.exact(0.5), lambda: x + 0.5, lambda: 0.5 * x, lambda: x / 0.5, lambda: x.compare(0.5),
+            # the evaluators read their argument by the same rule: sqrt_ratio(0.01) would miss 1/10
+            lambda: ln_ratio(0.1), lambda: ln_ratio("8/5"), lambda: sqrt_ratio(0.01), lambda: exp_ratio(0.1),
+            lambda: pow_interval(0.1, IntervalReal.exact(1)), lambda: sqrt_ratio(Decimal("0.01")))
     for use in uses:
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="int or a Fraction, got"):
             use()
 
 

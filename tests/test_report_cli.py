@@ -383,30 +383,11 @@ def test_cli_respects_bits_flag(capsys):
     assert code == 0 and "@64b" in out
 
 
-def test_cli_env_default_bits(capsys, monkeypatch):
-    monkeypatch.setenv("ABUNDANCY_BITS", "128")
-    # parser defaults are read at build time, so rebuild through main()
-    code, out = run_cli(capsys, "exponent", "3")
-    assert code == 0 and "@128b" in out
-
-
-def test_cli_precision_and_margin_defaults_are_the_library_defaults(monkeypatch):
-    argv = ["scan", "--qmax", "100", "--u", "5"]
-    monkeypatch.delenv(cli.ENV_BITS, raising=False)
-    args = cli.build_parser().parse_args(argv)
+def test_cli_precision_and_margin_defaults_are_the_library_defaults():
+    args = cli.build_parser().parse_args(["scan", "--qmax", "100", "--u", "5"])
     assert args.bits == DEFAULT_PRECISION.initial_bits
     assert args.max_bits == DEFAULT_PRECISION.max_bits
     assert args.margin == DEFAULT_MARGIN
-    monkeypatch.setenv(cli.ENV_BITS, "128")
-    assert cli.build_parser().parse_args(argv).bits == 128
-
-
-def test_cli_env_invalid_bits_is_an_argument_error(capsys, monkeypatch):
-    monkeypatch.setenv("ABUNDANCY_BITS", "abc")
-    with pytest.raises(SystemExit) as exit_info:
-        main(["sigma", "45"])
-    assert exit_info.value.code == 2
-    assert "error: argument --bits: invalid int value: 'abc'" in capsys.readouterr().err
 
 
 def test_cli_exponent_of_big_prime_escalates(capsys):
@@ -757,8 +738,7 @@ def _cli_run(argv):
     return {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
-def test_cli_output_matches_the_golden_file(monkeypatch):
-    monkeypatch.delenv(cli.ENV_BITS, raising=False)
+def test_cli_output_matches_the_golden_file():
     golden = json.loads(CLI_GOLDEN.read_text(encoding="utf-8"))
     assert [run["argv"] for run in golden] == CLI_BATTERY
     for run in golden:
@@ -766,6 +746,5 @@ def test_cli_output_matches_the_golden_file(monkeypatch):
 
 
 if __name__ == "__main__":
-    os.environ.pop(cli.ENV_BITS, None)
     runs = [_cli_run(argv) for argv in CLI_BATTERY]
     CLI_GOLDEN.write_text(json.dumps(runs, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
