@@ -10,8 +10,10 @@ oracle for cross-checking it.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 import reprlib
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -106,7 +108,7 @@ def is_prime(n: int) -> bool:
     probable-prime claim. No BPSW pseudoprime is known, and none exists
     below 2^64.
     """
-    if n < 2:
+    if operator.index(n) < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
@@ -197,7 +199,7 @@ def lucas_lehmer(p: int) -> bool:
     witnesses); a divisor found is an exact composite verdict. Every True is a
     full Lucas-Lehmer proof.
     """
-    if p < 2:
+    if operator.index(p) < 2:
         raise ValueError(f"exponent must be >= 2, got {p}")
     if p == 2:
         return True
@@ -239,7 +241,7 @@ class Factorization:
         for p, e in self.factors:
             if 1 < p <= prev:  # p < 2 is left to the primality check below
                 raise ValueError(f"primes must increase, got {render_short(p)} after {render_short(prev)}")
-            if e < 1:
+            if operator.index(e) < 1:
                 raise ValueError(f"exponent of {render_short(p)} must be >= 1, got {render_short(e)}")
             prev = p
         for p, _ in self.factors:
@@ -262,7 +264,7 @@ class Factorization:
 
     def __pow__(self, k: int) -> "Factorization":
         """Factorization of value()**k for k >= 1 (exponents scaled, no re-proof)."""
-        if k < 1:
+        if operator.index(k) < 1:
             raise ValueError(f"power must be >= 1, got {k}")
         return Factorization._derived(tuple((p, k * e) for p, e in self.factors))
 
@@ -301,11 +303,15 @@ _INTEGER_TEXT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")  # the texts int() reads 
 
 def parse_integer(text: str, what: str) -> int:
     """int(text); a text int() cannot read is a ValueError that names what it
-    stands for and shows it cut as reprlib cuts it. A well-formed integer
-    past int()'s digit limit keeps int()'s own error."""
+    stands for and shows it cut as reprlib cuts it. So is a well-formed integer
+    past int()'s digit limit, and its error points to the factored form."""
     if not _INTEGER_TEXT.fullmatch(text):
         raise ValueError(f"{what} must be an integer, got {reprlib.repr(text)}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise ValueError(f"{what} has more than {sys.get_int_max_str_digits()} digits;"
+                         " write it in factored form, such as 2^15000") from None
 
 
 def factor_pairs(text: str) -> tuple[tuple[int, int], ...]:

@@ -299,6 +299,3 @@ def main(argv: list[str] | None = None) -> int:
         print(_error_line(f"error: {exc}"), file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

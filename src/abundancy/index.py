@@ -203,7 +203,7 @@ def _sandwich_verdict(xs: tuple[IntervalReal, IntervalReal, IntervalReal]) -> Sa
 # each. A candidate's u is its least prime, and candidates share it: 1,440
 # candidate_checks requests (seed 7, 4 rounds) hit index_lower_bound 1,437
 # times and missed on 3 keys, the only 3 calls of reciprocal_exponent.
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=512, typed=True)  # so that 3.0 does not hit the cached exponent of 3
 def reciprocal_exponent(u: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> IntervalReal:
     """Enclosure of 1/x(u) = ln(I(u))/ln(I(u^2)) for an odd prime u: the
     reciprocal of x(u) enclosed by abundancy_exponent's rule, escalating until

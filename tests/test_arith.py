@@ -420,6 +420,14 @@ def test_factorization_validation():
         Factorization(((5, 1), (3, 1)))  # not ascending
     with pytest.raises(ValueError):
         Factorization(((3, 0),))  # unit entry
+    # primes and exponents are integers: 3.0 is refused at intake, not proven prime
+    for factors in (((3, 2.0),), ((3.0, 2),), ((3, Fraction(2)),)):
+        with pytest.raises(TypeError, match="interpreted as an integer"):
+            Factorization(factors)
+    three = Factorization(((3, 1),))
+    for call, arg in ((is_prime, 3.0), (is_prime, Fraction(3)), (arith.lucas_lehmer, 2.0), (three.__pow__, 2.0)):
+        with pytest.raises(TypeError, match="interpreted as an integer"):
+            call(arg)
 
 
 def test_a_malformed_factorization_is_refused_before_any_primality_proof(monkeypatch):

@@ -1,8 +1,12 @@
 """Import hygiene of the package, read off its syntax trees: no module keeps
-an import it does not use, and the package re-exports only public names."""
+an import it does not use, and the package re-exports exactly its modules'
+__all__."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,14 +43,22 @@ def test_every_top_level_import_is_used_or_exported(path):
     assert not unused, f"{path.name} imports {sorted(unused)} and never uses them"
 
 
-def test_the_package_imports_only_names_its_modules_export():
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom):
-            assert node.level == 1, ast.unparse(node)
-            source = ast.parse((PACKAGE / f"{node.module}.py").read_text())
-            private = {a.name for a in node.names} - _exported(source)
-            assert not private, f"abundancy imports {sorted(private)} from {node.module}, outside its __all__"
+def test_the_package_exports_each_modules_all_and_loads_no_cli():
+    package = importlib.import_module("abundancy")
+    sources = [node for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
+               if isinstance(node, ast.ImportFrom)]
+    assert sorted(node.module for node in sources) == ["arith", "index", "interval", "mersenne", "opn", "report"]
+    for node in sources:
+        assert node.level == 1 and [a.name for a in node.names] == ["*"], ast.unparse(node)
+        module = importlib.import_module(f"abundancy.{node.module}")
+        assert hasattr(module, "__all__"), f"{node.module} has no __all__"
+        for name in module.__all__:
+            assert getattr(package, name, None) is getattr(module, name), f"abundancy.{name} is not {node.module}'s"
+    # the command line, with argparse and json, loads only when it runs
+    probe = "import abundancy, sys; print('abundancy.cli' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert loaded.stdout == "False\n"
 
 
 @pytest.mark.parametrize(

@@ -405,6 +405,10 @@ def test_index_lower_bound_rejects_degenerate():
     for L in (1.6, 0.5, 2.0):
         with pytest.raises((TypeError, ValueError)):
             index_lower_bound(L, 3)
+    # nor is 3.0 a prime, and it must not hit the cached exponent of 3
+    for call in (lambda: index_lower_bound(2, 3.0), lambda: reciprocal_exponent(3.0)):
+        with pytest.raises(TypeError, match="interpreted as an integer"):
+            call()
 
 
 def test_index_lower_bound_beats_trivial_sqrt():

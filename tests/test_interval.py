@@ -299,6 +299,9 @@ def test_equal_values_are_equal_enclosures_however_built():
     assert quotient == expected and hash(quotient) == hash(expected)
     with pytest.raises(AttributeError):
         scaled.bits = 16
+    with pytest.raises(AttributeError, match="cannot delete field 'bits'"):
+        del scaled.bits
+    assert (scaled == 1) is False and (scaled != 1) is True  # no enclosure equals a number
     with pytest.raises(ValueError, match=r"^inverted interval: 2 > 3/2$"):
         IntervalReal._of((4, 2), (3, 2), 8)
 

@@ -593,6 +593,15 @@ def test_cli_error_line_is_one_bounded_line(capsys, argv):
         assert "coprime" in err
 
 
+def test_cli_names_the_digit_limit_of_a_decimal_integer(capsys):
+    # int()'s own error advises sys.set_int_max_str_digits(), a call no CLI user can make
+    limit = sys.get_int_max_str_digits()
+    assert main(["sigma", "1" * (limit + 1)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: p in the factor ") and err.count("\n") == 1 and len(err) <= 200
+    assert f"more than {limit} digits" in err and "factored form" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["mersenne", "--limit", "x" * 3000],
     ["mersenne", "--limit", "7" * 5000],  # past int()'s 4,300-digit limit
