@@ -301,27 +301,27 @@ class Factorization:
 _INTEGER_TEXT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")  # the texts int() reads in base 10
 
 
-def parse_integer(text: str, what: str) -> int:
+def parse_integer(text: str, what: str, suffix: str = "") -> int:
     """int(text); a text int() cannot read is a ValueError that names what it
     stands for and shows it cut as reprlib cuts it. So is a well-formed integer
-    past int()'s digit limit, and its error points to the factored form."""
+    past int()'s digit limit: its error names that limit and ends with suffix."""
     if not _INTEGER_TEXT.fullmatch(text):
         raise ValueError(f"{what} must be an integer, got {reprlib.repr(text)}")
     try:
         return int(text)
     except ValueError:  # more digits than sys.get_int_max_str_digits()
-        raise ValueError(f"{what} has more than {sys.get_int_max_str_digits()} digits;"
-                         " write it in factored form, such as 2^15000") from None
+        raise ValueError(f"{what} has more than {sys.get_int_max_str_digits()} digits{suffix}") from None
 
 
 def factor_pairs(text: str) -> tuple[tuple[int, int], ...]:
     """The unchecked (p, e) pairs of the factored text form: no prime is proven.
     A factor that is not p or p^e is a ValueError that names it."""
     pairs = []
+    advice = "; write it in factored form, such as 2^15000"  # p has one; an exponent has none
     for part in text.strip().split("*"):
         p_text, caret, e_text = part.partition("^")
         form = reprlib.repr(part)
-        pairs.append((parse_integer(p_text, f"p in the factor {form}"),
+        pairs.append((parse_integer(p_text, f"p in the factor {form}", advice),
                       parse_integer(e_text, f"e in the factor {form}") if caret else 1))
     return tuple(pairs)
 

@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 from typing import NoReturn
 
-from .arith import Factorization, FactorizationBudgetError, factor_pairs, render_exact, sigma
+from .arith import Factorization, FactorizationBudgetError, factor_pairs, parse_integer, render_exact, sigma
 from .index import (
     SandwichStatus,
     abundancy_exponent,
@@ -61,6 +61,15 @@ def _exact_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a finite exact rational: {text!r}") from None
 
 
+def _integer(text: str) -> int:
+    """An integer option, read by parse_integer's rule. Past int()'s digit
+    limit its error shows the whole text, whose digits _error_line cuts."""
+    try:
+        return parse_integer(text, "the value", f", got {text!r}")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _error_line(text: str) -> str:
     """text cut to 199 characters, 200 with its newline; runs of more than 40
     digits are shortened first, on the text, so int() cannot raise."""
@@ -76,12 +85,13 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    bits, max_bits = DEFAULT_PRECISION.initial_bits, DEFAULT_PRECISION.max_bits
-    common.add_argument("--bits", type=int, default=bits,
-                        help=f"working precision in bits (default {bits})")
-    common.add_argument("--max-bits", type=int, default=max_bits,
-                        help=f"precision ceiling for escalation (default {max_bits})")
     common.add_argument("--json", action="store_true", help="emit machine-readable JSON")
+    precision = argparse.ArgumentParser(add_help=False)  # for the commands that call _cfg
+    bits, max_bits = DEFAULT_PRECISION.initial_bits, DEFAULT_PRECISION.max_bits
+    precision.add_argument("--bits", type=_integer, default=bits,
+                           help=f"working precision in bits (default {bits})")
+    precision.add_argument("--max-bits", type=_integer, default=max_bits,
+                           help=f"precision ceiling for escalation (default {max_bits})")
 
     parser = _Parser(
         prog="abundancy",
@@ -94,9 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
     # with a digit, so a negative rational such as -1/1000 is a value too
     negative_number = re.compile(r"^-\.?\d")
 
-    def command(handler, help: str) -> argparse.ArgumentParser:
+    def command(handler, *parents: argparse.ArgumentParser, help: str) -> argparse.ArgumentParser:
         """The subcommand named after handler (`_cmd_<name>`), which main calls."""
-        p = sub.add_parser(handler.__name__.removeprefix("_cmd_"), parents=[common], help=help)
+        p = sub.add_parser(handler.__name__.removeprefix("_cmd_"), parents=[common, *parents], help=help)
         p.set_defaults(handler=handler)
         p._negative_number_matcher = negative_number
         return p
@@ -107,42 +117,42 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(_cmd_abundancy, help="abundancy index sigma(n)/n")
     p.add_argument("value")
 
-    p = command(_cmd_exponent, help="abundancy exponent x(n)")
+    p = command(_cmd_exponent, precision, help="abundancy exponent x(n)")
     p.add_argument("value")
 
-    p = command(_cmd_sandwich, help="certify min(x(a),x(b)) < x(ab) < max(x(a),x(b))")
+    p = command(_cmd_sandwich, precision, help="certify min(x(a),x(b)) < x(ab) < max(x(a),x(b))")
     p.add_argument("a")
     p.add_argument("b")
 
-    p = command(_cmd_check, help="validate an odd-perfect-number candidate line")
+    p = command(_cmd_check, precision, help="validate an odd-perfect-number candidate line")
     p.add_argument("candidate", nargs="+", help="e.g. q=5 k=1 n=3^2")
 
-    p = command(_cmd_bound, help="certified lower bound L^(1/x(u))")
+    p = command(_cmd_bound, precision, help="certified lower bound L^(1/x(u))")
     p.add_argument("--L", required=True, type=_exact_rational, help="exact rational, e.g. 8/5")
-    p.add_argument("--u", required=True, type=int, help="odd prime")
+    p.add_argument("--u", required=True, type=_integer, help="odd prime")
 
-    p = command(_cmd_f, help="Euler-prime bound f(q,u) = (q+1)/q + (2q/(q+1))^(1/x(u))")
-    p.add_argument("--q", required=True, type=int)
-    p.add_argument("--u", required=True, type=int)
+    p = command(_cmd_f, precision, help="Euler-prime bound f(q,u) = (q+1)/q + (2q/(q+1))^(1/x(u))")
+    p.add_argument("--q", required=True, type=_integer)
+    p.add_argument("--u", required=True, type=_integer)
 
-    p = command(_cmd_scan, help="certify f(q,u) against 1+sqrt(3) over primes q = 1 (mod 4)")
-    p.add_argument("--qmax", required=True, type=int)
-    p.add_argument("--u", required=True, type=int)
+    p = command(_cmd_scan, precision, help="certify f(q,u) against 1+sqrt(3) over primes q = 1 (mod 4)")
+    p.add_argument("--qmax", required=True, type=_integer)
+    p.add_argument("--u", required=True, type=_integer)
     p.add_argument("--margin", type=_exact_rational, default=DEFAULT_MARGIN,
                    help="required clearance for u >= 5 (exact rational)")
     p.add_argument("--verbose", action="store_true", help="print every grid entry")
 
     p = command(_cmd_classify, help="residual case of an Euler prime mod 12")
-    p.add_argument("q", type=int)
+    p.add_argument("q", type=_integer)
 
     p = command(_cmd_mersenne, help="Lucas-Lehmer exponent scan")
-    p.add_argument("--limit", required=True, type=int,
+    p.add_argument("--limit", required=True, type=_integer,
                    help=f"largest exponent to test, at most {DESK_SCALE_CAP}")
 
-    p = command(_cmd_report, help="full reproduction document")
-    p.add_argument("--seed", type=int, default=42)
+    p = command(_cmd_report, precision, help="full reproduction document")
+    p.add_argument("--seed", type=_integer, default=42)
     for field in dataclasses.fields(ReportSizes):
-        p.add_argument("--" + field.name.replace("_", "-"), type=int, default=field.default)
+        p.add_argument("--" + field.name.replace("_", "-"), type=_integer, default=field.default)
     return parser
 
 
@@ -275,12 +285,12 @@ def _cmd_mersenne(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    sizes = ReportSizes(**{f.name: getattr(args, f.name) for f in dataclasses.fields(ReportSizes)})
-    for name, size in dataclasses.asdict(sizes).items():
+    sizes = {f.name: getattr(args, f.name) for f in dataclasses.fields(ReportSizes)}
+    for name, size in sizes.items():  # ahead of ReportSizes' own check, so the error names the cap
         cap = getattr(MAX_REPORT_SIZES, name)
         if not 0 <= size <= cap:
             raise ValueError(f"--{name.replace('_', '-')} {size} is outside the range 0 to {cap}")
-    report = run_report(args.seed, _cfg(args), sizes)
+    report = run_report(args.seed, _cfg(args), ReportSizes(**sizes))
     _emit(args, report.to_dict(), report.render())
     return 0 if report.clean else 1
 

@@ -482,7 +482,7 @@ def ceiling_scan(
     passing = Comparison.GREATER if expect_greater else Comparison.LESS
     margin, relation = (required_margin, ">") if expect_greater else (Fraction(0), "<")
     rows: list[Check] = []
-    minimum = least = None
+    least = least_q = None  # ranked by unreduced lower ends, cross-multiplied as in interval._less
     for q in primes_up_to(q_limit):
         if q < 5 or q % 4 != 1:
             continue
@@ -490,9 +490,9 @@ def ceiling_scan(
                                  lambda bits: ceiling_interval(bits) + margin, passing, cfg)
         witness = f"f = {bound.render()} vs ceiling = {ceiling_interval(bound.bits).render()}"
         rows.append(Check(f"f({q}, {u}) {relation} 1+sqrt(3)", status, witness))
-        if least is None or bound.lo < least.lo:
-            least, minimum = bound, Check("minimum over scan", CheckStatus.PASS,
-                                          f"q = {q}: f = {bound.render()}")
+        if least is None or bound._lo[0] * least._lo[1] < least._lo[0] * bound._lo[1]:
+            least, least_q = bound, q
+    minimum = least and Check("minimum over scan", CheckStatus.PASS, f"q = {least_q}: f = {least.render()}")
     status, limit = _certify(partial(euler_sum_bound_limit, u), ceiling_interval, passing, cfg)
     limit_row = Check("limit as q grows", status, f"1 + 2^(1/x({u})) = {limit.render()}")
     return CeilingScan((*rows, limit_row), tuple(rows), minimum, limit_row)

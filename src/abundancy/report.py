@@ -95,6 +95,11 @@ class ReportSizes:
     scan_limit: int = 10_000
     mersenne_limit: int = 2_500
 
+    def __post_init__(self) -> None:
+        for name, size in asdict(self).items():
+            if size < 0:
+                raise ValueError(f"report size {name} must not be negative, got {size}")
+
 
 @dataclass(frozen=True)
 class ReproductionReport:

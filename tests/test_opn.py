@@ -585,6 +585,12 @@ def test_ceiling_scan_minimum_keeps_the_first_q_on_a_tie(monkeypatch):
     monkeypatch.setattr(opn, "euler_sum_bound", lambda q, u, cfg: tied)
     report = ceiling_scan(100, 5)
     assert report.minimum.witness == f"q = 5: f = {tied.render()}"
+    # a later enclosure that overlaps the minimum but starts lower takes its
+    # place, though no separation orders the two; a tie keeps the first again
+    lower = IntervalReal(tied.lo - tied.width, tied.midpoint, tied.bits)
+    assert lower.overlaps(tied) and lower.lo < tied.lo
+    monkeypatch.setattr(opn, "euler_sum_bound", lambda q, u, cfg: lower if q in (13, 29) else tied)
+    assert ceiling_scan(100, 5).minimum.witness == f"q = 13: f = {lower.render()}"
 
 
 def test_ceiling_scan_u3_no_contradiction():

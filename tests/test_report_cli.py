@@ -512,6 +512,37 @@ def test_cli_rejects_precision_above_cap(capsys, flag):
     assert captured.err == "error: --bits and --max-bits must not exceed 16384\n"
 
 
+# the seven commands that read a precision, each with a cheap input
+PRECISION_COMMANDS = {
+    "exponent": ["3"], "sandwich": ["3", "5"], "check": ["q=5", "k=1", "n=3^2"],
+    "bound": ["--L", "8/5", "--u", "3"], "f": ["--q", "5", "--u", "5"],
+    "scan": ["--qmax", "20", "--u", "5"], "report": [],
+}
+
+
+def test_cli_precision_commands_keep_both_flags_their_defaults_and_the_cap(capsys):
+    parser = cli.build_parser()
+    for command, argv in PRECISION_COMMANDS.items():
+        args = parser.parse_args([command, *argv])
+        assert (args.bits, args.max_bits) == (256, 4096)
+        for flag in ("--bits", "--max-bits"):
+            assert main([command, *argv, flag, "16385"]) == 2
+            assert capsys.readouterr().err == "error: --bits and --max-bits must not exceed 16384\n"
+
+
+@pytest.mark.parametrize("flag", ["--bits", "--max-bits"])
+@pytest.mark.parametrize("argv", [
+    ["sigma", "45"], ["abundancy", "45"], ["classify", "13"], ["mersenne", "--limit", "7"],
+])
+def test_cli_commands_that_read_no_precision_refuse_the_precision_flags(capsys, argv, flag):
+    # these four are exact: a precision flag there would be read by nothing, so no cap would apply
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, flag, "20000"])
+    assert exit_info.value.code == 2
+    usage, *_, line = capsys.readouterr().err.splitlines()
+    assert usage.startswith("usage: abundancy") and ": error: " in line and flag in line and len(line) < 200
+
+
 @pytest.mark.parametrize("text", ["1/0", "abc"])
 @pytest.mark.parametrize("argv", [
     ["bound", "--u", "3", "--L"],
@@ -605,7 +636,7 @@ def test_cli_names_the_digit_limit_of_a_decimal_integer(capsys):
 @pytest.mark.parametrize("argv", [
     ["mersenne", "--limit", "x" * 3000],
     ["mersenne", "--limit", "7" * 5000],  # past int()'s 4,300-digit limit
-    ["sigma", "45", "--bits", "x" * 3000],
+    ["exponent", "45", "--bits", "x" * 3000],
     ["x" * 3000],  # no such command
 ])
 def test_cli_argparse_error_lines_are_bounded(capsys, argv):
@@ -618,6 +649,7 @@ def test_cli_argparse_error_lines_are_bounded(capsys, argv):
     assert lines[0].startswith("usage: abundancy") and ": error: argument " in lines[-1]
     assert all(len(line) < 200 for line in lines)
     assert ("(5000 digits)" in lines[-1]) == ("7" * 5000 in argv)
+    assert (f"has more than {sys.get_int_max_str_digits()} digits" in lines[-1]) == ("7" * 5000 in argv)
 
 
 def test_cli_bound_error_line_abbreviates_a_wide_rational(capsys):
@@ -694,6 +726,16 @@ def test_cli_rejects_report_sizes_outside_their_caps(flag, size):
     done = run_bounded("report", flag, str(size), seconds=10)
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith(f"error: {flag} {size} is outside the range 0 to ")
+
+
+def test_report_sizes_refuse_a_negative_size():
+    # a negative size would make a suite of -3 cases that reads clean
+    zero = {f.name: 0 for f in dataclasses.fields(ReportSizes)}
+    with pytest.raises(ValueError, match="^report size oracle_limit must not be negative, got -3$"):
+        ReportSizes(**{**zero, "oracle_limit": -3, "sandwich_pairs": -2, "order_candidates": -1})
+    for name in zero:
+        with pytest.raises(ValueError, match=f"^report size {name} must not be negative, got -1$"):
+            ReportSizes(**{**zero, name: -1})
 
 
 @pytest.mark.parametrize("limit", [0, 1])
