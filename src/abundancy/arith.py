@@ -69,7 +69,7 @@ class FactorizationBudgetError(Exception):
 
 def primes_up_to(limit: int) -> list[int]:
     """All primes <= limit by a plain sieve."""
-    if limit < 2:
+    if operator.index(limit) < 2:
         return []
     sieve = bytearray(b"\x01") * (limit + 1)
     sieve[0:2] = b"\x00\x00"
@@ -339,7 +339,7 @@ def trial_factor(n: int) -> tuple[Factorization, int]:
     2^32 rule or by one is_prime call, and moved into f), or m is composite,
     every prime factor of m exceeds 2^16 and f holds the primes below 2^16.
     """
-    if n < 1:
+    if operator.index(n) < 1:
         raise ValueError(f"cannot factor {n}; need n >= 1")
     # the primes below 2^b cover sqrt(n) once bits(n) <= 2b
     g = gcd(n, _prime_product(min(-(-n.bit_length() // 8) * 4, TRIAL_BITS)))
@@ -461,7 +461,7 @@ def _brent_rho(n: int, effort: list[int]) -> int:
 def digit_count(n: int) -> int:
     """Number of decimal digits of n >= 1, without str(n) (which Python caps
     for huge integers)."""
-    if n <= 0:
+    if operator.index(n) <= 0:
         raise ValueError("positive input required")
     d = (n.bit_length() - 1) * 30102999566 // 10**11  # below log10(2): the loop only counts up
     while 10 ** (d + 1) <= n:
@@ -532,6 +532,6 @@ def valuation(p: int, f: Factorization) -> int:
 
 def is_perfect(n: int) -> bool:
     """True iff sigma(n) = 2n."""
-    if n < 1:
+    if operator.index(n) < 1:
         raise ValueError(f"is_perfect needs n >= 1, got {n}")
     return sigma(factorize(n)) == 2 * n

@@ -77,6 +77,14 @@ def _error_line(text: str) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
+    def parse_known_args(self, args=None, namespace=None):
+        """Every parser here, each subcommand's too, refuses an argument it does
+        not declare; argparse would hand a subcommand's back to the top parser."""
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
     def error(self, message: str) -> NoReturn:
         """argparse's own error, its line bounded like main's."""
         self.print_usage(sys.stderr)

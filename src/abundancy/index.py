@@ -20,13 +20,12 @@ series because its atanh argument is 1/(2p^(e+1) - 1).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import Factorization, gcd, is_prime, primes_up_to, render_short, sigma
+from .arith import Factorization, gcd, is_prime, render_short, sigma
 from .interval import (
     DEFAULT_PRECISION,
     GUARD_BITS,
@@ -49,8 +48,6 @@ __all__ = [
     "prime_power_exponent",
     "prime_power_index",
     "reciprocal_exponent",
-    "sample_coprime_odd_pair",
-    "sample_odd_factorization",
     "sandwich_check",
     "square_index_relation",
 ]
@@ -238,30 +235,3 @@ def index_lower_bound(
         raise ValueError(f"the bound collapses for L <= 1, got {render_short(n)}/{render_short(d)}")
     y = reciprocal_exponent(u, cfg)
     return pow_interval(L, y, y.bits)
-
-
-# ---------------------------------------------------------------------------
-# corpus sampling (deterministic given the caller's rng)
-# ---------------------------------------------------------------------------
-
-_CORPUS_PRIMES = tuple(p for p in primes_up_to(100) if p % 2 == 1)
-
-
-def sample_odd_factorization(rng: random.Random, exclude: tuple[int, ...] = ()) -> Factorization:
-    """Random odd integer in (1, 10^6] in factored form: up to 5 distinct odd
-    primes below 100 (sieved, so not proven again) with exponents up to 4,
-    rejected until the value fits."""
-    pool = [p for p in _CORPUS_PRIMES if p not in exclude]
-    while True:
-        count = rng.randint(1, min(5, len(pool)))
-        chosen = sorted(rng.sample(pool, count))
-        f = Factorization._derived(tuple((p, rng.randint(1, 4)) for p in chosen))
-        if f.value() <= 10**6:  # at least one odd prime, so above 1
-            return f
-
-
-def sample_coprime_odd_pair(rng: random.Random) -> tuple[Factorization, Factorization]:
-    """Coprime odd pair with disjoint prime supports (coprimality by draw)."""
-    fa = sample_odd_factorization(rng)
-    fb = sample_odd_factorization(rng, exclude=fa.primes())
-    return fa, fb

@@ -11,7 +11,7 @@ clear the ceiling 1 + sqrt(3) for u = 5, and provably cannot for u = 3.
 
 from __future__ import annotations
 
-import random
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -34,12 +34,7 @@ from .arith import (
     sigma,
     trial_factor,
 )
-from .index import (
-    abundancy_index,
-    index_lower_bound,
-    reciprocal_exponent,
-    sample_odd_factorization,
-)
+from .index import abundancy_index, index_lower_bound, reciprocal_exponent
 from .interval import (
     Comparison,
     DEFAULT_PRECISION,
@@ -67,7 +62,6 @@ __all__ = [
     "euler_sum_bound_limit",
     "order_predicates",
     "residual_case_classify",
-    "sample_surrogate",
     "validate_eulerian",
 ]
 
@@ -125,9 +119,9 @@ class EulerianCandidate:
     n: Factorization
 
     def __post_init__(self) -> None:
-        if self.q < 2:
+        if operator.index(self.q) < 2:
             raise ValueError(f"q must be at least 2, got {render_short(self.q)}")
-        if self.k < 1:
+        if operator.index(self.k) < 1:
             raise ValueError(f"k must be at least 1, got {render_short(self.k)}")
 
     @property
@@ -179,7 +173,7 @@ class EulerianCandidate:
 
 def acquaah_konyagin_holds(q: int, n: int) -> bool:
     """q < n*sqrt(3), tested exactly as q^2 < 3*n^2 (no irrationals)."""
-    return q * q < 3 * n * n
+    return operator.index(q) ** 2 < 3 * operator.index(n) ** 2
 
 
 def _flag(name: str, ok: bool, witness: str) -> Check:
@@ -538,22 +532,3 @@ def residual_case_classify(q: int) -> ResidualClassification:
         ResidualCase.CASE_1_MOD_12,
         f"(q+1)/2 = {half} is not divisible by 3; no divisibility of n by 3 is forced",
     )
-
-
-# ---------------------------------------------------------------------------
-# surrogate sampling
-# ---------------------------------------------------------------------------
-
-_SURROGATE_Q_POOL = tuple(p for p in primes_up_to(5000) if p % 4 == 1)
-
-
-def sample_surrogate(rng: random.Random) -> EulerianCandidate:
-    """Random premise-satisfying candidate: q prime = 1 (mod 4), k = 1 (mod 4),
-    n odd and coprime to q with I(n)^3 > 2 (the I(q^k)^3 < 2 side holds for
-    every q >= 5 since I(q^k) < q/(q-1) <= 5/4)."""
-    while True:
-        q = rng.choice(_SURROGATE_Q_POOL)
-        k = rng.choice((1, 1, 1, 5, 9))
-        n = sample_odd_factorization(rng, exclude=(q,))
-        if abundancy_index(n) ** 3 > 2:
-            return EulerianCandidate(q, k, n)

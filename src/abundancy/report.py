@@ -12,12 +12,12 @@ import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .arith import factorize, primes_up_to, sigma, sigma_oracle
+from .arith import Factorization, factorize, primes_up_to, sigma, sigma_oracle
 from .index import (
     SandwichStatus,
+    abundancy_index,
     index_lower_bound,
     prime_power_exponent,
-    sample_coprime_odd_pair,
     sandwich_check,
 )
 from .interval import (
@@ -29,11 +29,11 @@ from .interval import (
 from .mersenne import mersenne_scan
 from .opn import (
     CheckStatus,
+    EulerianCandidate,
     ceiling_interval,
     ceiling_scan,
     euler_sum_bound_limit,
     order_predicates,
-    sample_surrogate,
 )
 
 __all__ = [
@@ -43,18 +43,10 @@ __all__ = [
     "SuiteSummary",
     "reference_constants",
     "run_report",
+    "sample_coprime_odd_pair",
+    "sample_odd_factorization",
+    "sample_surrogate",
 ]
-
-# The decimals these constants are checked against, read as +/- one unit in
-# the last printed digit.
-REFERENCE_DECIMALS = (
-    ("(8/5)^(ln(4/3)/ln(13/9))", "1.44440557"),
-    ("ln(13/9)/ln(4/3)", "1.27823"),
-    ("1+2^(ln(6/5)/ln(31/25))", "2.799"),
-    ("1+sqrt(3)", "2.732"),
-    ("1+2^(ln(4/3)/ln(13/9))", "2.7199"),
-)
-
 
 @dataclass(frozen=True)
 class ConstantEntry:
@@ -147,19 +139,57 @@ def _reference_window(text: str) -> IntervalReal:
 
 
 def reference_constants(cfg: PrecisionConfig = DEFAULT_PRECISION) -> tuple[ConstantEntry, ...]:
-    """Re-derive the five reference constants as certified enclosures."""
-    values = (
-        index_lower_bound(Fraction(8, 5), 3, cfg),
-        prime_power_exponent(3, 1, cfg).value,
-        euler_sum_bound_limit(5, cfg),
-        ceiling_interval(cfg.initial_bits),
-        euler_sum_bound_limit(3, cfg),
+    """Re-derive the five reference constants as certified enclosures, each
+    checked against the decimal it is known by."""
+    table = (
+        ("(8/5)^(ln(4/3)/ln(13/9))", "1.44440557", index_lower_bound(Fraction(8, 5), 3, cfg)),
+        ("ln(13/9)/ln(4/3)", "1.27823", prime_power_exponent(3, 1, cfg).value),
+        ("1+2^(ln(6/5)/ln(31/25))", "2.799", euler_sum_bound_limit(5, cfg)),
+        ("1+sqrt(3)", "2.732", ceiling_interval(cfg.initial_bits)),
+        ("1+2^(ln(4/3)/ln(13/9))", "2.7199", euler_sum_bound_limit(3, cfg)),
     )
-    entries = []
-    for (label, reference), value in zip(REFERENCE_DECIMALS, values):
-        match = value.overlaps(_reference_window(reference))
-        entries.append(ConstantEntry(label, value, reference, match))
-    return tuple(entries)
+    return tuple(ConstantEntry(label, value, reference, value.overlaps(_reference_window(reference)))
+                 for label, reference, value in table)
+
+
+# ---------------------------------------------------------------------------
+# corpus sampling: what each suite draws (deterministic given the caller's rng)
+# ---------------------------------------------------------------------------
+
+_CORPUS_PRIMES = tuple(p for p in primes_up_to(100) if p % 2 == 1)
+_SURROGATE_Q_POOL = tuple(p for p in primes_up_to(5000) if p % 4 == 1)
+
+
+def sample_odd_factorization(rng: random.Random, exclude: tuple[int, ...] = ()) -> Factorization:
+    """Random odd integer in (1, 10^6] in factored form: up to 5 distinct odd
+    primes below 100 (sieved, so not proven again) with exponents up to 4,
+    rejected until the value fits."""
+    pool = [p for p in _CORPUS_PRIMES if p not in exclude]
+    while True:
+        count = rng.randint(1, min(5, len(pool)))
+        chosen = sorted(rng.sample(pool, count))
+        f = Factorization._derived(tuple((p, rng.randint(1, 4)) for p in chosen))
+        if f.value() <= 10**6:  # at least one odd prime, so above 1
+            return f
+
+
+def sample_coprime_odd_pair(rng: random.Random) -> tuple[Factorization, Factorization]:
+    """Coprime odd pair with disjoint prime supports (coprimality by draw)."""
+    fa = sample_odd_factorization(rng)
+    fb = sample_odd_factorization(rng, exclude=fa.primes())
+    return fa, fb
+
+
+def sample_surrogate(rng: random.Random) -> EulerianCandidate:
+    """Random premise-satisfying candidate: q prime = 1 (mod 4), k = 1 (mod 4),
+    n odd and coprime to q with I(n)^3 > 2 (the I(q^k)^3 < 2 side holds for
+    every q >= 5 since I(q^k) < q/(q-1) <= 5/4)."""
+    while True:
+        q = rng.choice(_SURROGATE_Q_POOL)
+        k = rng.choice((1, 1, 1, 5, 9))
+        n = sample_odd_factorization(rng, exclude=(q,))
+        if abundancy_index(n) ** 3 > 2:
+            return EulerianCandidate(q, k, n)
 
 
 def _suite_rng(seed: int, name: str) -> random.Random:

@@ -18,8 +18,6 @@ from abundancy.index import (
     SandwichStatus,
     abundancy_index,
     prime_power_exponent,
-    sample_coprime_odd_pair,
-    sample_odd_factorization,
     sandwich_check,
 )
 from abundancy.interval import Comparison, PrecisionConfig, escalate, sqrt_ratio
@@ -30,9 +28,8 @@ from abundancy.opn import (
     ceiling_scan,
     euler_sum_bound,
     order_predicates,
-    sample_surrogate,
 )
-from abundancy.report import reference_constants
+from abundancy.report import reference_constants, sample_coprime_odd_pair, sample_odd_factorization, sample_surrogate
 
 FIXED_256 = PrecisionConfig(256, 256)  # escalation disabled
 

@@ -61,6 +61,18 @@ def test_the_package_exports_each_modules_all_and_loads_no_cli():
     assert loaded.stdout == "False\n"
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_report_draws(path):
+    # report decides what each reproduction suite samples; the library is deterministic by construction
+    imported = {
+        (alias.name if isinstance(node, ast.Import) else node.module or "").split(".")[0]
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert ("random" in imported) == (path.name == "report.py"), f"{path.name} imports {sorted(imported)}"
+
+
 @pytest.mark.parametrize(
     "path", [p for p in MODULES if _exported(ast.parse(p.read_text()))], ids=lambda p: p.name
 )

@@ -18,12 +18,11 @@ from abundancy.index import (
     prime_power_exponent,
     prime_power_index,
     reciprocal_exponent,
-    sample_coprime_odd_pair,
-    sample_odd_factorization,
     sandwich_check,
     square_index_relation,
 )
 from abundancy.interval import GUARD_BITS, IntervalReal, PrecisionConfig, _ln_scaled, escalate, ln_ratio, sqrt_ratio
+from abundancy.report import sample_coprime_odd_pair, sample_odd_factorization
 
 
 def test_abundancy_index_examples():

@@ -23,10 +23,10 @@ from abundancy.opn import (
     euler_sum_bound_limit,
     order_predicates,
     residual_case_classify,
-    sample_surrogate,
     validate_eulerian,
 )
 from abundancy.interval import sqrt_ratio
+from abundancy.report import sample_surrogate
 
 
 def candidate(q, k, n):
@@ -74,6 +74,22 @@ def test_candidate_syntax_validation():
         EulerianCandidate(1, 1, factorize(3))
     with pytest.raises(ValueError):
         EulerianCandidate(5, 0, factorize(3))
+
+
+@pytest.mark.parametrize("number", [5.0, Fraction(5)], ids=["float", "Fraction"])
+@pytest.mark.parametrize("call", [
+    factorize, trial_factor, arith.is_perfect, arith.digit_count, primes_up_to,
+    lambda m: ceiling_scan(m, 5),
+    lambda m: EulerianCandidate(m, 1, factorize(9)),
+    lambda m: EulerianCandidate(13, m, factorize(9)),
+    lambda m: acquaah_konyagin_holds(m, 3),
+    lambda m: acquaah_konyagin_holds(13, m),
+], ids=["factorize", "trial_factor", "is_perfect", "digit_count", "primes_up_to", "ceiling_scan",
+        "candidate_q", "candidate_k", "acquaah_konyagin_q", "acquaah_konyagin_n"])
+def test_integer_arguments_are_read_through_operator_index(call, number):
+    # a number equal to 5 is not the integer 5: no integer rule is computed on it in floats or Fractions
+    with pytest.raises(TypeError, match=f"^'{type(number).__name__}' object cannot be interpreted as an integer$"):
+        call(number)
 
 
 def test_candidate_conjecture_flag():

@@ -540,7 +540,27 @@ def test_cli_commands_that_read_no_precision_refuse_the_precision_flags(capsys, 
         main([*argv, flag, "20000"])
     assert exit_info.value.code == 2
     usage, *_, line = capsys.readouterr().err.splitlines()
-    assert usage.startswith("usage: abundancy") and ": error: " in line and flag in line and len(line) < 200
+    command = f"abundancy {argv[0]}"
+    assert usage.startswith(f"usage: {command} ") and line.startswith(f"{command}: error: ")
+    assert flag in line and len(line) < 200
+
+
+@pytest.mark.parametrize("argv, prog, refused", [
+    (["sigma", "45", "--bits", "300"], "abundancy sigma", "--bits 300"),
+    (["report", "--seed", "1", "--verbose"], "abundancy report", "--verbose"),
+    (["check", "q=5", "k=1", "n=9", "--foo", "--" + "7" * 5000], "abundancy check",
+     "--foo --77777777777777777777...77777777777777777777 (5000 digits)"),
+    (["--bits=300", "sigma", "45"], "abundancy", "--bits=300"),  # before the command: the top parser's
+], ids=["sigma", "report", "check", "before_the_command"])
+def test_cli_the_parser_that_reads_an_argument_refuses_it(capsys, argv, prog, refused):
+    # argparse hands a subcommand's unknown arguments back to the top parser,
+    # whose error names no command
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    usage, *_, line = capsys.readouterr().err.splitlines()
+    assert usage.startswith(f"usage: {prog} [-h]")
+    assert line == f"{prog}: error: unrecognized arguments: {refused}" and len(line) < 200
 
 
 @pytest.mark.parametrize("text", ["1/0", "abc"])
@@ -779,6 +799,8 @@ CLI_BATTERY = [
     ["sigma", "-7"], ["sigma", "0"], ["check", "q=5", "k=1", "n=3^^2"],
     ["sigma", "2^70000"], ["exponent", "3^100000"], ["check", "q=5", "k=40000", "n=3"],
     ["scan", "--qmax", "2000000", "--u", "5"], ["exponent", "3", "--bits", "20000"],
+    # Descartes' spoof: sigma(n^2)(q+1) = 2N holds for q = 19^2*61 read as a prime; computed honestly, it fails
+    ["check", "q=22021", "k=1", "n=3*7*11*13"],
 ]
 
 
