@@ -59,8 +59,6 @@ _MR_PSI = (
     341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
     3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
 )
-# Lucas-Lehmer first tries the candidate factors of 2^p - 1 below this bound.
-_LL_TRIAL_LIMIT = 1 << 18
 
 
 class FactorizationBudgetError(Exception):
@@ -194,10 +192,10 @@ def lucas_lehmer(p: int) -> bool:
     p = 2 is the conventional special case (the recurrence starts at p = 3);
     composite p short-circuits to False since 2^p - 1 is then composite.
     Before the recurrence, a trial-factoring pre-pass tries the only possible
-    factors of 2^p - 1, q = 2kp + 1 with q = +-1 (mod 8), below a fixed bound
-    of 2^18 and below 2^p - 1 itself (so 7 and 127 are not their own
-    witnesses); a divisor found is an exact composite verdict. Every True is a
-    full Lucas-Lehmer proof.
+    factors of 2^p - 1, q = 2kp + 1 with q = +-1 (mod 8), below 2p^2 and
+    below 2^p - 1 itself (so 7 and 127 are not their own witnesses); a
+    divisor found is an exact composite verdict. Every True is a full
+    Lucas-Lehmer proof.
     """
     if operator.index(p) < 2:
         raise ValueError(f"exponent must be >= 2, got {p}")
@@ -210,19 +208,31 @@ def lucas_lehmer(p: int) -> bool:
     m = (1 << p) - 1
     s = 4
     for _ in range(p - 2):
-        s = s * s - 2
-        s = (s & m) + (s >> p)  # reduction mod 2^p - 1
+        s = s * s
+        s = (s & m) + (s >> p) - 2  # reduction mod 2^p - 1, to s in [-2, m)
         if s >= m:
             s -= m
     return s == 0
 
 
 def _small_mersenne_factor(p: int) -> int | None:
-    """A divisor q of 2^p - 1 (odd prime p) with 1 < q < min(2^18, 2^p - 1),
-    or None. Every prime factor of 2^p - 1 is 2kp + 1 and +-1 (mod 8), so only
-    those q are tried; pow(2, p, q) == 1 is exactly q | 2^p - 1."""
-    candidates = range(2 * p + 1, min(_LL_TRIAL_LIMIT, (1 << p) - 1), 2 * p)
-    return next((q for q in candidates if (q & 7) in (1, 7) and pow(2, p, q) == 1), None)
+    """A proper divisor of 2^p - 1 (odd prime p) among its only possible prime
+    factors q = 2kp + 1 = +-1 (mod 8), k = 0 or 3p (mod 4), below min(2p^2,
+    2^p - 1), or None: their product, folded mod 2^p - 1 in blocks of about p
+    bits, meets 2^p - 1 in one gcd (all of it only at p = 11, 2047 = 23 * 89)."""
+    m = (1 << p) - 1
+    ranges = [range(2 * k * p + 1, min(2 * p * p, m), 8 * p) for k in (4, 3 * p & 3)]
+    candidates = itertools.chain(*ranges)
+    size = p // (2 * p * p).bit_length() + 1  # candidates in a block of about p bits
+    acc = 1
+    for _ in range(0, sum(map(len, ranges)), size):
+        acc *= prod(itertools.islice(candidates, size))
+        acc = (acc & m) + (acc >> p)
+        acc = (acc & m) + (acc >> p)
+    g = gcd(m, acc)
+    if g == m:
+        return next(q for q in itertools.chain(*ranges) if m % q == 0)
+    return g if g > 1 else None
 
 
 @dataclass(frozen=True)

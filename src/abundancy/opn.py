@@ -123,6 +123,8 @@ class EulerianCandidate:
             raise ValueError(f"q must be at least 2, got {render_short(self.q)}")
         if operator.index(self.k) < 1:
             raise ValueError(f"k must be at least 1, got {render_short(self.k)}")
+        if not isinstance(self.n, Factorization):
+            raise TypeError(f"n must be a Factorization, got {type(self.n).__name__}")
 
     @property
     def root(self) -> int:

@@ -114,15 +114,52 @@ def test_cross_check_against_sympy():
 
 
 def test_trial_factor_rejections_are_proper_divisors():
+    # the pre-pass multiplies its candidates and takes one gcd; the reference tries every
+    # q = 2kp + 1 below min(2p^2, 2^p - 1) by itself, with no rule mod 8
     rejected = 0
     for p in primes_up_to(2500)[1:]:
+        m = 2**p - 1
+        witnessed = any(pow(2, p, q) == 1 for q in range(2 * p + 1, min(2 * p * p, m), 2 * p))
         q = arith._small_mersenne_factor(p)
+        assert (q is not None) == witnessed, (p, q)
         if q is not None:
-            m = 2**p - 1
             assert 1 < q < m and m % q == 0, (p, q)
             assert p not in KNOWN_MERSENNE_EXPONENTS
             rejected += 1
-    assert rejected > 100
+    assert rejected == 366 - 201  # the odd primes, less those that reach the recurrence
+
+
+def test_trial_factor_edge_cases():
+    # 7 = 2^3 - 1 and 127 = 2^7 - 1 have the candidates' form, but 2^p - 1 is not its own witness
+    assert arith._small_mersenne_factor(3) is None
+    assert arith._small_mersenne_factor(7) is None
+    # 23 * 89 = 2047: the product of the candidates holds all of 2^11 - 1, so the gcd is no
+    # divisor to return, and a single candidate is
+    assert arith._small_mersenne_factor(11) in (23, 89)
+
+
+def test_mersenne_scan_runs_the_recurrence_for_201_odd_exponents(monkeypatch):
+    # a count, not a time: trial factoring to 2p^2 leaves 201 of the 366 odd primes p <= 2500
+    # (16 of them Mersenne exponents) to the Lucas-Lehmer loop
+    verdicts = []
+    original = arith._small_mersenne_factor
+    monkeypatch.setattr(arith, "_small_mersenne_factor", lambda p: verdicts.append(original(p)) or verdicts[-1])
+    assert mersenne_scan(2500) == KNOWN_MERSENNE_EXPONENTS
+    assert len(verdicts) == 366
+    assert verdicts.count(None) == 201
+
+
+def test_lucas_lehmer_matches_the_textbook_recurrence():
+    # the library squares, folds mod 2^p - 1 and subtracts 2, keeping s in [-2, m)
+    def reference(p):
+        m, s = 2**p - 1, 4
+        for _ in range(p - 2):
+            s = (s * s - 2) % m
+        return s == 0
+
+    assert [p for p in primes_up_to(1000)[1:] if reference(p)] == KNOWN_MERSENNE_EXPONENTS[1:14]
+    for p in primes_up_to(1000)[1:]:
+        assert lucas_lehmer(p) == reference(p), p
 
 
 def test_is_prime_on_mersenne_numbers_matches_known_exponents():

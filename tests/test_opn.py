@@ -76,6 +76,13 @@ def test_candidate_syntax_validation():
         EulerianCandidate(5, 0, factorize(3))
 
 
+@pytest.mark.parametrize("n", [9, "3^2", ((3, 2),)], ids=["int", "str", "tuple"])
+def test_candidate_refuses_an_n_that_is_not_a_factorization(n):
+    # every check reads n as a factored form, so anything else is refused at construction
+    with pytest.raises(TypeError, match=f"n must be a Factorization, got {type(n).__name__}"):
+        EulerianCandidate(5, 1, n)
+
+
 @pytest.mark.parametrize("number", [5.0, Fraction(5)], ids=["float", "Fraction"])
 @pytest.mark.parametrize("call", [
     factorize, trial_factor, arith.is_perfect, arith.digit_count, primes_up_to,
