@@ -21,6 +21,7 @@ from functools import lru_cache
 from math import gcd, isqrt, prod
 
 __all__ = [
+    "BPSW_FLOOR",
     "Factorization",
     "FactorizationBudgetError",
     "TRIAL_BITS",
@@ -54,11 +55,13 @@ _TRIAL_LIMIT = 1 << TRIAL_BITS
 # below it those k bases make Miller-Rabin a proof. From psi_13 on is_prime
 # is BPSW (strong base 2, then _strong_lucas).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BASES_PRODUCT = prod(_MR_BASES)  # 304250263527210
 _MR_PSI = (
     2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
     341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
     3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
 )
+BPSW_FLOOR = _MR_PSI[-1]  # from psi_13 on a True from is_prime is a BPSW claim, save for 2^p - 1
 
 
 class FactorizationBudgetError(Exception):
@@ -95,22 +98,21 @@ def _prime_product(bits: int) -> int:
 def is_prime(n: int) -> bool:
     """Primality test, deterministic (no randomness anywhere).
 
-    Trial division by the thirteen bases 2..41 decides every n below 43^2 =
-    1849. A Mersenne-shaped n = 2^p - 1 is decided by the Lucas-Lehmer test,
-    a proof at every size. Below psi_k (see _MR_PSI: 2047, 1373653, ...,
+    One gcd with the product of the thirteen bases 2..41 decides every n below
+    43^2 = 1849. A Mersenne-shaped n = 2^p - 1 is decided by the Lucas-Lehmer
+    test, a proof at every size. Below psi_k (see _MR_PSI: 2047, 1373653, ...,
     psi_12 ~ 3.2e23, psi_13 ~ 3.3e24) the strong Miller-Rabin test to the
     first k prime bases is a proof, for the least such k, so n < 2047 needs
     base 2 only and psi_12 <= n < psi_13 all thirteen bases 2..41. From psi_13
     on n gets BPSW: a strong test to base 2 and a strong Lucas test with
     Selfridge's parameters (Baillie-Wagstaff 1980), so True is a
-    probable-prime claim. No BPSW pseudoprime is known, and none exists
-    below 2^64.
+    probable-prime claim. No BPSW pseudoprime is known, and none exists below
+    2^64.
     """
     if operator.index(n) < 2:
         return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
+    if gcd(n, _MR_BASES_PRODUCT) != 1:
+        return n in _MR_BASES
     if n < 1849:  # no prime factor up to 41, so none up to sqrt(n)
         return True
     if n & (n + 1) == 0:

@@ -19,6 +19,7 @@ from functools import lru_cache, partial
 from typing import Callable
 
 from .arith import (
+    BPSW_FLOOR,
     TRIAL_BITS,
     Factorization,
     FactorizationBudgetError,
@@ -207,7 +208,7 @@ def validate_eulerian(
     """
     q, k = candidate.q, candidate.k
     n = candidate.root
-    big_n = candidate.value
+    big_n = q**k * n * n
     g = gcd(q, n)
     small, cofactor = trial_factor(q)
     factored = _factored_checks(candidate, small, cofactor, cfg)
@@ -218,8 +219,10 @@ def validate_eulerian(
             factored = [Check(name, CheckStatus.UNDECIDED, str(exc)) for name in _FACTORED_CHECKS]
         else:
             factored = _factored_checks(candidate, known, 1, cfg)
+    prime = cofactor == 1 and small.factors == ((q, 1),)
+    probable = prime and q >= BPSW_FLOOR and q & (q + 1) != 0  # Lucas-Lehmer proves 2^p - 1
     checks = [
-        _flag("q prime", cofactor == 1 and small.factors == ((q, 1),), f"q = {render_exact(q)}"),
+        _flag("q prime", prime, f"q = {render_exact(q)}" + " (BPSW probable prime)" * probable),
         _flag("q = 1 (mod 4)", q % 4 == 1, f"q mod 4 = {q % 4}"),
         _flag("k = 1 (mod 4)", k % 4 == 1, f"k mod 4 = {k % 4}"),
         _flag("gcd(q, n) = 1", g == 1, f"gcd(q, n) = {render_exact(g)}"),
@@ -240,8 +243,8 @@ def validate_eulerian(
 
 # Every prime factor of an unfactored cofactor m is at least 2^16 + 1, so m
 # has at most t = (bit_length(m) - 1) // 16 of them and
-# 1 < I(m^k) < _GROWTH^t = ((2^16 + 1)/2^16)^t.
-_GROWTH = Fraction((1 << TRIAL_BITS) + 1, 1 << TRIAL_BITS)
+# 1 < I(m^k) < (_GROWTH / 2^16)^t, which _side compares cross-multiplied.
+_GROWTH = (1 << TRIAL_BITS) + 1
 
 
 def _factored_checks(
@@ -256,9 +259,9 @@ def _factored_checks(
 
     With gcd(cofactor, n) = 1, N = rest * cofactor^k where rest = known^k * n^2
     is fully factored, so omega(N), I(q^k) and I(N) lie in exact ranges set by
-    rest and t, and the least prime of N is that of rest if below 2^16 + 1.
-    A cofactor of 1 has t = 0: each range is then one exact value, and the
-    witnesses show it.
+    rest and t (_side compares them cross-multiplied: no Fraction over N), and
+    the least prime of N is that of rest if below 2^16 + 1. A cofactor of 1
+    has t = 0: each range is then one exact value, and the witnesses show it.
     """
     euler_part = known**candidate.k
     rest = euler_part * candidate.n**2
@@ -276,27 +279,26 @@ def _factored_checks(
         omega_witness = f"omega(N) <= {most}"
     else:
         return None
-    euler_index = abundancy_index(euler_part)
-    euler_side = _side(euler_index, t, Fraction(5, 4))
-    rest_index = abundancy_index(rest)
-    residual_side = _side(rest_index, t, 2)
+    euler_value, sigma_euler = euler_part.value(), sigma(euler_part)
+    rest_value, sigma_rest = rest.value(), sigma(rest)
+    euler_side = _side(sigma_euler, euler_value, t, 5, 4)
+    residual_side = _side(sigma_rest, rest_value, t, 2, 1)
     if euler_side is None or residual_side is None:
         return None
     if cofactor > 1:
         unfactored = f"(cofactor {render_short(cofactor)} unfactored, primes > 2^16)"
         euler_witness = f"I(q^k) {euler_side} 5/4 {unfactored}"
         residual_witness = f"sigma(N) != 2N: I(N) {residual_side} 2 {unfactored}"
-    else:
-        euler_witness = f"I(q^k) = {render_exact(euler_index)}"
-        big_n = candidate.value
-        if big_n < 10**30:
-            residual_witness = f"sigma(N)/N = {sigma(rest)}/{big_n}"
-            if rest_index.denominator != big_n:  # only if it actually reduces
-                residual_witness += f" = {rest_index}"
+    else:  # rest is N itself
+        euler_witness = f"I(q^k) = {render_exact(Fraction(sigma_euler, euler_value))}"
+        if rest_value < 10**30:
+            residual_witness = f"sigma(N)/N = {sigma_rest}/{rest_value}"
+            if gcd(sigma_rest, rest_value) != 1:  # only if it actually reduces
+                residual_witness += f" = {Fraction(sigma_rest, rest_value)}"
         elif residual_side == "=":
             residual_witness = "sigma(N) = 2N"
         else:
-            residual_witness = f"sigma(N) != 2N (N has {digit_count(big_n)} digits)"
+            residual_witness = f"sigma(N) != 2N (N has {digit_count(rest_value)} digits)"
     omega_name, euler_name, _, residual_name = _FACTORED_CHECKS
     return [
         _flag(omega_name, least >= NIELSEN_MIN_OMEGA, omega_witness),
@@ -306,13 +308,14 @@ def _factored_checks(
     ]
 
 
-def _side(lo: Fraction, t: int, threshold: Fraction | int) -> str | None:
-    """How a value compares with threshold, as '<', '=' or '>'. The value is
-    lo when t = 0, else strictly between lo and lo * _GROWTH^t; None when
-    that open range straddles the threshold."""
+def _side(num: int, den: int, t: int, tn: int, td: int) -> str | None:
+    """'<', '=' or '>' as a value compares with tn/td: num/den when t = 0, else
+    strictly between num/den and num/den * (_GROWTH / 2^16)^t; None when that
+    open range straddles tn/td. Decided cross-multiplied, for den, td > 0."""
+    lo, threshold = num * td, tn * den
     if t == 0:
         return "=" if lo == threshold else "<" if lo < threshold else ">"
-    return "<" if lo * _GROWTH**t <= threshold else ">" if lo >= threshold else None
+    return "<" if lo * _GROWTH**t <= threshold << TRIAL_BITS * t else ">" if lo >= threshold else None
 
 
 def _certify(
@@ -390,17 +393,16 @@ class OrderPredicates:
 def order_predicates(candidate: EulerianCandidate) -> OrderPredicates:
     """Evaluate the order predicates for a candidate satisfying the premise.
 
-    q^k is a Factorization, so q is proven prime (ValueError otherwise), and
+    q^k is a Factorization, so q passes is_prime (ValueError otherwise), and
     sigma gives sigma(q^k) and sigma(n). Raises PremiseError when I(q^k)^3 < 2
-    < I(n)^3 fails (checked exactly by cubing the rationals)."""
+    < I(n)^3 fails (checked exactly on integers, as sigma^3 against 2 * value^3)."""
     euler = Factorization(((candidate.q, candidate.k),))
     euler_part, sigma_euler = euler.value(), sigma(euler)
     n, sigma_root = candidate.root, sigma(candidate.n)
-    euler_index, root_index = Fraction(sigma_euler, euler_part), Fraction(sigma_root, n)
-    if euler_index**3 >= 2:
-        raise PremiseError(f"I(q^k)^3 = {euler_index**3} >= 2")
-    if root_index**3 <= 2:
-        raise PremiseError(f"I(n)^3 = {root_index**3} <= 2")
+    if sigma_euler**3 >= 2 * euler_part**3:
+        raise PremiseError(f"I(q^k)^3 = {Fraction(sigma_euler, euler_part) ** 3} >= 2")
+    if sigma_root**3 <= 2 * n**3:
+        raise PremiseError(f"I(n)^3 = {Fraction(sigma_root, n) ** 3} <= 2")
     return OrderPredicates(
         euler_lt_root=euler_part < n,
         cross_lt=sigma_euler * euler_part < sigma_root * n,

@@ -114,6 +114,8 @@ def test_is_prime_matches_a_sieve_below_two_million():
         if sieve[p]:
             sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
     assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+    # the one gcd with the product of the bases 2..41 agrees with the library's sieve
+    assert [n for n in range(2**16) if is_prime(n)] == primes_up_to(2**16)
 
 
 def _counting_pow(monkeypatch):
@@ -137,7 +139,7 @@ def _largest_prime_below(n):
 
 def test_proof_bases_are_graded_by_size(monkeypatch):
     exponentiations = _counting_pow(monkeypatch)
-    # trial division by 2..41 decides every n below 43^2
+    # one gcd with the product of 2..41 decides every n below 43^2
     assert [n for n in range(1849) if is_prime(n)] == primes_up_to(1848)
     assert exponentiations == []
     # a prime just below psi_k costs the least j with psi_j above it: psi_7 =

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import BIG_PRIME, assert_consistent, separation
-from abundancy import arith, interval, opn
+from abundancy import arith, index, interval, opn
 from abundancy.arith import Factorization, factorize, is_prime, primes_up_to, trial_factor
 from abundancy.index import index_lower_bound, reciprocal_exponent
 from abundancy.interval import DEFAULT_PRECISION, Comparison, IntervalReal, PrecisionConfig, escalate, pow_interval
 from abundancy.opn import (
+    Check,
     CheckStatus,
     EulerianCandidate,
     OrderPredicates,
@@ -412,6 +413,79 @@ def test_a_perfect_number_past_10_to_30_is_witnessed_without_its_digits():
     assert checks["sigma(N) = 2N"] == (CheckStatus.PASS, "sigma(N) = 2N")
     assert checks["n odd"][0] is CheckStatus.FAIL
     assert checks["I(n) > index lower bound"] == (CheckStatus.FAIL, "N is even; the bound assumes odd N")
+
+
+def _fraction_side(lo, t, threshold):
+    """The Fraction rule _side replaced: lo when t = 0, else the open range
+    (lo, lo * (65537/65536)^t), against threshold."""
+    if t == 0:
+        return "=" if lo == threshold else "<" if lo < threshold else ">"
+    return "<" if lo * Fraction(65537, 65536) ** t <= threshold else ">" if lo >= threshold else None
+
+
+@st.composite
+def side_cases(draw):
+    """(lo, t, threshold): lo at or near threshold, at or near threshold over
+    the growth (65537/65536)^t, halfway between the two, or anywhere."""
+    threshold = draw(st.sampled_from([Fraction(5, 4), Fraction(2)])
+                     | st.builds(Fraction, st.integers(1, 10**9), st.integers(1, 10**9)))
+    t = draw(st.integers(0, 3) | st.integers(0, 300))
+    top = threshold / Fraction(65537, 65536) ** t
+    anchor = draw(st.sampled_from([threshold, top, (threshold + top) / 2]))
+    nudge = 1 + Fraction(draw(st.integers(-2, 2)), draw(st.sampled_from([10**6, 10**40, 2**16 * 10**700])))
+    lo = draw(st.sampled_from([anchor, anchor * nudge])
+              | st.builds(Fraction, st.integers(1, 10**30), st.integers(1, 10**30)))
+    return lo, t, threshold
+
+
+@settings(max_examples=300, deadline=None)
+@given(side_cases(), st.integers(1, 10**6), st.integers(1, 10**6))
+@example((Fraction(5, 4), 0, Fraction(5, 4)), 1, 1)
+@example((Fraction(5, 4) * Fraction(65536, 65537) ** 3, 3, Fraction(5, 4)), 7, 1)
+@example((Fraction(2), 2, Fraction(2)), 1, 3)
+def test_the_integer_side_agrees_with_the_fraction_rule(case, scale, threshold_scale):
+    # _side reads unreduced ratios: scale each one by a common factor first
+    lo, t, threshold = case
+    num, den = lo.numerator * scale, lo.denominator * scale
+    tn, td = threshold.numerator * threshold_scale, threshold.denominator * threshold_scale
+    assert opn._side(num, den, t, tn, td) == _fraction_side(lo, t, threshold)
+
+
+def test_a_1500_digit_candidate_builds_no_fraction_over_n(monkeypatch):
+    # N = q * 3^3200 has over 1,500 digits. For the prime q = 10^30 + 57 the
+    # factored rest of N is N itself; for q = 5 * 65537 * 65539 the bounds
+    # decide with the cofactor 65537 * 65539 unfactored, and the rest is
+    # 5 * 3^3200. No Fraction is built over either: the checks and the order
+    # premise cross-multiply, and only the witnesses' I(q^k) and I(n) reduce
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(opn, "Fraction", counting)
+    monkeypatch.setattr(index, "Fraction", counting)
+    n = Factorization(((3, 1600),))
+    for q in (10**30 + 57, 5 * 65537 * 65539):
+        built.clear()
+        big = EulerianCandidate(q, 1, n)
+        report = validate_eulerian(big)
+        assert report.status_of("N > 10^1500") is CheckStatus.PASS
+        assert report.status_of("sigma(N) = 2N") is CheckStatus.FAIL
+        if report.status_of("q prime") is CheckStatus.PASS:
+            order_predicates(big)
+        denominators = [args[1] for args in built if len(args) == 2]
+        assert n.value() in denominators
+        assert all(d < 10**1000 for d in denominators), [arith.digit_count(d) for d in denominators]
+
+
+@pytest.mark.parametrize("q, label", [(10**30 + 57, True), (13, False), (2**89 - 1, False)])
+def test_a_q_prime_row_labels_a_bpsw_claim(q, label):
+    # 10^30 + 57 is prime above psi_13, so is_prime's True is BPSW's; 2^89 - 1
+    # is as large but has a Lucas-Lehmer proof, and 13 is proven by trial
+    check = next(c for c in validate_eulerian(candidate(q, 1, 9)).checks if c.name == "q prime")
+    shown = f"q = {arith.render_exact(q)}"
+    assert check == Check("q prime", CheckStatus.PASS, shown + " (BPSW probable prime)" * label)
 
 
 def test_reciprocal_exponent_and_the_bounds_climb_the_ladder():
