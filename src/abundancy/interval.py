@@ -267,8 +267,11 @@ def _atanh_chain(zn: int, zd: int, v: int) -> tuple[int, int, int]:
     1 + 11k/8; the terms after them sum to at most (P_k + 2) z^2/(1 - z^2) <= tail.
     Every wide z the library makes (1/(2P-1) of `index._ln_prime_power_index`,
     1/(2u+1) of ln I(u)) is below 2^-(w/6), so its dear divisions end within 3
-    terms."""
+    terms; one below about 2^-(v/3) stops at P_0 without forming zd^2: when bit lengths
+    show P_0 zn^2 < zd^2, P_1 = 0 and the tail ceil(2z^2/(1 - z^2)) is 1 (as 3z <= 1)."""
     p = s = (zn << v) // zd
+    if (p * zn * zn).bit_length() < 2 * zd.bit_length() - 1:
+        return s, 1, 1
     z2n, z2d = zn * zn, zd * zd
     k = 1
     while True:
@@ -301,9 +304,9 @@ def _ln2_scaled(w: int) -> tuple[int, int]:
 def _ln_scaled(num: int, den: int, w: int) -> tuple[int, int]:
     """Enclosure of ln(num/den) scaled by 2^w, for num, den >= 1.
 
-    Argument reduction num/den = 2^e * m with m in [sqrt(2)/2, sqrt(2))
-    (decided by the exact test m^2 >= 2), then ln m = 2 atanh((m-1)/(m+1))
-    with |(m-1)/(m+1)| <= 3 - 2*sqrt(2) < 0.1716.
+    Argument reduction num/den = 2^e * m with m in [sqrt(2)/2, sqrt(2)), decided
+    exactly (on num and den 2^e cut to num's top 64 bits, where those tell), then
+    ln m = 2 atanh((m-1)/(m+1)) with |(m-1)/(m+1)| <= 3 - 2*sqrt(2) < 0.1716.
     """
     if num < den:
         lo, hi = _ln_scaled(den, num, w)
@@ -312,7 +315,11 @@ def _ln_scaled(num: int, den: int, w: int) -> tuple[int, int]:
     if num < den << e:
         e -= 1
     scaled_den = den << e
-    if num * num >= 2 * scaled_den * scaled_den:
+    t = num.bit_length() - 64
+    a, b = (num >> t, scaled_den >> t) if t > 0 else (num, scaled_den)
+    if t > 0 and (a + 1) ** 2 >= 2 * b * b and a * a < 2 * (b + 1) ** 2:
+        a, b = num, scaled_den  # only here can the cut-off bits move a^2 across 2b^2
+    if a * a >= 2 * b * b:
         e += 1
         scaled_den <<= 1
     zn = num - scaled_den
@@ -410,10 +417,10 @@ def _exp_scaled(xn: int, xd: int, w: int) -> tuple[int, int]:
     # k = 0, r_lo and r_hi are exactly floor and ceil of x * 2^w.
     s = (xn // xd).bit_length() + 1 + w.bit_length()
     l2lo, l2hi = _ln2_scaled(w + s)
-    xs_lo = (xn << (w + s)) // xd
+    xs_lo, rest = divmod(xn << (w + s), xd)
     k = xs_lo // l2hi
     r_lo = (xs_lo - k * l2hi) >> s  # in [0, l2hi >> s] by choice of k
-    r_hi = -((k * l2lo - _cdiv(xn << (w + s), xd)) >> s)
+    r_hi = -((k * l2lo - xs_lo - (rest > 0)) >> s)
     h = isqrt(w) // 2
     c = h + 4 + w.bit_length()
     y, e = _exp_chain(r_lo << (c - h), w + c, h)

@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable
 
 from .arith import (
@@ -127,6 +127,11 @@ class EulerianCandidate:
         if not isinstance(self.n, Factorization):
             raise TypeError(f"n must be a Factorization, got {type(self.n).__name__}")
 
+    @cached_property
+    def _q_split(self) -> tuple[Factorization, int]:
+        # trial_factor(q) for validate_eulerian and order_predicates; not a field (as IntervalReal._text)
+        return trial_factor(self.q)
+
     @property
     def root(self) -> int:
         """The integer n (square root of the non-Euler part)."""
@@ -210,7 +215,7 @@ def validate_eulerian(
     n = candidate.root
     big_n = q**k * n * n
     g = gcd(q, n)
-    small, cofactor = trial_factor(q)
+    small, cofactor = candidate._q_split
     factored = _factored_checks(candidate, small, cofactor, cfg)
     if factored is None:
         try:
@@ -393,10 +398,13 @@ class OrderPredicates:
 def order_predicates(candidate: EulerianCandidate) -> OrderPredicates:
     """Evaluate the order predicates for a candidate satisfying the premise.
 
-    q^k is a Factorization, so q passes is_prime (ValueError otherwise), and
-    sigma gives sigma(q^k) and sigma(n). Raises PremiseError when I(q^k)^3 < 2
-    < I(n)^3 fails (checked exactly on integers, as sigma^3 against 2 * value^3)."""
-    euler = Factorization(((candidate.q, candidate.k),))
+    q must be prime (ValueError otherwise: the trial_factor split validate_eulerian
+    reads decides it), and sigma gives sigma(q^k) and sigma(n). Raises PremiseError when
+    I(q^k)^3 < 2 < I(n)^3 fails (checked exactly on integers, as sigma^3 against 2 * value^3)."""
+    small, cofactor = candidate._q_split
+    if cofactor != 1 or small.factors != ((candidate.q, 1),):
+        raise ValueError(f"{render_short(candidate.q)} is not prime")
+    euler = small ** candidate.k
     euler_part, sigma_euler = euler.value(), sigma(euler)
     n, sigma_root = candidate.root, sigma(candidate.n)
     if sigma_euler**3 >= 2 * euler_part**3:

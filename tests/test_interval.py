@@ -8,7 +8,7 @@ from math import isqrt
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import BIG_PRIME, assert_consistent, separation
 from abundancy import index, interval
@@ -644,6 +644,112 @@ def test_ln_kernel_contains_mpmath_on_prime_power_indices(prime_power, bits):
     num, den = (p ** (e + 1) - 1) // (p - 1), p**e
     enclosure = interval._ln_scaled(num, den, bits + interval.GUARD_BITS)
     _assert_kernel_encloses(enclosure, bits, lambda: mpmath.log(mpmath.mpf(num) / den))
+
+
+# The log kernel decides two things from bit lengths: whether the atanh chain
+# stops after its first term, and which side of sqrt(2) the reduced argument
+# lies on. Both stand in for full-width squares, so the kernel must return
+# exactly what it returned when it formed them; this is that kernel, kept here.
+
+
+def _squaring_atanh_chain(zn, zd, v):
+    p = s = (zn << v) // zd
+    z2n, z2d = zn * zn, zd * zd
+    k = 1
+    while True:
+        p = p * z2n // z2d
+        d = 2 * k + 1
+        s += p // d
+        if p <= d:
+            return s, k, interval._cdiv((p + 2) * z2n, z2d - z2n)
+        k += 1
+
+
+def _squaring_atanh_scaled(zn, zd, w):
+    if zn == 0:
+        return 0, 0
+    c = w.bit_length()
+    s, k, tail = _squaring_atanh_chain(zn, zd, w + c)
+    return s >> c, -(-(s + 1 + interval._cdiv(11 * k, 8) + tail) >> c)
+
+
+def _squaring_ln_scaled(num, den, w):
+    if num < den:
+        lo, hi = _squaring_ln_scaled(den, num, w)
+        return -hi, -lo
+    e = num.bit_length() - den.bit_length()
+    if num < den << e:
+        e -= 1
+    scaled_den = den << e
+    if num * num >= 2 * scaled_den * scaled_den:
+        e += 1
+        scaled_den <<= 1
+    zn = num - scaled_den
+    zd = num + scaled_den
+    alo, ahi = _squaring_atanh_scaled(abs(zn), zd, w)
+    if zn < 0:
+        alo, ahi = -ahi, -alo
+    l2lo, l2hi = _squaring_atanh_scaled(1, 3, w)
+    return 2 * alo + e * 2 * l2lo, 2 * ahi + e * 2 * l2hi
+
+
+def _near_sqrt2(b, offset, shift):
+    """isqrt(2 b^2) + offset over b, times 2^shift: within 5/b of sqrt(2) 2^shift."""
+    num, den = isqrt(2 * b * b) + offset, b
+    return (num << shift, den) if shift >= 0 else (num, den << -shift)
+
+
+LOG_WORDS = st.integers(8, 4200)
+# (num, den): P/(P - 1) or its inverse, the split log's argument, with P up to
+# 5,000 bits; ratios of at most 64 bits; ratios within 2^-61 of sqrt(2) 2^e;
+# and wide ratios
+LOG_ARGUMENTS = st.one_of(
+    st.tuples(st.integers(2, 2**5000), st.booleans()).map(lambda t: (t[0], t[0] - 1)[:: 1 if t[1] else -1]),
+    st.tuples(st.integers(1, 2**64), st.integers(1, 2**64)),
+    st.builds(_near_sqrt2, st.integers(2**64, 2**400), st.integers(-4, 4), st.integers(-80, 80)),
+    st.tuples(st.integers(1, 2**4200), st.integers(1, 2**4200)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(LOG_ARGUMENTS, LOG_WORDS)
+@example((2**64 + 1, 2**64), 4200)
+@example((3, 2), 8)
+def test_ln_kernel_matches_the_kernel_that_squares(ratio, w):
+    num, den = ratio
+    assert interval._ln_scaled(num, den, w) == _squaring_ln_scaled(num, den, w), (num, den, w)
+
+
+def test_atanh_chain_stops_at_its_first_term_on_one_side_of_the_bit_test():
+    # zd = 2^B - 1 and zn = 1 give P_0 = floor(2^v / zd) with v - B + 1 bits: at
+    # v = 3B - 3 that is 2 bits(zd) - 2 and the chain stops at P_0; at v = 3B - 2
+    # the bit test cannot tell and the loop runs, to the same (s, k, tail)
+    for b in (8, 64, 1000, 4100):
+        zd = 2**b - 1
+        for v, stops in ((3 * b - 3, True), (3 * b - 2, False)):
+            p0 = (1 << v) // zd
+            assert (p0.bit_length() < 2 * zd.bit_length() - 1) is stops
+            assert interval._atanh_chain(1, zd, v) == _squaring_atanh_chain(1, zd, v), (b, v)
+        assert interval._atanh_chain(1, zd, 3 * b - 3) == ((1 << 3 * b - 3) // zd, 1, 1)
+    # zd = 2^(B-1) + 1, the least B-bit denominator: one bit more of v and P_1 > 0
+    for b in (8, 64, 1000):
+        zd = 2 ** (b - 1) + 1
+        for v in range(3 * b - 6, 3 * b + 2):
+            assert interval._atanh_chain(1, zd, v) == _squaring_atanh_chain(1, zd, v), (b, v)
+
+
+def test_ln_kernel_squares_when_the_top_64_bits_cannot_tell():
+    # num / den = isqrt(2 b^2) / b is within 2^-390 of sqrt(2), so its top 64
+    # bits a, b fall between the two tests, and only the full squares decide
+    b0 = 3**250
+    num, den = isqrt(2 * b0 * b0), b0
+    t = num.bit_length() - 64
+    a, b = num >> t, den >> t
+    assert (a + 1) ** 2 >= 2 * b * b and a * a < 2 * (b + 1) ** 2
+    for offset in (0, 1):
+        for w in (8, 300, 4200):
+            assert interval._ln_scaled(num + offset, den, w) == _squaring_ln_scaled(num + offset, den, w)
+    assert num * num < 2 * den * den <= (num + 1) ** 2  # the two offsets lie on either side
 
 
 @settings(max_examples=100, deadline=None)

@@ -172,6 +172,27 @@ def test_validate_certifies_q_prime_with_one_is_prime_call(monkeypatch):
     assert calls.count(q) == 1
 
 
+def test_validate_and_order_predicates_prove_q_once_between_them(monkeypatch):
+    # the candidate keeps q's trial_factor split, which order_predicates reads
+    # in place of proving q again; the split is not a field, so the candidate
+    # still equals and hashes as a fresh one
+    q = 10**30 + 57  # prime, above the range the small-prime rules prove
+    calls = []
+
+    def counted(n, real=arith.is_prime):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(arith, "is_prime", counted)
+    monkeypatch.setattr(opn, "is_prime", counted)
+    c = EulerianCandidate(q, 1, Factorization(((3, 2),)))
+    assert validate_eulerian(c).status_of("q prime") is CheckStatus.PASS
+    assert order_predicates(c) == OrderPredicates(euler_lt_root=False, cross_lt=False, sigma_lt=False)
+    assert calls.count(q) == 1
+    fresh = EulerianCandidate(q, 1, Factorization(((3, 2),)))
+    assert c == fresh and hash(c) == hash(fresh) and repr(c) == repr(fresh)
+
+
 def test_validate_with_a_log_not_separated_from_zero_is_certified():
     # at a 256-bit ceiling 1/x(BIG_PRIME) is only known to lie in [1/2, 1], so
     # the bound encloses [sqrt(8/5), 8/5]; I(1) = 1 is below it all the same
