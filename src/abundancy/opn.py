@@ -78,11 +78,31 @@ class CheckStatus(Enum):
     UNDECIDED = "UNDECIDED"
 
 
+class _Witness:
+    """Check.witness, given as a str or a zero-argument callable that renders
+    it: the first read calls the callable and keeps its text in the instance
+    (as IntervalReal._text), and equality, hashing, repr, to_dict and
+    pickling read the text, so a lazy Check equals the eager one."""
+
+    def __get__(self, check: Check | None, owner: type) -> str:
+        if check is None:
+            raise AttributeError("witness")  # so dataclass gives the field no default
+        if not isinstance(check._witness, str):
+            self.__set__(check, check._witness())
+        return check._witness
+
+    def __set__(self, check: Check, witness: str | Callable[[], str]) -> None:
+        object.__setattr__(check, "_witness", witness)  # not through __dict__, which would be built
+
+
 @dataclass(frozen=True)
 class Check:
     name: str
     status: CheckStatus
-    witness: str
+    witness: str = _Witness()  # no default: a str, or a callable that renders it
+
+    def __reduce__(self) -> tuple:
+        return Check, (self.name, self.status, self.witness)
 
     def to_dict(self) -> dict:
         return {"name": self.name, "status": self.status.value, "witness": self.witness}
@@ -184,7 +204,7 @@ def acquaah_konyagin_holds(q: int, n: int) -> bool:
     return operator.index(q) ** 2 < 3 * operator.index(n) ** 2
 
 
-def _flag(name: str, ok: bool, witness: str) -> Check:
+def _flag(name: str, ok: bool, witness: str | Callable[[], str]) -> Check:
     return Check(name, CheckStatus.PASS if ok else CheckStatus.FAIL, witness)
 
 
@@ -225,22 +245,20 @@ def validate_eulerian(
         else:
             factored = _factored_checks(candidate, known, 1, cfg)
     prime = cofactor == 1 and small.factors == ((q, 1),)
-    probable = prime and q >= BPSW_FLOOR and q & (q + 1) != 0  # Lucas-Lehmer proves 2^p - 1
+    probable = prime and _bpsw_claim(q)
     checks = [
-        _flag("q prime", prime, f"q = {render_exact(q)}" + " (BPSW probable prime)" * probable),
+        _flag("q prime", prime, lambda: f"q = {render_exact(q)}" + " (BPSW probable prime)" * probable),
         _flag("q = 1 (mod 4)", q % 4 == 1, f"q mod 4 = {q % 4}"),
         _flag("k = 1 (mod 4)", k % 4 == 1, f"k mod 4 = {k % 4}"),
-        _flag("gcd(q, n) = 1", g == 1, f"gcd(q, n) = {render_exact(g)}"),
+        _flag("gcd(q, n) = 1", g == 1, lambda: f"gcd(q, n) = {render_exact(g)}"),
         _flag("n odd", n % 2 == 1, f"n mod 2 = {n % 2}"),
-        _flag(
-            "N > 10^1500",
-            big_n > OCHEM_RAO_FLOOR,
-            f"N has {digit_count(big_n)} digits; needs more than 1500",
-        ),
+        _flag("N > 10^1500", big_n > OCHEM_RAO_FLOOR,
+              lambda: f"N has {digit_count(big_n)} digits; needs more than 1500"),
     ]
     *bounds, residual = factored
     if k > 1:
-        order = _flag("q < n for k > 1", q < n, f"k = {k}, q = {render_exact(q)}, n = {render_exact(n)}")
+        order = _flag("q < n for k > 1", q < n,
+                      lambda: f"k = {k}, q = {render_exact(q)}, n = {render_exact(n)}")
     else:
         order = Check("q < n for k > 1", CheckStatus.PASS, "k = 1, not applicable")
     return ConstraintReport(tuple(checks + bounds + [order, residual]))
@@ -290,20 +308,23 @@ def _factored_checks(
     residual_side = _side(sigma_rest, rest_value, t, 2, 1)
     if euler_side is None or residual_side is None:
         return None
-    if cofactor > 1:
-        unfactored = f"(cofactor {render_short(cofactor)} unfactored, primes > 2^16)"
-        euler_witness = f"I(q^k) {euler_side} 5/4 {unfactored}"
-        residual_witness = f"sigma(N) != 2N: I(N) {residual_side} 2 {unfactored}"
-    else:  # rest is N itself
-        euler_witness = f"I(q^k) = {render_exact(Fraction(sigma_euler, euler_value))}"
-        if rest_value < 10**30:
-            residual_witness = f"sigma(N)/N = {sigma_rest}/{rest_value}"
+    unfactored = "(cofactor {} unfactored, primes > 2^16)".format
+
+    def euler_witness() -> str:
+        if cofactor > 1:
+            return f"I(q^k) {euler_side} 5/4 {unfactored(render_short(cofactor))}"
+        return f"I(q^k) = {render_exact(Fraction(sigma_euler, euler_value))}"
+
+    def residual_witness() -> str:
+        if cofactor > 1:
+            return f"sigma(N) != 2N: I(N) {residual_side} 2 {unfactored(render_short(cofactor))}"
+        if rest_value < 10**30:  # rest is N itself
+            shown = f"sigma(N)/N = {sigma_rest}/{rest_value}"
             if gcd(sigma_rest, rest_value) != 1:  # only if it actually reduces
-                residual_witness += f" = {Fraction(sigma_rest, rest_value)}"
-        elif residual_side == "=":
-            residual_witness = "sigma(N) = 2N"
-        else:
-            residual_witness = f"sigma(N) != 2N (N has {digit_count(rest_value)} digits)"
+                shown += f" = {Fraction(sigma_rest, rest_value)}"
+            return shown
+        return ("sigma(N) = 2N" if residual_side == "=" else
+                f"sigma(N) != 2N (N has {digit_count(rest_value)} digits)")
     omega_name, euler_name, _, residual_name = _FACTORED_CHECKS
     return [
         _flag(omega_name, least >= NIELSEN_MIN_OMEGA, omega_witness),
@@ -354,8 +375,8 @@ def _index_bound_check(candidate: EulerianCandidate, u: int, cfg: PrecisionConfi
     # bound < I(n) passes, bound > I(n) fails
     status, enclosure = _certify(partial(index_lower_bound, Fraction(8, 5), u),
                                  lambda bits: root_index, Comparison.LESS, cfg)
-    witness = f"I(n) = {render_exact(root_index)} vs (8/5)^(1/x({u})) = {enclosure.render()}"
-    return Check(name, status, witness)
+    return Check(name, status,
+                 lambda: f"I(n) = {render_exact(root_index)} vs (8/5)^(1/x({u})) = {enclosure.render()}")
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +442,12 @@ def order_predicates(candidate: EulerianCandidate) -> OrderPredicates:
 # ---------------------------------------------------------------------------
 # Euler-prime lower bound f(q, u) against the 1 + sqrt(3) ceiling
 # ---------------------------------------------------------------------------
+
+
+def _bpsw_claim(q: int) -> bool:
+    """Whether is_prime's True for q is a BPSW claim: q >= psi_13, and q is
+    not 2^p - 1 (Lucas-Lehmer proves those)."""
+    return q >= BPSW_FLOOR and q & (q + 1) != 0
 
 
 def _require_euler_prime(q: int) -> None:
@@ -494,13 +521,16 @@ def ceiling_scan(
             continue
         status, bound = _certify(partial(euler_sum_bound, q, u),
                                  lambda bits: ceiling_interval(bits) + margin, passing, cfg)
-        witness = f"f = {bound.render()} vs ceiling = {ceiling_interval(bound.bits).render()}"
+        # bound=bound binds this q's enclosure, where a closure would read the loop's last one
+        witness = lambda bound=bound: (
+            f"f = {bound.render()} vs ceiling = {ceiling_interval(bound.bits).render()}")
         rows.append(Check(f"f({q}, {u}) {relation} 1+sqrt(3)", status, witness))
         if least is None or bound._lo[0] * least._lo[1] < least._lo[0] * bound._lo[1]:
             least, least_q = bound, q
-    minimum = least and Check("minimum over scan", CheckStatus.PASS, f"q = {least_q}: f = {least.render()}")
+    minimum = least and Check("minimum over scan", CheckStatus.PASS,
+                              lambda: f"q = {least_q}: f = {least.render()}")
     status, limit = _certify(partial(euler_sum_bound_limit, u), ceiling_interval, passing, cfg)
-    limit_row = Check("limit as q grows", status, f"1 + 2^(1/x({u})) = {limit.render()}")
+    limit_row = Check("limit as q grows", status, lambda: f"1 + 2^(1/x({u})) = {limit.render()}")
     return CeilingScan((*rows, limit_row), tuple(rows), minimum, limit_row)
 
 
@@ -529,7 +559,7 @@ def residual_case_classify(q: int) -> ResidualClassification:
     while q = 1 (mod 12) forces no divisibility of n by 3.
     """
     _require_euler_prime(q)
-    half = (q + 1) // 2
+    half, label = (q + 1) // 2, " (q is a BPSW probable prime)" * _bpsw_claim(q)
     if q == 5:
         return ResidualClassification(
             ResidualCase.CASE_Q5,
@@ -538,9 +568,9 @@ def residual_case_classify(q: int) -> ResidualClassification:
     if q % 12 == 5:
         return ResidualClassification(
             ResidualCase.CASE_5_MOD_12,
-            f"q = 2 (mod 3), so 3 divides (q+1)/2 = {half}, hence 3 | n^2 when k = 1",
+            f"q = 2 (mod 3), so 3 divides (q+1)/2 = {half}, hence 3 | n^2 when k = 1{label}",
         )
     return ResidualClassification(
         ResidualCase.CASE_1_MOD_12,
-        f"(q+1)/2 = {half} is not divisible by 3; no divisibility of n by 3 is forced",
+        f"(q+1)/2 = {half} is not divisible by 3; no divisibility of n by 3 is forced{label}",
     )

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -509,6 +512,102 @@ def test_a_q_prime_row_labels_a_bpsw_claim(q, label):
     assert check == Check("q prime", CheckStatus.PASS, shown + " (BPSW probable prime)" * label)
 
 
+def test_a_check_renders_a_callable_witness_once_and_compares_on_its_text():
+    # a witness may be a zero-argument callable, called on the first read only;
+    # everything that sees a Check sees the text, so a lazy Check is the eager one
+    calls = []
+    eager = Check("q prime", CheckStatus.PASS, "q = 13")
+    lazy = Check("q prime", CheckStatus.PASS, lambda: calls.append(1) or "q = 13")
+    assert calls == []
+    assert lazy == eager and hash(lazy) == hash(eager) and repr(lazy) == repr(eager)
+    assert lazy.witness == "q = 13" and lazy.to_dict() == eager.to_dict() and calls == [1]
+    assert Check("q prime", CheckStatus.FAIL, lambda: "q = 13") != eager
+    for field in ("name", "status", "witness"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(lazy, field, "q = 17")
+    with pytest.raises(TypeError):
+        Check("q prime", CheckStatus.PASS)  # the witness has no default
+    # an unread lazy Check pickles as its text, alone and inside the reports
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        unread = Check("q prime", CheckStatus.PASS, lambda: "q = 13")
+        assert pickle.loads(pickle.dumps(unread, protocol)) == eager
+    for report, fresh in ((validate_eulerian(candidate(13, 1, 9)), validate_eulerian(candidate(13, 1, 9))),
+                          (ceiling_scan(30, 5), ceiling_scan(30, 5))):
+        assert pickle.loads(pickle.dumps(report)) == fresh
+        assert copy.deepcopy(report) == fresh
+
+
+_PINNED_WITNESSES = {
+    "q=13 k=1 n=3^2": [
+        ("q prime", "PASS", "q = 13"),
+        ("q = 1 (mod 4)", "PASS", "q mod 4 = 1"),
+        ("k = 1 (mod 4)", "PASS", "k mod 4 = 1"),
+        ("gcd(q, n) = 1", "PASS", "gcd(q, n) = 1"),
+        ("n odd", "PASS", "n mod 2 = 1"),
+        ("N > 10^1500", "FAIL", "N has 4 digits; needs more than 1500"),
+        ("omega(N) >= 10", "FAIL", "omega(N) = 2"),
+        ("I(q^k) < 5/4", "PASS", "I(q^k) = 14/13"),
+        ("I(n) > index lower bound", "PASS", "I(n) = 13/9 vs (8/5)^(1/x(3)) = 1.444405574 ± 3e-86 @256b"),
+        ("q < n for k > 1", "PASS", "k = 1, not applicable"),
+        ("sigma(N) = 2N", "FAIL", "sigma(N)/N = 1694/1053"),
+    ],
+    "q=5*65537*65539 k=5 n=3^9100": [
+        ("q prime", "FAIL", "q = 21476147215"),
+        ("q = 1 (mod 4)", "FAIL", "q mod 4 = 3"),
+        ("k = 1 (mod 4)", "PASS", "k mod 4 = 1"),
+        ("gcd(q, n) = 1", "PASS", "gcd(q, n) = 1"),
+        ("n odd", "PASS", "n mod 2 = 1"),
+        ("N > 10^1500", "PASS", "N has 8736 digits; needs more than 1500"),
+        ("omega(N) >= 10", "FAIL", "omega(N) <= 4"),
+        ("I(q^k) < 5/4", "PASS", "I(q^k) < 5/4 (cofactor 4295229443 unfactored, primes > 2^16)"),
+        ("I(n) > index lower bound", "PASS",
+         "I(n) = 95391396766978817512...97517949880646753001 (4342 digits)"
+         "/63594264511319211674...31678633253764502001 (4342 digits) vs (8/5)^(1/x(3)) = 1.444405574 ± 3e-86 @256b"),
+        ("q < n for k > 1", "PASS",
+         "k = 5, q = 21476147215, n = 63594264511319211674...31678633253764502001 (4342 digits)"),
+        ("sigma(N) = 2N", "FAIL", "sigma(N) != 2N: I(N) < 2 (cofactor 4295229443 unfactored, primes > 2^16)"),
+    ],
+}
+
+
+def test_the_checks_render_no_witness_until_one_is_read(monkeypatch):
+    # N > 10^1500 with k = 5: q = 5 * 65537 * 65539 leaves the cofactor
+    # 65537 * 65539 unfactored, and the prime 10^30 + 57 also runs the order
+    # predicates; neither they nor a ceiling scan call a renderer
+    calls = []
+    for owner, name in ((opn, "render_exact"), (opn, "render_short"), (opn, "digit_count"), (IntervalReal, "render")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    n = Factorization(((3, 9100),))  # past str()'s digit limit, so every text shortens it
+    small = candidate(13, 1, 9)
+    large = EulerianCandidate(5 * 65537 * 65539, 5, n)
+    large_prime = EulerianCandidate(10**30 + 57, 5, n)
+    reports = {"q=13 k=1 n=3^2": validate_eulerian(small), "q=5*65537*65539 k=5 n=3^9100": validate_eulerian(large)}
+    prime_report = validate_eulerian(large_prime)
+    assert prime_report.status_of("q prime") is CheckStatus.PASS
+    order_predicates(large_prime)
+    scan = ceiling_scan(200, 5)
+    assert calls == []
+    for shown, report in reports.items():
+        got = [(c["name"], c["status"], c["witness"]) for c in report.to_dict()["checks"]]
+        assert got == _PINNED_WITNESSES[shown]
+    assert calls  # reading renders
+    assert scan.minimum.witness == f"q = 5: f = {euler_sum_bound(5, 5).render()}"
+
+
+def test_each_scan_row_renders_its_own_enclosure():
+    # a row's witness is rendered when read, from the enclosure of its own q,
+    # not from the last one the loop saw
+    grid = [q for q in primes_up_to(200) if q % 4 == 1 and q >= 5]
+    report = ceiling_scan(200, 5)
+    expected = []
+    for q in grid:
+        bound = euler_sum_bound(q, 5)
+        expected.append(f"f = {bound.render()} vs ceiling = {ceiling_interval(bound.bits).render()}")
+    assert [c.witness for c in report.rows] == expected
+    assert len(set(expected)) == len(grid)
+
+
 def test_reciprocal_exponent_and_the_bounds_climb_the_ladder():
     # 1/x(BIG_PRIME) needs 1024 bits to show 1/2 < 1/x < 1; each bound is
     # evaluated at the rung reciprocal_exponent settles on
@@ -774,6 +873,19 @@ def test_residual_classify_notes():
     assert "Iannucci" in residual_case_classify(5).notes
     assert "(q+1)/2 = 9" in residual_case_classify(17).notes
     assert "not divisible by 3" in residual_case_classify(13).notes
+
+
+@pytest.mark.parametrize("q, case, notes", [
+    (10**30 + 57, ResidualCase.CASE_1_MOD_12,
+     "(q+1)/2 = 500000000000000000000000000029 is not divisible by 3; no divisibility of n by 3 is forced"),
+    (10**30 + 469, ResidualCase.CASE_5_MOD_12,
+     "q = 2 (mod 3), so 3 divides (q+1)/2 = 500000000000000000000000000235, hence 3 | n^2 when k = 1"),
+])
+def test_residual_classify_labels_a_bpsw_probable_prime(q, case, notes):
+    # from psi_13 on, is_prime's True for q is BPSW's: the notes say so, by the
+    # rule of the q prime row; a q below psi_13 is proven and gets no label
+    assert residual_case_classify(q) == opn.ResidualClassification(case, notes + " (q is a BPSW probable prime)")
+    assert not any("BPSW" in residual_case_classify(p).notes for p in (5, 13, 17, 1000000009))
 
 
 def test_residual_classify_rejects_bad_q():
