@@ -21,10 +21,10 @@ from functools import lru_cache
 from math import gcd, isqrt, prod
 
 __all__ = [
-    "BPSW_FLOOR",
     "Factorization",
     "FactorizationBudgetError",
     "TRIAL_BITS",
+    "bpsw_claim",
     "digit_count",
     "factor_pairs",
     "factorize",
@@ -61,7 +61,6 @@ _MR_PSI = (
     341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
     3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
 )
-BPSW_FLOOR = _MR_PSI[-1]  # from psi_13 on a True from is_prime is a BPSW claim, save for 2^p - 1
 
 
 class FactorizationBudgetError(Exception):
@@ -133,6 +132,12 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return proven or _strong_lucas(n)
+
+
+def bpsw_claim(n: int) -> bool:
+    """Whether is_prime's True for n is a BPSW probable-prime claim rather than
+    a proof: n >= psi_13, and n is not 2^p - 1 (Lucas-Lehmer proves those)."""
+    return n >= _MR_PSI[-1] and n & (n + 1) != 0
 
 
 def _strong_lucas(n: int) -> bool:

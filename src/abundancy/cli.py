@@ -185,129 +185,105 @@ def _parse(text: str) -> Factorization:
     return Factorization.parse(text)
 
 
-def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text)
+def _check_line(check) -> str:
+    return f"  {check.status.value:9s} {check.name}: {check.witness}"
 
 
-def _cmd_sigma(args) -> int:
+def _cmd_sigma(args) -> tuple[dict, str, int]:
     f = _parse(args.value)
     value = render_exact(sigma(f))
-    _emit(args, {"input": str(f), "sigma": value}, f"sigma({f}) = {value}")
-    return 0
+    return {"input": str(f), "sigma": value}, f"sigma({f}) = {value}", 0
 
 
-def _cmd_abundancy(args) -> int:
+def _cmd_abundancy(args) -> tuple[dict, str, int]:
     f = _parse(args.value)
     index = render_exact(abundancy_index(f))
-    _emit(args, {"input": str(f), "index": index}, f"I({f}) = {index}")
-    return 0
+    return {"input": str(f), "index": index}, f"I({f}) = {index}", 0
 
 
-def _cmd_exponent(args) -> int:
+def _cmd_exponent(args) -> tuple[dict, str, int]:
     f = _parse(args.value)
-    x = abundancy_exponent(f, _cfg(args)).value
-    _emit(args, {"input": str(f), "exponent": x.render()}, f"x({f}) = {x.render()}")
-    return 0
+    x = abundancy_exponent(f, _cfg(args)).value.render()
+    return {"input": str(f), "exponent": x}, f"x({f}) = {x}", 0
 
 
-def _cmd_sandwich(args) -> int:
+def _cmd_sandwich(args) -> tuple[dict, str, int]:
     fa = _parse(args.a)
     fb = _parse(args.b)
     result = sandwich_check(fa, fb, _cfg(args))
-    payload = {
-        "a": str(fa),
-        "b": str(fb),
-        "status": result.status.value,
-        "x_a": result.x_a.render(),
-        "x_b": result.x_b.render(),
-        "x_ab": result.x_ab.render(),
-    }
-    text = (
-        f"{result.status.value}: x({fa}) = {result.x_a.render()}, "
-        f"x({fb}) = {result.x_b.render()}, x(ab) = {result.x_ab.render()}"
-    )
-    _emit(args, payload, text)
-    return 0 if result.status is SandwichStatus.HOLDS else 1
+    x_a, x_b, x_ab = result.x_a.render(), result.x_b.render(), result.x_ab.render()
+    payload = {"a": str(fa), "b": str(fb), "status": result.status.value,
+               "x_a": x_a, "x_b": x_b, "x_ab": x_ab}
+    text = f"{result.status.value}: x({fa}) = {x_a}, x({fb}) = {x_b}, x(ab) = {x_ab}"
+    return payload, text, 0 if result.status is SandwichStatus.HOLDS else 1
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple[dict, str, int]:
     q, k, n_text = EulerianCandidate.fields(" ".join(args.candidate))
     _require_size("q^k * n^2", k * q.bit_length() + 2 * _input_bits(n_text))
     candidate = EulerianCandidate(q, k, Factorization.parse(n_text))
     report = validate_eulerian(candidate, _cfg(args))
-    lines = [f"candidate {candidate}"]
-    for check in report.checks:
-        lines.append(f"  {check.status.value:9s} {check.name}: {check.witness}")
-    _emit(args, {"candidate": str(candidate), **report.to_dict()}, "\n".join(lines))
-    return 0 if report.all_pass else 1
+    lines = [f"candidate {candidate}", *map(_check_line, report.checks)]
+    return {"candidate": str(candidate), **report.to_dict()}, "\n".join(lines), 0 if report.all_pass else 1
 
 
-def _cmd_bound(args) -> int:
-    value = index_lower_bound(args.L, args.u, _cfg(args))
+def _cmd_bound(args) -> tuple[dict, str, int]:
+    value = index_lower_bound(args.L, args.u, _cfg(args)).render()
     L = render_exact(args.L)
-    text = f"({L})^(1/x({args.u})) = {value.render()}"
-    _emit(args, {"L": L, "u": args.u, "bound": value.render()}, text)
-    return 0
+    return {"L": L, "u": args.u, "bound": value}, f"({L})^(1/x({args.u})) = {value}", 0
 
 
-def _cmd_f(args) -> int:
-    value = euler_sum_bound(args.q, args.u, _cfg(args))
-    text = f"f({args.q}, {args.u}) = {value.render()}"
-    _emit(args, {"q": args.q, "u": args.u, "f": value.render()}, text)
-    return 0
+def _cmd_f(args) -> tuple[dict, str, int]:
+    value = euler_sum_bound(args.q, args.u, _cfg(args)).render()
+    return {"q": args.q, "u": args.u, "f": value}, f"f({args.q}, {args.u}) = {value}", 0
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args) -> tuple[dict, str, int]:
     if args.qmax > MAX_SCAN_LIMIT:
         raise ValueError(f"scan limit {args.qmax} exceeds the cap {MAX_SCAN_LIMIT}")
     report = ceiling_scan(args.qmax, args.u, _cfg(args), args.margin)
     statuses = [c.status for c in report.checks]
-    lines = [f"scanned {len(report.rows)} primes q = 1 (mod 4) up to {args.qmax} with u = {args.u}"]
     shown = [c for c in report.rows if args.verbose or c.status is not CheckStatus.PASS]
-    for check in filter(None, (*shown, report.minimum, report.limit)):  # an empty grid has no minimum
-        lines.append(f"  {check.status.value:9s} {check.name}: {check.witness}")
-    lines.append(f"failures: {statuses.count(CheckStatus.FAIL)}, "
-                 f"undecided: {statuses.count(CheckStatus.UNDECIDED)}")
-    _emit(args, {"qmax": args.qmax, "u": args.u, **report.to_dict()}, "\n".join(lines))
-    return 0 if report.all_pass else 1
+    lines = [
+        f"scanned {len(report.rows)} primes q = 1 (mod 4) up to {args.qmax} with u = {args.u}",
+        *map(_check_line, filter(None, (*shown, report.minimum, report.limit))),  # an empty grid has no minimum
+        f"failures: {statuses.count(CheckStatus.FAIL)}, "
+        f"undecided: {statuses.count(CheckStatus.UNDECIDED)}",
+    ]
+    return {"qmax": args.qmax, "u": args.u, **report.to_dict()}, "\n".join(lines), 0 if report.all_pass else 1
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple[dict, str, int]:
     result = residual_case_classify(args.q)
-    _emit(
-        args,
-        {"q": args.q, "case": result.case.value, "notes": result.notes},
-        f"{result.case.value}: {result.notes}",
-    )
-    return 0
+    text = f"{result.case.value}: {result.notes}"
+    return {"q": args.q, "case": result.case.value, "notes": result.notes}, text, 0
 
 
-def _cmd_mersenne(args) -> int:
+def _cmd_mersenne(args) -> tuple[dict, str, int]:
     exponents = mersenne_scan(args.limit)
     text = f"mersenne exponents <= {args.limit}: " + " ".join(str(p) for p in exponents)
-    _emit(args, {"limit": args.limit, "exponents": exponents}, text)
-    return 0
+    return {"limit": args.limit, "exponents": exponents}, text, 0
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> tuple[dict, str, int]:
     sizes = {f.name: getattr(args, f.name) for f in dataclasses.fields(ReportSizes)}
     for name, size in sizes.items():  # ahead of ReportSizes' own check, so the error names the cap
         cap = getattr(MAX_REPORT_SIZES, name)
         if not 0 <= size <= cap:
             raise ValueError(f"--{name.replace('_', '-')} {size} is outside the range 0 to {cap}")
     report = run_report(args.seed, _cfg(args), ReportSizes(**sizes))
-    _emit(args, report.to_dict(), report.render())
-    return 0 if report.clean else 1
+    return report.to_dict(), report.render(), 0 if report.clean else 1
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command. Its handler returns (payload, text, exit code) and
+    writes nothing; the JSON dump of the payload under --json, else the
+    text, is printed here, and an error is one bounded line on stderr."""
     args = build_parser().parse_args(argv)
     try:
-        code = args.handler(args)
-        sys.stdout.flush()  # so that a reader who closed the pipe is met here
+        payload, text, code = args.handler(args)
+        # flushed, so that a reader who closed the pipe is met here
+        print(json.dumps(payload, indent=2, sort_keys=True) if args.json else text, flush=True)
         return code
     except BrokenPipeError:
         # as in Python's note on SIGPIPE: with stdout on devnull, the flush at exit cannot raise again
@@ -316,4 +292,3 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ArithmeticError, FactorizationBudgetError) as exc:
         print(_error_line(f"error: {exc}"), file=sys.stderr)
         return 2
-

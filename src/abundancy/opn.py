@@ -19,10 +19,10 @@ from functools import cached_property, lru_cache, partial
 from typing import Callable
 
 from .arith import (
-    BPSW_FLOOR,
     TRIAL_BITS,
     Factorization,
     FactorizationBudgetError,
+    bpsw_claim,
     digit_count,
     gcd,
     is_prime,
@@ -245,7 +245,7 @@ def validate_eulerian(
         else:
             factored = _factored_checks(candidate, known, 1, cfg)
     prime = cofactor == 1 and small.factors == ((q, 1),)
-    probable = prime and _bpsw_claim(q)
+    probable = prime and bpsw_claim(q)
     checks = [
         _flag("q prime", prime, lambda: f"q = {render_exact(q)}" + " (BPSW probable prime)" * probable),
         _flag("q = 1 (mod 4)", q % 4 == 1, f"q mod 4 = {q % 4}"),
@@ -444,12 +444,6 @@ def order_predicates(candidate: EulerianCandidate) -> OrderPredicates:
 # ---------------------------------------------------------------------------
 
 
-def _bpsw_claim(q: int) -> bool:
-    """Whether is_prime's True for q is a BPSW claim: q >= psi_13, and q is
-    not 2^p - 1 (Lucas-Lehmer proves those)."""
-    return q >= BPSW_FLOOR and q & (q + 1) != 0
-
-
 def _require_euler_prime(q: int) -> None:
     if not is_prime(q) or q % 4 != 1:
         raise ValueError(f"q must be a prime with q = 1 (mod 4), got {render_short(q)}")
@@ -559,7 +553,7 @@ def residual_case_classify(q: int) -> ResidualClassification:
     while q = 1 (mod 12) forces no divisibility of n by 3.
     """
     _require_euler_prime(q)
-    half, label = (q + 1) // 2, " (q is a BPSW probable prime)" * _bpsw_claim(q)
+    half, label = render_exact((q + 1) // 2), " (q is a BPSW probable prime)" * bpsw_claim(q)
     if q == 5:
         return ResidualClassification(
             ResidualCase.CASE_Q5,

@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -886,6 +887,22 @@ def test_residual_classify_labels_a_bpsw_probable_prime(q, case, notes):
     # rule of the q prime row; a q below psi_13 is proven and gets no label
     assert residual_case_classify(q) == opn.ResidualClassification(case, notes + " (q is a BPSW probable prime)")
     assert not any("BPSW" in residual_case_classify(p).notes for p in (5, 13, 17, 1000000009))
+
+
+def test_residual_classify_renders_a_half_past_the_str_limit():
+    # (q+1)/2 has 700 digits, past a 640-digit int-to-str limit, so the notes
+    # show it as render_exact does instead of raising
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        result = residual_case_classify(10**700 + 1213)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert result == opn.ResidualClassification(
+        ResidualCase.CASE_5_MOD_12,
+        "q = 2 (mod 3), so 3 divides (q+1)/2 = 50000000000000000000...00000000000000000607 (700 digits),"
+        " hence 3 | n^2 when k = 1 (q is a BPSW probable prime)",
+    )
 
 
 def test_residual_classify_rejects_bad_q():

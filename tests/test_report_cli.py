@@ -134,12 +134,28 @@ def run_cli(capsys, *argv):
     return code, out
 
 
-def test_every_subcommand_calls_its_own_handler():
+def test_every_subcommand_calls_its_own_handler(capsys):
     parser = cli.build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     for name, command in sub.choices.items():
         assert command.get_default("handler") is getattr(cli, f"_cmd_{name}"), name
     assert {f"_cmd_{name}" for name in sub.choices} == {n for n in vars(cli) if n.startswith("_cmd_")}
+    # a handler returns (payload, text, exit code) and writes nothing; main
+    # writes the text, or under --json the payload's sorted, indented dump
+    runs = {}
+    for argv in CLI_BATTERY:  # each command's first golden run with --json and without
+        runs.setdefault((argv[0], "--json" in argv), argv)
+    tiny = dataclasses.replace(SMALL, oracle_limit=50, sandwich_pairs=5, order_candidates=5, mersenne_limit=31)
+    runs["report", True] = ["report", "--json", *size_flags(tiny)]  # the golden file leaves report out
+    assert {name for name, _ in runs} == set(sub.choices)
+    for argv in runs.values():
+        args = parser.parse_args(argv)
+        result = args.handler(args)
+        assert capsys.readouterr() == ("", ""), argv
+        assert [type(part) for part in result] == [dict, str, int], argv
+        payload, text, code = result
+        shown = json.dumps(payload, indent=2, sort_keys=True) if args.json else text
+        assert (main(argv), capsys.readouterr()) == (code, (shown + "\n", "")), argv
 
 
 def test_cli_sigma(capsys):
