@@ -352,9 +352,10 @@ def trial_factor(n: int) -> tuple[Factorization, int]:
     out of n as often as it goes.
 
     Returns (f, m) with n = f.value() * m. Either m = 1 and f is the whole
-    factorization (a prime left over after the division is proven, by the
-    2^32 rule or by one is_prime call, and moved into f), or m is composite,
-    every prime factor of m exceeds 2^16 and f holds the primes below 2^16.
+    factorization (a prime left over below 2^32 is proven by that bound and
+    moved into f), or m > 2^32, every prime factor of m exceeds 2^16 and f
+    holds the primes below 2^16. Such an m is not tested: it may be prime,
+    and rho_factor proves or splits it.
     """
     if operator.index(n) < 1:
         raise ValueError(f"cannot factor {n}; need n >= 1")
@@ -374,7 +375,7 @@ def trial_factor(n: int) -> tuple[Factorization, int]:
                 e += 1
             found.append((p, e))
     # what survives has no prime factor below min(2^16, sqrt(n)): below 2^32 it is prime
-    if n > 1 and (n < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(n)):
+    if 1 < n < _TRIAL_LIMIT * _TRIAL_LIMIT:
         found.append((n, 1))
         n = 1
     return Factorization._derived(tuple(found)), n
@@ -382,31 +383,33 @@ def trial_factor(n: int) -> tuple[Factorization, int]:
 
 def factorize(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
     """Canonical factorization of n >= 1: trial_factor, then rho_factor on the
-    composite cofactor it leaves, if any.
+    cofactor it leaves, if any.
 
     Deterministic. Raises FactorizationBudgetError once `budget` is spent (a
     unit per rho iteration below 256 bits, more above; see _brent_rho), so
     pathological inputs fail cleanly in bounded time. Each reported prime is
     tested once, by the trial division, by the 2^32 rule or by its own
-    is_prime call, so the result is not validated again. That is a proof
-    below psi_13 ~ 3.3e24 (Miller-Rabin to the first k of the thirteen prime
-    bases 2..41, k graded by size) and for Mersenne-shaped primes; any other
-    prime from psi_13 on is a BPSW probable prime (none known; none below
-    2^64; see is_prime).
+    is_prime call in rho_factor, so the result is not validated again. That
+    is a proof below psi_13 ~ 3.3e24 (Miller-Rabin to the first k of the
+    thirteen prime bases 2..41, k graded by size) and for Mersenne-shaped
+    primes; any other prime from psi_13 on is a BPSW probable prime (none
+    known; none below 2^64; see is_prime).
     """
     small, cofactor = trial_factor(n)
     return small if cofactor == 1 else small * rho_factor(cofactor, budget)
 
 
 def rho_factor(m: int, budget: int = DEFAULT_BUDGET, known: tuple[int, ...] = ()) -> Factorization:
-    """Factorization of a cofactor m that trial_factor left: composite, every
-    prime factor above 2^16.
+    """Factorization of a cofactor m > 1 that trial_factor left: prime or
+    composite, every prime factor above 2^16.
 
     Brent-rho splitting with a fixed parameter schedule. The primes `known`
     (already proven) and each prime found are divided out of every cofactor
-    before it is tested or walked, so they cost no walk; m itself is not
-    tested again, each other cofactor once. Raises FactorizationBudgetError
-    once `budget` is spent (see _brent_rho for what an iteration costs).
+    before it is tested or walked, so they cost no walk; what is left of m
+    and of each other cofactor is tested once (by the 2^32 rule below 2^32,
+    else by is_prime), so a prime m costs no walk either. Raises
+    FactorizationBudgetError once `budget` is spent (see _brent_rho for what
+    an iteration costs).
     """
     effort = [budget]
     found = dict.fromkeys(known, 0)
@@ -420,7 +423,7 @@ def rho_factor(m: int, budget: int = DEFAULT_BUDGET, known: tuple[int, ...] = ()
         if c == 1:
             continue
         # every prime factor exceeds 2^16, so below 2^32 c is prime
-        if c != m and (c < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(c)):
+        if c < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(c):
             found[c] = 1
             continue
         d = _brent_rho(c, effort)

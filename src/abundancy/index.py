@@ -188,12 +188,11 @@ def sandwich_check(
 
 def _sandwich_verdict(xs: tuple[IntervalReal, IntervalReal, IntervalReal]) -> SandwichStatus | None:
     x_a, x_b, x_ab = xs
-    sides = {x_ab.compare(x_a), x_ab.compare(x_b)}
-    if sides == {Comparison.LESS, Comparison.GREATER}:
-        return SandwichStatus.HOLDS
-    if len(sides) == 1 and Comparison.UNDECIDED not in sides:
-        return SandwichStatus.VIOLATED
-    return None
+    side_a, side_b = x_ab.compare(x_a), x_ab.compare(x_b)
+    if side_a is Comparison.UNDECIDED or side_b is Comparison.UNDECIDED:
+        return None
+    # x(ab) on one side of both is a violation; between them, the sandwich
+    return SandwichStatus.VIOLATED if side_a is side_b else SandwichStatus.HOLDS
 
 
 # 1/x(u) and the bounds built on it are cached like the logs, 512 entries

@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cache, cached_property, lru_cache, partial
 from typing import Callable
 
 from .arith import (
@@ -149,8 +149,13 @@ class EulerianCandidate:
 
     @cached_property
     def _q_split(self) -> tuple[Factorization, int]:
-        # trial_factor(q) for validate_eulerian and order_predicates; not a field (as IntervalReal._text)
-        return trial_factor(self.q)
+        # trial_factor(q) for validate_eulerian and order_predicates, its
+        # leftover proven only when it is all of q, as the "q prime" row
+        # needs; not a field (as IntervalReal._text)
+        small, cofactor = trial_factor(self.q)
+        if cofactor == self.q and is_prime(cofactor):
+            return Factorization._derived(((cofactor, 1),)), 1
+        return small, cofactor
 
     @property
     def root(self) -> int:
@@ -222,14 +227,16 @@ def validate_eulerian(
 
     Form checks and literature bounds are exact integer comparisons; the index
     lower bound is decided by certified enclosures with automatic precision
-    escalation. q goes through trial_factor once, which also decides "q
-    prime" and leaves a cofactor m that is 1 or composite with every prime
-    factor above 2^16. One evaluator, _factored_checks, decides the checks
-    that need q's factorization: exactly when m = 1, else from exact bounds on
-    m's share of N. Only when a bound cannot decide is m factored (by
-    rho_factor, which divides n's proven primes out before it walks) and the
-    evaluator run once more, with m = 1; if rho exhausts the budget those
-    checks are UNDECIDED. Failures are report entries, never exceptions.
+    escalation. q goes through trial_factor once, which leaves a cofactor m
+    that is 1 or above 2^32 with every prime factor above 2^16; m is proven
+    only when it is all of q, which decides "q prime". One evaluator,
+    _factored_checks, decides the checks that need q's factorization:
+    exactly when m = 1, else from exact bounds on m's share of N, which hold
+    for a prime m too. Only when a bound cannot decide is m factored (by
+    rho_factor, which divides n's proven primes out, then proves m or walks)
+    and the evaluator run once more, with m = 1; if rho exhausts the budget
+    those checks are UNDECIDED. Failures are report entries, never
+    exceptions.
     """
     q, k = candidate.q, candidate.k
     n = candidate.root
@@ -285,6 +292,9 @@ def _factored_checks(
     rest and t (_side compares them cross-multiplied: no Fraction over N), and
     the least prime of N is that of rest if below 2^16 + 1. A cofactor of 1
     has t = 0: each range is then one exact value, and the witnesses show it.
+    A cofactor above 1 is proven by the first read of the omega(N), I(q^k)
+    or sigma(N) witness: if prime, q is factored and they show the exact
+    values as for a cofactor of 1, else the ranges.
     """
     euler_part = known**candidate.k
     rest = euler_part * candidate.n**2
@@ -308,23 +318,22 @@ def _factored_checks(
     residual_side = _side(sigma_rest, rest_value, t, 2, 1)
     if euler_side is None or residual_side is None:
         return None
-    unfactored = "(cofactor {} unfactored, primes > 2^16)".format
+    euler_witness = partial(_euler_text, sigma_euler, euler_value)
+    residual_witness = partial(_residual_text, sigma_rest, rest_value, residual_side)
+    if cofactor > 1:  # built only here, as the closures a report keeps cost memory
+        prime = cache(partial(is_prime, cofactor))  # the first witness read proves the cofactor
+        unfactored = lambda: f"(cofactor {render_short(cofactor)} unfactored, primes > 2^16)"
 
-    def euler_witness() -> str:
-        if cofactor > 1:
-            return f"I(q^k) {euler_side} 5/4 {unfactored(render_short(cofactor))}"
-        return f"I(q^k) = {render_exact(Fraction(sigma_euler, euler_value))}"
+        def exact(sigma_part: int, part: int) -> tuple[int, int]:
+            # sigma and value of part * cofactor^k, for a prime cofactor
+            power = cofactor**candidate.k
+            return sigma_part * ((power * cofactor - 1) // (cofactor - 1)), part * power
 
-    def residual_witness() -> str:
-        if cofactor > 1:
-            return f"sigma(N) != 2N: I(N) {residual_side} 2 {unfactored(render_short(cofactor))}"
-        if rest_value < 10**30:  # rest is N itself
-            shown = f"sigma(N)/N = {sigma_rest}/{rest_value}"
-            if gcd(sigma_rest, rest_value) != 1:  # only if it actually reduces
-                shown += f" = {Fraction(sigma_rest, rest_value)}"
-            return shown
-        return ("sigma(N) = 2N" if residual_side == "=" else
-                f"sigma(N) != 2N (N has {digit_count(rest_value)} digits)")
+        omega_witness = lambda ranged=omega_witness: f"omega(N) = {least}" if prime() else ranged
+        euler_witness = lambda: (_euler_text(*exact(sigma_euler, euler_value)) if prime() else
+                                 f"I(q^k) {euler_side} 5/4 {unfactored()}")
+        residual_witness = lambda: (_residual_text(*exact(sigma_rest, rest_value), residual_side) if prime()
+                                    else f"sigma(N) != 2N: I(N) {residual_side} 2 {unfactored()}")
     omega_name, euler_name, _, residual_name = _FACTORED_CHECKS
     return [
         _flag(omega_name, least >= NIELSEN_MIN_OMEGA, omega_witness),
@@ -332,6 +341,20 @@ def _factored_checks(
         _index_bound_check(candidate, rest.least_prime(), cfg),
         _flag(residual_name, residual_side == "=", residual_witness),
     ]
+
+
+def _euler_text(sigma_euler: int, euler_value: int) -> str:
+    return f"I(q^k) = {render_exact(Fraction(sigma_euler, euler_value))}"
+
+
+def _residual_text(sigma_n: int, n_value: int, side: str) -> str:
+    """The sigma(N) = 2N witness from sigma(N) and N; side is I(N)'s against 2."""
+    if n_value < 10**30:
+        shown = f"sigma(N)/N = {sigma_n}/{n_value}"
+        if gcd(sigma_n, n_value) != 1:  # only if it actually reduces
+            shown += f" = {Fraction(sigma_n, n_value)}"
+        return shown
+    return "sigma(N) = 2N" if side == "=" else f"sigma(N) != 2N (N has {digit_count(n_value)} digits)"
 
 
 def _side(num: int, den: int, t: int, tn: int, td: int) -> str | None:

@@ -241,13 +241,13 @@ def test_factorize_semiprime():
 def test_trial_factor_leaves_a_composite_cofactor_or_none():
     p, q = 4294967311, 1099511627791  # primes above 2^32
     assert trial_factor(1) == (Factorization(()), 1)
-    # a prime left after the division moves into the factorization
+    # a prime left after the division below 2^32 moves into the factorization
     assert trial_factor(3 * 100003) == (Factorization.parse("3*100003"), 1)
-    assert trial_factor(9 * 5 * p) == (Factorization.parse(f"3^2*5*{p}"), 1)
-    # a composite cofactor stays whole, with every prime factor above 2^16
+    # a cofactor above 2^32 stays whole and untested, with every prime factor above 2^16
+    assert trial_factor(9 * 5 * p) == (Factorization.parse("3^2*5"), p)
     assert trial_factor(9 * 5 * p * q) == (Factorization.parse("3^2*5"), p * q)
     assert trial_factor(65537**2) == (Factorization(()), 65537**2)
-    for n in (9 * 5 * p * q, 7 * p**2 * q, p * q):
+    for n in (9 * 5 * p, 9 * 5 * p * q, 7 * p**2 * q, p * q):
         small, cofactor = trial_factor(n)
         assert factorize(n) == small * rho_factor(cofactor)
 
@@ -265,7 +265,7 @@ def _plain_trial_factor(n):
         if e:
             found.append((d, e))
         d += 1
-    if n > 1 and (n < 1 << 32 or is_prime(n)):
+    if 1 < n < 2**32:
         found.append((n, 1))
         n = 1
     return tuple(found), n
@@ -311,7 +311,7 @@ def test_trial_factor_reduces_n_by_no_small_prime(monkeypatch):
     monkeypatch.setattr(arith, "is_prime", lambda m: leftovers.append(m) or prove(int(m)))
     p, q = 4294967311, 1099511627791  # primes above 2^32
     assert trial_factor(Counted(p * q)) == (Factorization(()), p * q)
-    assert divisors == [] and leftovers == [p * q]
+    assert divisors == [] and leftovers == []
     # a small prime that does divide n costs a test and a division
     assert trial_factor(Counted(3 * p * q)) == (Factorization(((3, 1),)), p * q)
     assert divisors == [3, 3]

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -21,7 +22,9 @@ from abundancy.index import (
     sandwich_check,
     square_index_relation,
 )
-from abundancy.interval import GUARD_BITS, IntervalReal, PrecisionConfig, _ln_scaled, escalate, ln_ratio, sqrt_ratio
+from abundancy.interval import (
+    GUARD_BITS, Comparison, IntervalReal, PrecisionConfig, _ln_scaled, escalate, ln_ratio, sqrt_ratio,
+)
 from abundancy.report import sample_coprime_odd_pair, sample_odd_factorization
 
 
@@ -303,6 +306,18 @@ def test_sandwich_verdict_truth_table():
     assert _sandwich_verdict((low, high, x(2, 3))) is None
     assert _sandwich_verdict((low, high, x(4, 5))) is None
     assert _sandwich_verdict((low, high, x(0, 9))) is None
+
+
+@pytest.mark.parametrize("side_a, side_b", itertools.product(Comparison, repeat=2))
+def test_sandwich_verdict_on_every_pair_of_sides(side_a, side_b):
+    class Sides:  # x(ab), reporting a fixed side of x(a) and of x(b)
+        def compare(self, other):
+            return side_a if other == "a" else side_b
+
+    less, greater = Comparison.LESS, Comparison.GREATER
+    expected = {(less, greater): SandwichStatus.HOLDS, (greater, less): SandwichStatus.HOLDS,
+                (less, less): SandwichStatus.VIOLATED, (greater, greater): SandwichStatus.VIOLATED}
+    assert _sandwich_verdict(("a", "b", Sides())) is expected.get((side_a, side_b))
 
 
 def _reference_sandwich(fa, fb):

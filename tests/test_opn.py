@@ -329,9 +329,10 @@ def test_bounded_checks_agree_with_the_full_factorization(case):
     bounded = opn._factored_checks(candidate, small, cofactor, DEFAULT_PRECISION)
     got = _factored_part(validate_eulerian(candidate))
     order = [opn._FACTORED_CHECKS.index(c.name) for c in got]  # the report puts sigma last
-    if cofactor == 1:
-        assert bounded == expected  # trial division factored q: the exact case
-    if bounded is None or cofactor == 1:
+    exact = cofactor == 1 or is_prime(cofactor)  # q factored once its leftover is proven
+    if exact and bounded is not None:
+        assert bounded == expected  # the exact case, its witnesses proving a prime cofactor
+    if bounded is None or exact:
         assert got == [expected[i] for i in order]  # the rho path, checks and witnesses
     else:
         assert got == [bounded[i] for i in order]
@@ -368,16 +369,45 @@ def test_the_rho_path_takes_the_primes_q_shares_with_n_first(monkeypatch):
         expected = opn._factored_checks(candidate, q_factors, 1, DEFAULT_PRECISION)
         got = _factored_part(validate_eulerian(candidate))
         assert sorted(got, key=lambda c: c.name) == sorted(expected, key=lambda c: c.name), q_primes
-    # with nothing shared, rho gets the composite cofactor untested
+    # with nothing shared, rho tests the composite cofactor once, then walks
     tested = []
     monkeypatch.setattr(arith, "is_prime", lambda n: tested.append(n) or is_prime(n))
     cofactor = 65537 * 65539
     assert arith.rho_factor(cofactor, known=(3, 5)).factors == ((65537, 1), (65539, 1))
-    assert cofactor not in tested
+    assert tested.count(cofactor) == 1
     # a prime left once a known prime is divided out is tested once, not walked
     tested.clear()
     assert arith.rho_factor(65537 * 4294967311, known=(65537,)).factors == ((65537, 1), (4294967311, 1))
     assert tested == [4294967311]
+
+
+def test_a_prime_leftover_is_proven_by_the_first_witness_read(monkeypatch):
+    # q = 3 * 5 * p, p a prime above 2^64: the bounds decide every check with
+    # p unproven, and reading a witness proves p once and shows exact values
+    p = 896399550136791510227903
+    tested = []
+
+    def counted(n, real=arith.is_prime):
+        tested.append(n)
+        return real(n)
+
+    monkeypatch.setattr(arith, "is_prime", counted)
+    monkeypatch.setattr(opn, "is_prime", counted)
+    candidate = EulerianCandidate(15 * p, 1, Factorization.parse("3^2*5*7*11*13*17*19*23*29*31"))
+    assert candidate.q == 13445993252051872653418545
+    checks = _factored_part(validate_eulerian(candidate))
+    assert p not in tested
+    assert {c.name: c.witness for c in checks if c.name != "I(n) > index lower bound"} == {
+        "omega(N) >= 10": "omega(N) = 11",
+        "I(q^k) < 5/4": "I(q^k) = 7171196401094332081823232/4481997750683957551139515",
+        "sigma(N) = 2N": "sigma(N) != 2N (N has 49 digits)",
+    }
+    assert tested.count(p) == 1
+
+
+def test_rho_proves_a_prime_cofactor_without_a_walk():
+    p = 18446744073709551629  # prime, above 2^64
+    assert arith.rho_factor(p, budget=1).factors == ((p, 1),)
 
 
 def test_bounded_witnesses_name_their_bound_and_stay_short():
