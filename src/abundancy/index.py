@@ -15,7 +15,9 @@ B1, B2 likewise, is then the mediant of x(a) = A2/A1 and x(b) = B2/B1. Each
 ln I(p^e) is itself the sum ln(p/(p-1)) + ln(1 - p^-(e+1)), from
 I(p^e) = p/(p-1) * (1 - p^-(e+1)): the first term is cached per prime and
 precision and shared by every exponent, and the second needs only a short
-series because its atanh argument is 1/(2p^(e+1) - 1).
+series because its atanh argument is 1/(2p^(e+1) - 1). A lone exponent is
+taken at relative precision instead, as 1 + ln(I(n^2)/I(n))/ln I(n), so that
+it needs no precision ladder however close to 1 it lies.
 """
 
 from __future__ import annotations
@@ -127,19 +129,27 @@ def _within_one_and_two(x: IntervalReal) -> bool | None:
 
 
 def abundancy_exponent(f: Factorization, cfg: PrecisionConfig = DEFAULT_PRECISION) -> ExponentValue:
-    """Enclosure of x(n) = ln(I(n^2))/ln(I(n)).
+    """Enclosure of x(n) = ln(I(n^2))/ln(I(n)) = 1 + D/A in one evaluation at
+    cfg.initial_bits, however close to 1 it lies (cfg.max_bits plays no part).
 
-    1 < x(n) < 2 holds exactly for every n > 1, since sigma(n)*n < sigma(n^2)
-    < sigma(n)^2; precision escalates only until the enclosure shows it too,
-    and at cfg.max_bits the last enclosure is returned as it is. Undefined for
-    n = 1 (the denominator ln I(1) is zero).
+    A = ln I(n) sums ln I(p^e) > ln(1 + 1/p) >= 2^-bits(p) over n's prime
+    powers, and D = ln(I(n^2)/I(n)) sums ln(1 + δ) > δ/2 > 2^-(bits(p^(e+1)) + 2),
+    1 + δ = (p^(2e+1) - 1)/((p^(e+1) - 1) p^e). With A's terms taken at w + t
+    bits (w = bits + GUARD_BITS, t = 4 + the least bits(p)) and D's at w + s
+    (s = 4 + the least bits(p^(e+1)) >= t), both positive sums are known to a
+    few units of 2^-w of themselves, so the exact 1 < x(n) < 2 always shows.
+    `bits` is that of D's logs, cfg.initial_bits + s. Undefined for n = 1.
     """
     if not f.factors:
         raise ValueError("abundancy exponent is undefined for 1")
-    _, enclosure = escalate(
-        lambda bits: _log_quotient(*_ln_indices(f, bits), bits), _within_one_and_two, cfg
-    )
-    return ExponentValue(enclosure, f)
+    w = cfg.initial_bits + GUARD_BITS
+    s = 4 + min((p ** (e + 1)).bit_length() for p, e in f.factors)
+    t = 4 + min(p.bit_length() for p, _ in f.factors)
+    d = [_ln_scaled(p ** (2 * e + 1) - 1, (p ** (e + 1) - 1) * p**e, w + s) for p, e in f.factors]
+    a = [_ln_prime_power_index(p, e, w + t) for p, e in f.factors]
+    (dlo, dhi), (alo, ahi) = map(sum, zip(*d)), map(sum, zip(*a))
+    alo, ahi = alo << (s - t), ahi << (s - t)  # D/A, both over 2^(w + s)
+    return ExponentValue(IntervalReal._of((ahi + dlo, ahi), (alo + dhi, alo), cfg.initial_bits + s), f)
 
 
 def prime_power_exponent(r: int, s: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> ExponentValue:

@@ -266,9 +266,10 @@ def _atanh_chain(zn: int, zd: int, v: int) -> tuple[int, int, int]:
     1/(1 - z^2) <= 9/8, so s is short of its k + 1 true terms by less than
     1 + 11k/8; the terms after them sum to at most (P_k + 2) z^2/(1 - z^2) <= tail.
     Every wide z the library makes (1/(2P-1) of `index._ln_prime_power_index`,
-    1/(2u+1) of ln I(u)) is below 2^-(w/6), so its dear divisions end within 3
-    terms; one below about 2^-(v/3) stops at P_0 without forming zd^2: when bit lengths
-    show P_0 zn^2 < zd^2, P_1 = 0 and the tail ceil(2z^2/(1 - z^2)) is 1 (as 3z <= 1)."""
+    about δ/2 of `index.abundancy_exponent`'s ln(1 + δ), 1/(2u+1) of ln I(u)) is
+    below 2^-(w/6), so its dear divisions end within 3 terms; one below about
+    2^-(v/3) stops at P_0 without forming zd^2: when bit lengths show P_0 zn^2 <
+    zd^2, P_1 = 0 and the tail ceil(2z^2/(1 - z^2)) is 1 (as 3z <= 1)."""
     p = s = (zn << v) // zd
     if (p * zn * zn).bit_length() < 2 * zd.bit_length() - 1:
         return s, 1, 1
@@ -327,8 +328,10 @@ def _ln_scaled(num: int, den: int, w: int) -> tuple[int, int]:
     alo, ahi = _atanh_scaled(abs(zn), zd, w)
     if zn < 0:
         alo, ahi = -ahi, -alo
+    if e == 0:  # no ln 2 to add, and none to compute and cache at this w
+        return 2 * alo, 2 * ahi
     l2lo, l2hi = _ln2_scaled(w)
-    return 2 * alo + e * l2lo, 2 * ahi + e * l2hi  # e >= 0 here
+    return 2 * alo + e * l2lo, 2 * ahi + e * l2hi  # e >= 1 here
 
 
 def _exp_chain(t: int, v: int, h: int) -> tuple[int, int]:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import BIG_PRIME, assert_consistent, exponent_oracle
-from abundancy import arith, index
+from abundancy import arith, index, interval
 from abundancy.arith import Factorization, factorize, primes_up_to, sigma
 from abundancy.index import (
     SandwichStatus,
@@ -98,12 +98,16 @@ def test_abundancy_exponent_certified_range():
 
 
 def test_exponent_of_big_prime_escalates_past_zero_divisor():
+    # ln I(p) ~ 1/p < 2^-300 would be a divisor not separated from zero at
+    # 256 absolute bits; the exponent goes past that in one step, taking D's
+    # logs at 256 + 4 + bits(p^2) bits and A's at 256 + 4 + bits(p)
     for x in (
         abundancy_exponent(Factorization(((BIG_PRIME, 1),))).value,
         prime_power_exponent(BIG_PRIME, 1).value,
     ):
-        assert x.bits == 1024
+        assert x.bits == 256 + 4 + (BIG_PRIME**2).bit_length() == 861
         assert x.lo > 1 and x.hi < 2
+        assert x.width < (x.lo - 1) / 2**256
 
 
 def _counted_is_prime(monkeypatch) -> list[int]:
@@ -241,24 +245,94 @@ def test_split_prime_power_log_contains_mpmath_and_meets_the_direct_log(prime_po
     assert hi - lo <= direct_hi - direct_lo
 
 
-def _direct_rung(p, e):
-    """The rung at which x(p^e) shows 1 < x < 2 with both logs taken directly
-    as ln(sigma(p^k)/p^k), under the library's own quotient and stopping rule."""
+def _direct_quotient(p, e):
+    """x(p^e) at the rung where it shows 1 < x < 2 with both logs taken directly
+    as ln(sigma(p^k)/p^k), under the library's quotient and stopping rule."""
     def evaluate(bits):
         w = bits + GUARD_BITS
         (l1, h1), (l2, h2) = (_ln_scaled(sigma(Factorization(((p, k),))), p**k, w) for k in (e, 2 * e))
         return index._log_quotient(l1, h1, l2, h2, bits)
 
-    return escalate(evaluate, index._within_one_and_two)[1].bits
+    return escalate(evaluate, index._within_one_and_two)[1]
 
 
 def test_split_log_never_decides_an_exponent_at_a_higher_rung():
-    # p < 100 and p^e from 64 to 4096 bits, two sizes per octave
+    # p < 100 and p^e from 64 to 4096 bits, two sizes per octave: the exponent
+    # is decided from the first rung, its D logs 4 + bits(p^(e+1)) bits above
+    # it, to a relative 2^-256 of x - 1; it meets the quotient of direct logs
+    # at the rung where that quotient decides
     for p in primes_up_to(100):
         for size in (64, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048, 3072, 4096):
             e = size // p.bit_length()
-            rung = abundancy_exponent(Factorization(((p, e),))).value.bits
-            assert rung <= _direct_rung(p, e), (p, e)
+            x = abundancy_exponent(Factorization(((p, e),))).value
+            direct = _direct_quotient(p, e)
+            assert x.bits - 4 - (p ** (e + 1)).bit_length() == 256 <= direct.bits, (p, e)
+            assert 1 < x.lo and x.hi < 2 and x.width < (x.lo - 1) / 2**256 and x.overlaps(direct), (p, e)
+
+
+@st.composite
+def relative_precision_cases(draw):
+    """n > 1 with up to one prime power p^e (p < 1000) of up to 8,192 bits,
+    log-uniform in size, up to two more primes below 1000 and up to two of
+    200-320 bits, each to an exponent of 1-3; and a starting precision of
+    8-1024 bits. With only big primes, ln I(n) is below 2^-199."""
+    factors = {}
+    if draw(st.booleans()):
+        p = draw(st.sampled_from(primes_up_to(1000)))
+        size = draw(st.integers(3, 12).flatmap(lambda k: st.integers(2**k, 2 ** (k + 1))))
+        factors[p] = max(1, size // p.bit_length())
+    for q in draw(st.lists(st.sampled_from(primes_up_to(1000)), max_size=2)):
+        factors.setdefault(q, draw(st.integers(1, 3)))
+    for bits in draw(st.lists(st.integers(200, 320), min_size=0 if factors else 1, max_size=2)):
+        q = draw(st.integers(2 ** (bits - 1), 2**bits - 1)) | 1
+        while not arith.is_prime(q):
+            q += 2
+        factors.setdefault(q, draw(st.integers(1, 3)))
+    return Factorization(tuple(sorted(factors.items()))), draw(st.integers(8, 1024))
+
+
+@settings(max_examples=40, deadline=None)
+@given(relative_precision_cases())
+def test_exponent_at_relative_precision_contains_mpmath_value(case):
+    # x - 1 is as small as about p^-e, far below 2^-bits, and an absolute
+    # enclosure of ln I(n) is not even separated from zero when n holds a
+    # 300-bit prime: only a relative one shows 1 < x < 2 at the first rung
+    f, bits = case
+    x = abundancy_exponent(f, PrecisionConfig(bits, bits)).value
+    assert 1 < x.lo and x.hi < 2
+    assert x.width <= (x.lo - 1) / 2**bits
+    prec = 2 * (f.value() ** 2).bit_length() + 2 * x.bits + 64
+    ref = exponent_oracle(f, prec)
+    slack = ref / 2 ** (prec - 24)  # the oracle's own rounding, far below x's width
+    assert x.lo - slack <= ref <= x.hi + slack, (str(f), bits)
+
+
+def test_an_exponent_is_one_evaluation(monkeypatch):
+    # no ladder; per prime power one log for D and one for A's short tail,
+    # and ln(p/(p-1)) once per prime for every exponent of p
+    ladders, logs = [], []
+    monkeypatch.setattr(index, "escalate", lambda *args: ladders.append(args))
+    kernel = index._ln_scaled
+    monkeypatch.setattr(index, "_ln_scaled", lambda *args: logs.append(args) or kernel(*args))
+    index._ln_prime_power_index.cache_clear()
+    index._ln_prime_factor.cache_clear()
+    for exponents in ((40, 7, 1), (41, 8, 2)):
+        logs.clear()
+        f = Factorization(tuple(zip((3, 5, BIG_PRIME), exponents)))
+        assert 1 < abundancy_exponent(f).value.lo
+        assert len(logs) == (3 if exponents[0] == 40 else 2) * len(f.factors)
+    assert ladders == []
+    # ln 2 enters only through ln(3/2), at one precision for every exponent of
+    # every p < 100; D's logs and A's tails never need it
+    cached = interval._ln2_scaled.cache_info().currsize
+    for i in range(200):
+        p = primes_up_to(100)[i % 25]
+        x = prime_power_exponent(p, max(1, (64 + 41 * i) // p.bit_length())).value
+        assert 1 < x.lo and x.hi < 2
+    assert interval._ln2_scaled.cache_info().currsize <= cached + 4
+    # near the 65,536-bit input cap, x - 1 ~ 3^-41000 still shows
+    x = prime_power_exponent(3, 41000).value
+    assert 1 < x.lo and x.hi < 2 and x.width < (x.lo - 1) / 2**256
 
 
 @settings(max_examples=200, deadline=None)

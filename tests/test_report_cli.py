@@ -395,8 +395,11 @@ def test_cli_names_malformed_text(capsys, argv, shown):
 
 
 def test_cli_respects_bits_flag(capsys):
+    # an exponent's logs are taken at --bits + 4 + bits(p^(e+1)) bits, 64 + 4 + 4
+    # for x(3); --max-bits does not move them
     code, out = run_cli(capsys, "exponent", "3", "--bits", "64")
-    assert code == 0 and "@64b" in out
+    assert code == 0 and out.endswith("@72b\n")
+    assert run_cli(capsys, "exponent", "3", "--bits", "64", "--max-bits", "64") == (code, out)
 
 
 def test_cli_precision_and_margin_defaults_are_the_library_defaults():
@@ -407,14 +410,32 @@ def test_cli_precision_and_margin_defaults_are_the_library_defaults():
 
 
 def test_cli_exponent_of_big_prime_escalates(capsys):
+    # the precision goes past 256 bits in one step, with no ladder: D's logs
+    # are taken at 256 + 4 + bits(p^2) = 861 bits
     code, out = run_cli(capsys, "exponent", str(BIG_PRIME))
-    assert code == 0 and out.endswith("@1024b\n")
+    assert code == 0 and out.endswith("@861b\n")
 
 
-def test_cli_exponent_with_a_log_not_separated_from_zero_prints_the_range(capsys):
-    # at 256 bits ln I(p) ~ 1/p is not above zero; [1, 2] holds exactly
+def test_cli_exponent_with_a_log_not_separated_from_zero_prints_the_range(capsys, monkeypatch):
+    # an absolute 256-bit enclosure of ln I(p) ~ 1/p would not be above zero;
+    # at relative precision the range printed under a 256-bit ceiling lies
+    # strictly inside (1, 2), holds the oracle's value and ignores the ceiling
+    returned = []
+    original = cli.abundancy_exponent
+
+    def spy(f, cfg):
+        returned.append(original(f, cfg))
+        return returned[-1]
+
+    monkeypatch.setattr(cli, "abundancy_exponent", spy)
     code, out = run_cli(capsys, "exponent", str(BIG_PRIME), "--max-bits", "256")
-    assert code == 0 and out.endswith(" = 1.500000000 ± 5e-1 @256b\n")
+    assert code == 0 and out.endswith(" = 1.000000000 ± 5e-179 @861b\n")
+    assert run_cli(capsys, "exponent", str(BIG_PRIME)) == (code, out)
+    x = returned[0].value
+    assert 1 < x.lo and x.hi < 2 and x.width < (x.lo - 1) / 2**256
+    prec = 2 * x.bits + 64
+    ref = exponent_oracle(returned[0].of, prec)
+    assert x.lo - ref / 2 ** (prec - 24) <= ref <= x.hi + ref / 2 ** (prec - 24)
 
 
 @pytest.mark.parametrize("argv, name, reference", [
@@ -446,8 +467,9 @@ def test_cli_bound_with_a_log_not_separated_from_zero_prints_an_enclosure(capsys
 
 
 def test_cli_exponent_at_the_ceiling_prints_the_last_enclosure(capsys, monkeypatch):
-    # x(3^5000) - 1 is about 3^-5000, too close to 1 to separate at 4096 bits;
-    # 1 < x < 2 holds exactly anyway, so the last enclosure is the answer
+    # x(3^5000) - 1 is about 3^-5000; the 4096-bit ceiling does not bind an
+    # exponent, whose one enclosure, taken at 256 + 4 + bits(3^5001) bits, is
+    # printed and shows 1 < x < 2
     returned = []
     original = cli.abundancy_exponent
 
@@ -457,8 +479,9 @@ def test_cli_exponent_at_the_ceiling_prints_the_last_enclosure(capsys, monkeypat
 
     monkeypatch.setattr(cli, "abundancy_exponent", spy)
     code, out = run_cli(capsys, "exponent", "3^5000")
-    assert code == 0 and out.startswith("x(3^5000) = ") and out.endswith("@4096b\n")
+    assert code == 0 and out == f"x(3^5000) = {returned[0].value.render()}\n" and out.endswith("@8187b\n")
     x = returned[0].value
+    assert 1 < x.lo and x.hi < 2
     prec = 2 * x.bits + 64
     ref = exponent_oracle(returned[0].of, prec)
     slack = ref / 2 ** (prec - 24)  # the oracle's own rounding, far below x's width
