@@ -11,7 +11,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import NoReturn
+from typing import Iterable, NoReturn
 
 from .arith import Factorization, FactorizationBudgetError, factor_pairs, parse_integer, render_exact, sigma
 from .index import (
@@ -135,11 +135,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(_cmd_check, precision, help="validate an odd-perfect-number candidate line")
     p.add_argument("candidate", nargs="+", help="e.g. q=5 k=1 n=3^2")
 
-    p = command(_cmd_bound, precision, help="certified lower bound L^(1/x(u))")
+    p = command(_cmd_bound, precision, help="certified lower bound L^(1/x(u)); ignores --max-bits")
     p.add_argument("--L", required=True, type=_exact_rational, help="exact rational, e.g. 8/5")
     p.add_argument("--u", required=True, type=_integer, help="odd prime")
 
-    p = command(_cmd_f, precision, help="Euler-prime bound f(q,u) = (q+1)/q + (2q/(q+1))^(1/x(u))")
+    p = command(_cmd_f, precision, help="Euler-prime bound f(q,u) = (q+1)/q + (2q/(q+1))^(1/x(u)); ignores --max-bits")
     p.add_argument("--q", required=True, type=_integer)
     p.add_argument("--u", required=True, type=_integer)
 
@@ -175,13 +175,16 @@ def _require_size(what: str, bits: int) -> None:
         raise ValueError(f"{what} has about {bits} bits; inputs are capped at {MAX_INPUT_BITS} bits")
 
 
-def _input_bits(text: str) -> int:
-    """An upper bound on the bit length of a factored or bare integer text's value."""
-    return sum(e * p.bit_length() for p, e in factor_pairs(text))
+def _input_bits(pairs: Iterable[tuple[int, int]]) -> int:
+    """The sum of the p^e's bit lengths, which bounds their product's: exact
+    for each p^e whose e * (bitlength(p) - 1) is within the cap; past it, p^e
+    is over the cap itself, is never built and counts as e * bitlength(p)."""
+    return sum((p**e).bit_length() if 0 < e * (p.bit_length() - 1) <= MAX_INPUT_BITS else e * p.bit_length()
+               for p, e in pairs)
 
 
 def _parse(text: str) -> Factorization:
-    _require_size("the input", _input_bits(text))
+    _require_size("the input", _input_bits(factor_pairs(text)))
     return Factorization.parse(text)
 
 
@@ -220,7 +223,7 @@ def _cmd_sandwich(args) -> tuple[dict, str, int]:
 
 def _cmd_check(args) -> tuple[dict, str, int]:
     q, k, n_text = EulerianCandidate.fields(" ".join(args.candidate))
-    _require_size("q^k * n^2", k * q.bit_length() + 2 * _input_bits(n_text))
+    _require_size("q^k * n^2", _input_bits(((q, k),)) + 2 * _input_bits(factor_pairs(n_text)))
     candidate = EulerianCandidate(q, k, Factorization.parse(n_text))
     report = validate_eulerian(candidate, _cfg(args))
     lines = [f"candidate {candidate}", *map(_check_line, report.checks)]

@@ -16,8 +16,9 @@ ln I(p^e) is itself the sum ln(p/(p-1)) + ln(1 - p^-(e+1)), from
 I(p^e) = p/(p-1) * (1 - p^-(e+1)): the first term is cached per prime and
 precision and shared by every exponent, and the second needs only a short
 series because its atanh argument is 1/(2p^(e+1) - 1). A lone exponent is
-taken at relative precision instead, as 1 + ln(I(n^2)/I(n))/ln I(n), so that
-it needs no precision ladder however close to 1 it lies.
+taken at relative precision instead, as 1 + ln(I(n^2)/I(n))/ln I(n), and so
+is 1/x(u) under the bound, so that each is one evaluation however close to 1
+it lies: only the sandwich's verdict climbs the precision ladder.
 """
 
 from __future__ import annotations
@@ -115,17 +116,13 @@ def _ln_indices(f: Factorization, bits: int) -> tuple[int, int, int, int]:
 
 
 def _log_quotient(lo1: int, hi1: int, lo2: int, hi2: int, bits: int) -> IntervalReal:
-    """ln I(n^2) / ln I(n) from the ends of both logs, integers over one scale
-    (which cancels), as the integer ratios lo2/hi1 and hi2/lo1; while either
-    log is not separated from 0 (its lower end <= 0), the exact range [1, 2]
-    is the enclosure."""
+    """The sandwich's x = ln I(n^2) / ln I(n) from the ends of both logs,
+    integers over one scale (which cancels), as the integer ratios lo2/hi1
+    and hi2/lo1; while either log is not separated from 0 (its lower end <=
+    0), the exact range [1, 2] is the enclosure."""
     if lo1 <= 0 or lo2 <= 0:
         return IntervalReal(1, 2, bits)
     return IntervalReal._of((lo2, hi1), (hi2, lo1), bits)
-
-
-def _within_one_and_two(x: IntervalReal) -> bool | None:
-    return (x.compare(1) is Comparison.GREATER and x.compare(2) is Comparison.LESS) or None
 
 
 def abundancy_exponent(f: Factorization, cfg: PrecisionConfig = DEFAULT_PRECISION) -> ExponentValue:
@@ -211,20 +208,20 @@ def _sandwich_verdict(xs: tuple[IntervalReal, IntervalReal, IntervalReal]) -> Sa
 # times and missed on 3 keys, the only 3 calls of reciprocal_exponent.
 @lru_cache(maxsize=512, typed=True)  # so that 3.0 does not hit the cached exponent of 3
 def reciprocal_exponent(u: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> IntervalReal:
-    """Enclosure of 1/x(u) = ln(I(u))/ln(I(u^2)) for an odd prime u: the
-    reciprocal of x(u) enclosed by abundancy_exponent's rule, escalating until
-    1 < x(u) < 2 shows, with the same [1, 2] fallback."""
+    """Enclosure of 1/x(u) = A/(A + D) for an odd prime u in one evaluation at
+    cfg.initial_bits (cfg.max_bits plays no part), by abundancy_exponent's
+    relative rule: A = ln I(u) > 1/(u+1) >= 2^-bits(u) is taken at w + t bits
+    (w = bits + GUARD_BITS, t = 4 + bits(u)) and D = ln(I(u^2)/I(u)) >
+    1/(u^2+u+1) at w + s (s = 4 + bits(u^2)), so 1/2 < 1/x(u) < 1 always
+    shows. The ends A_lo/(A_lo + D_hi) and A_hi/(A_hi + D_lo) keep the one A
+    in numerator and denominator."""
     if u < 3 or not is_prime(u):
         raise ValueError(f"u must be an odd prime, got {render_short(u)}")
-    proven = Factorization._derived(((u, 1),))
-    index1, index2 = abundancy_index(proven), abundancy_index(proven**2)
-    def evaluate(bits: int) -> IntervalReal:
-        ln1, ln2 = ln_ratio(index1, bits), ln_ratio(index2, bits)
-        # both logs are integers over the same 2^w, so their numerators suffice
-        return _log_quotient(ln1._lo[0], ln1._hi[0], ln2._lo[0], ln2._hi[0], bits)
-
-    _, x = escalate(evaluate, _within_one_and_two, cfg)
-    return IntervalReal.exact(1, x.bits) / x
+    bits = cfg.initial_bits
+    t, s = 4 + u.bit_length(), 4 + (u * u).bit_length()
+    a, d = ln_ratio(Fraction(u + 1, u), bits + t), ln_ratio(Fraction(u * u + u + 1, u * (u + 1)), bits + s)
+    alo, ahi = a._lo[0] << (s - t), a._hi[0] << (s - t)  # onto D's scale 2^(w + s)
+    return IntervalReal._of((alo, alo + d._hi[0]), (ahi, ahi + d._lo[0]), bits)
 
 
 @lru_cache(maxsize=512, typed=True)  # so that 2.0 does not hit the cached bound of 2
@@ -233,8 +230,8 @@ def index_lower_bound(
     u: int,
     cfg: PrecisionConfig = DEFAULT_PRECISION,
 ) -> IntervalReal:
-    """Enclosure of L**(1/x(u)) for L > 1 and an odd prime u, evaluated at
-    the precision reciprocal_exponent(u, cfg) settles on.
+    """Enclosure of L**(1/x(u)) for L > 1 and an odd prime u, evaluated once
+    at cfg.initial_bits.
 
     Since x(u) < 2 this always exceeds the trivial bound sqrt(L). Used with
     L = 8/5 (root part of a candidate) and L = 2q/(q+1) (Euler-prime scans).
@@ -242,5 +239,4 @@ def index_lower_bound(
     if L <= 1:
         n, d = L.as_integer_ratio()  # a float below 1 too; pow_interval refuses one above
         raise ValueError(f"the bound collapses for L <= 1, got {render_short(n)}/{render_short(d)}")
-    y = reciprocal_exponent(u, cfg)
-    return pow_interval(L, y, y.bits)
+    return pow_interval(L, reciprocal_exponent(u, cfg), cfg.initial_bits)

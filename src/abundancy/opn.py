@@ -475,12 +475,11 @@ def _require_euler_prime(q: int) -> None:
 def euler_sum_bound(q: int, u: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> IntervalReal:
     """Enclosure of f(q, u) = (q+1)/q + (2q/(q+1))**(1/x(u)): a lower bound
     for I(q) + I(n) when q is the Euler prime and u the least prime of N,
-    evaluated at the precision reciprocal_exponent(u, cfg) settles on. The
-    power is index_lower_bound(2q/(q+1), u, cfg) written out only because
+    evaluated once at cfg.initial_bits. The power is
+    index_lower_bound(2q/(q+1), u, cfg) written out only because
     bench/test_bench.py requires opn to bind pow_interval."""
     _require_euler_prime(q)
-    y = reciprocal_exponent(u, cfg)
-    return pow_interval(Fraction(2 * q, q + 1), y, y.bits) + Fraction(q + 1, q)
+    return pow_interval(Fraction(2 * q, q + 1), reciprocal_exponent(u, cfg), cfg.initial_bits) + Fraction(q + 1, q)
 
 
 def euler_sum_bound_limit(u: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> IntervalReal:

@@ -31,9 +31,9 @@ ORACLE = {
 ORACLE_TOL = Fraction(1, 10**36)
 
 # The least prime above 2^300; it is 1 (mod 4). At 256 bits ln I(p) ~ 1/p is
-# not separated from zero, so the sandwich's x(p) and 1/x(p) are the exact
-# ranges [1, 2] and [1/2, 1] until the ladder reaches 1024; a lone exponent,
-# taken at relative precision, shows 1 < x(p) < 2 at once.
+# not separated from zero, so the sandwich's x(p) is the exact range [1, 2]
+# until the ladder reaches 1024; a lone exponent and 1/x(p), taken at
+# relative precision, show 1 < x(p) < 2 at once.
 BIG_PRIME = 2**300 + 157
 
 

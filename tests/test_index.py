@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 import pytest
@@ -138,10 +139,15 @@ def test_the_sampler_proves_no_sieved_prime_and_keeps_its_draws(monkeypatch):
     assert calls == []
 
 
-def test_reciprocal_exponent_with_a_log_not_separated_from_zero_is_the_range():
-    assert reciprocal_exponent(BIG_PRIME, PrecisionConfig(256, 256)) == IntervalReal(Fraction(1, 2), Fraction(1), 256)
-    y = reciprocal_exponent(BIG_PRIME, PrecisionConfig(1024, 1024))
-    assert Fraction(1, 2) < y.lo and y.hi < 1
+def test_reciprocal_exponent_with_a_log_not_separated_from_zero_is_decided_at_once():
+    # an absolute 256-bit enclosure of ln I(p) ~ 1/p would not be above zero;
+    # at relative precision 1/2 < 1/x(p) < 1 shows at the first rung, and the
+    # ceiling plays no part
+    for bits in (256, 1024):
+        y = reciprocal_exponent(BIG_PRIME, PrecisionConfig(bits, bits))
+        assert y == reciprocal_exponent(BIG_PRIME, PrecisionConfig(bits, 4096))
+        assert y.bits == bits and Fraction(1, 2) < y.lo and y.hi < 1
+        assert y.width <= (1 - y.hi) / 2 ** (bits + 32)
     assert y.width < Fraction(1, 2**700)
 
 
@@ -253,7 +259,10 @@ def _direct_quotient(p, e):
         (l1, h1), (l2, h2) = (_ln_scaled(sigma(Factorization(((p, k),))), p**k, w) for k in (e, 2 * e))
         return index._log_quotient(l1, h1, l2, h2, bits)
 
-    return escalate(evaluate, index._within_one_and_two)[1]
+    def within_one_and_two(x):
+        return (x.compare(1) is Comparison.GREATER and x.compare(2) is Comparison.LESS) or None
+
+    return escalate(evaluate, within_one_and_two)[1]
 
 
 def test_split_log_never_decides_an_exponent_at_a_higher_rung():
@@ -305,6 +314,37 @@ def test_exponent_at_relative_precision_contains_mpmath_value(case):
     ref = exponent_oracle(f, prec)
     slack = ref / 2 ** (prec - 24)  # the oracle's own rounding, far below x's width
     assert x.lo - slack <= ref <= x.hi + slack, (str(f), bits)
+
+
+@lru_cache(maxsize=None)
+def _big_primes():
+    """Odd primes of 31 to 2,203 bits: Mersenne primes, BIG_PRIME, and the
+    primes after fixed random starts of 40 to 1,024 bits."""
+    mersenne = [2**p - 1 for p in (31, 61, 89, 127, 521, 607, 1279, 2203)]
+    rng, found = random.Random(44), []
+    for bits in (40, 100, 200, 320, 700, 1024):
+        q = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        while not arith.is_prime(q):
+            q += 2
+        found.append(q)
+    return sorted(mersenne + found + [BIG_PRIME])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.sampled_from(primes_up_to(1000)[1:]), st.integers(0, 14).map(lambda i: _big_primes()[i])),
+       st.integers(8, 1024))
+def test_reciprocal_exponent_at_relative_precision_contains_mpmath_value(u, bits):
+    # 1 - 1/x(u) is about 1/(2u), far below 2^-bits for a big u; the one
+    # evaluation still shows 1/2 < 1/x(u) < 1, to a relative 2^-bits of 1 - 1/x(u)
+    y = reciprocal_exponent(u, PrecisionConfig(bits, bits))
+    assert y.bits == bits and Fraction(1, 2) < y.lo and y.hi < 1
+    assert y.width <= (1 - y.hi) / 2**bits
+    prec = 2 * (u * u).bit_length() + 2 * bits + 64
+    with mpmath.workprec(prec):
+        man, exp = (mpmath.log1p(mpmath.mpf(1) / u) / mpmath.log1p(mpmath.mpf(u + 1) / u**2)).man_exp
+    ref = Fraction(man) * Fraction(2) ** exp
+    slack = ref / 2 ** (prec - 24)  # the oracle's own rounding, far below y's width
+    assert y.lo - slack <= ref <= y.hi + slack, (u, bits)
 
 
 def test_an_exponent_is_one_evaluation(monkeypatch):

@@ -198,12 +198,13 @@ def test_validate_and_order_predicates_prove_q_once_between_them(monkeypatch):
 
 
 def test_validate_with_a_log_not_separated_from_zero_is_certified():
-    # at a 256-bit ceiling 1/x(BIG_PRIME) is only known to lie in [1/2, 1], so
-    # the bound encloses [sqrt(8/5), 8/5]; I(1) = 1 is below it all the same
+    # an absolute 256-bit ln I(BIG_PRIME) would not be above zero; at relative
+    # precision 1/x(BIG_PRIME) is close to 1 at 256 bits, under a 256-bit
+    # ceiling too, so the bound is (8/5)^(1/x) ~ 8/5 and I(1) = 1 is below it
     report = validate_eulerian(EulerianCandidate(BIG_PRIME, 1, Factorization(())), PrecisionConfig(256, 256))
     check = next(c for c in report.checks if c.name == "I(n) > index lower bound")
     assert check.status is CheckStatus.FAIL
-    assert check.witness.endswith(" = 1.432455532 ± 2e-1 @256b")
+    assert check.witness.endswith(" = 1.600000000 ± 2e-86 @256b")
 
 
 def test_certify_truth_table():
@@ -578,7 +579,7 @@ _PINNED_WITNESSES = {
         ("N > 10^1500", "FAIL", "N has 4 digits; needs more than 1500"),
         ("omega(N) >= 10", "FAIL", "omega(N) = 2"),
         ("I(q^k) < 5/4", "PASS", "I(q^k) = 14/13"),
-        ("I(n) > index lower bound", "PASS", "I(n) = 13/9 vs (8/5)^(1/x(3)) = 1.444405574 ± 3e-86 @256b"),
+        ("I(n) > index lower bound", "PASS", "I(n) = 13/9 vs (8/5)^(1/x(3)) = 1.444405574 ± 9e-87 @256b"),
         ("q < n for k > 1", "PASS", "k = 1, not applicable"),
         ("sigma(N) = 2N", "FAIL", "sigma(N)/N = 1694/1053"),
     ],
@@ -593,7 +594,7 @@ _PINNED_WITNESSES = {
         ("I(q^k) < 5/4", "PASS", "I(q^k) < 5/4 (cofactor 4295229443 unfactored, primes > 2^16)"),
         ("I(n) > index lower bound", "PASS",
          "I(n) = 95391396766978817512...97517949880646753001 (4342 digits)"
-         "/63594264511319211674...31678633253764502001 (4342 digits) vs (8/5)^(1/x(3)) = 1.444405574 ± 3e-86 @256b"),
+         "/63594264511319211674...31678633253764502001 (4342 digits) vs (8/5)^(1/x(3)) = 1.444405574 ± 9e-87 @256b"),
         ("q < n for k > 1", "PASS",
          "k = 5, q = 21476147215, n = 63594264511319211674...31678633253764502001 (4342 digits)"),
         ("sigma(N) = 2N", "FAIL", "sigma(N) != 2N: I(N) < 2 (cofactor 4295229443 unfactored, primes > 2^16)"),
@@ -639,25 +640,39 @@ def test_each_scan_row_renders_its_own_enclosure():
     assert len(set(expected)) == len(grid)
 
 
-def test_reciprocal_exponent_and_the_bounds_climb_the_ladder():
-    # 1/x(BIG_PRIME) needs 1024 bits to show 1/2 < 1/x < 1; each bound is
-    # evaluated at the rung reciprocal_exponent settles on
+def test_reciprocal_exponent_and_the_bounds_are_evaluated_at_the_first_rung():
+    # 1/x(BIG_PRIME) shows 1/2 < 1/x < 1 at 256 bits, whatever the ceiling, and
+    # each bound is evaluated once at cfg.initial_bits
+    y = reciprocal_exponent(BIG_PRIME, PrecisionConfig(256, 4096))
+    assert y.bits == 256 and Fraction(1, 2) < y.lo and y.hi < 1
+    for cfg in (PrecisionConfig(256, 4096), PrecisionConfig(256, 256)):
+        assert reciprocal_exponent(BIG_PRIME, cfg) == y
+        bounds = (
+            index_lower_bound(Fraction(8, 5), BIG_PRIME, cfg),
+            euler_sum_bound(5, BIG_PRIME, cfg),
+            euler_sum_bound_limit(BIG_PRIME, cfg),
+        )
+        assert [b.bits for b in bounds] == [256] * 3
+        assert all(b.width < Fraction(1, 2**280) for b in bounds)
+        assert bounds[0] == pow_interval(Fraction(8, 5), y)
+        assert bounds[1] == pow_interval(Fraction(5, 3), y) + Fraction(6, 5)
+        assert bounds[2] == pow_interval(2, y) + 1
+
+
+def test_reciprocal_exponent_and_the_bounds_never_escalate(monkeypatch):
+    # only verdicts climb the ladder: sandwich_check and opn._certify
+    ladders = []
+    for module in (interval, index, opn):
+        monkeypatch.setattr(module, "escalate", lambda *args: ladders.append(args))
+    reciprocal_exponent.cache_clear()
+    index_lower_bound.cache_clear()
     cfg = PrecisionConfig(256, 4096)
-    y = reciprocal_exponent(BIG_PRIME, cfg)
-    assert y.bits == 1024 and Fraction(1, 2) < y.lo and y.hi < 1
-    bounds = (
-        index_lower_bound(Fraction(8, 5), BIG_PRIME, cfg),
-        euler_sum_bound(5, BIG_PRIME, cfg),
-        euler_sum_bound_limit(BIG_PRIME, cfg),
-    )
-    assert [b.bits for b in bounds] == [1024] * 3
-    assert all(b.width < Fraction(1, 2**700) for b in bounds)
-    # with a 256-bit ceiling the range [1/2, 1] is what the bounds are built on
-    cfg, y = PrecisionConfig(256, 256), IntervalReal(Fraction(1, 2), Fraction(1), 256)
-    assert reciprocal_exponent(BIG_PRIME, cfg) == y
-    assert index_lower_bound(Fraction(8, 5), BIG_PRIME, cfg) == pow_interval(Fraction(8, 5), y)
-    assert euler_sum_bound(5, BIG_PRIME, cfg) == pow_interval(Fraction(5, 3), y) + Fraction(6, 5)
-    assert euler_sum_bound_limit(BIG_PRIME, cfg) == pow_interval(2, y) + 1
+    for u in (3, 5, 7919, BIG_PRIME):
+        assert reciprocal_exponent(u, cfg).bits == 256
+        assert index_lower_bound(Fraction(8, 5), u, cfg).bits == 256
+        assert euler_sum_bound(13, u, cfg).bits == 256
+        assert euler_sum_bound_limit(u, cfg).bits == 256
+    assert ladders == []
 
 
 def test_validate_coprimality_failure():

@@ -443,9 +443,9 @@ def test_cli_exponent_with_a_log_not_separated_from_zero_prints_the_range(capsys
     (["f", "--q", "5"], "euler_sum_bound", lambda y: mpmath.mpf(6) / 5 + (mpmath.mpf(10) / 6) ** y),
 ])
 def test_cli_bound_with_a_log_not_separated_from_zero_prints_an_enclosure(capsys, monkeypatch, argv, name, reference):
-    # 1/x(BIG_PRIME) escalates to 1024 bits by default; at a 256-bit ceiling
-    # it is only known to lie in [1/2, 1], and the bound built on that range
-    # still holds the true value
+    # an absolute 256-bit ln I(BIG_PRIME) would not be above zero; 1/x(BIG_PRIME),
+    # taken at relative precision, decides at --bits, so --max-bits plays no
+    # part and the bound printed holds the true value to about 2^-284
     returned = []
     original = getattr(cli, name)
 
@@ -459,11 +459,11 @@ def test_cli_bound_with_a_log_not_separated_from_zero_prints_an_enclosure(capsys
         y = mpmath.log1p(1 / u) / mpmath.log1p(1 / u + 1 / u**2)
         man, exp = reference(y).man_exp
     ref = Fraction(man) * Fraction(2) ** exp
-    for extra, bits in (((), 1024), (("--max-bits", "256"), 256)):
+    for extra in ((), ("--max-bits", "256")):
         code, out = run_cli(capsys, *argv, "--u", str(BIG_PRIME), *extra)
-        assert code == 0 and out.endswith(f" = {returned[-1].render()}\n") and out.endswith(f"@{bits}b\n")
+        assert code == 0 and out.endswith(f" = {returned[-1].render()}\n") and out.endswith("@256b\n")
         assert returned[-1].lo < ref < returned[-1].hi
-    assert returned[0].width < Fraction(1, 2**700) < Fraction(1, 10) < returned[1].width
+    assert returned[0] == returned[1] and returned[0].width < Fraction(1, 2**280)
 
 
 def test_cli_exponent_at_the_ceiling_prints_the_last_enclosure(capsys, monkeypatch):
@@ -639,6 +639,18 @@ def test_cli_rejects_oversized_input(argv):
     done = run_bounded(*argv)
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("error: ") and "capped at 65536 bits" in done.stderr
+
+
+@pytest.mark.parametrize("accepted, refused, bits", [
+    (["exponent", "3^41348"], ["exponent", "3^41349"], "the input has about 65537 bits"),
+    (["check", "q=5", "k=28223", "n=3"], ["check", "q=5", "k=28224", "n=3"], "q^k * n^2 has about 65539 bits"),
+], ids=["exponent", "check"])
+def test_cli_counts_a_prime_power_at_its_own_bit_length_up_to_the_cap(capsys, accepted, refused, bits):
+    # 3^41348 has 65,536 bits, and 5^28223 65,532 to which n^2 adds 2 * 2:
+    # both sit at the cap, though e * bitlength(p) would count 82,696 and 84,669
+    assert main(accepted) in (0, 1) and capsys.readouterr().err == ""
+    assert main(refused) == 2
+    assert capsys.readouterr().err == f"error: {bits}; inputs are capped at 65536 bits\n"
 
 
 # 4,001 digits: below Python's 4,300-digit conversion limit, even, so no
