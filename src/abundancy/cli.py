@@ -95,11 +95,11 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit machine-readable JSON")
     precision = argparse.ArgumentParser(add_help=False)  # for the commands that call _cfg
-    bits, max_bits = DEFAULT_PRECISION.initial_bits, DEFAULT_PRECISION.max_bits
-    precision.add_argument("--bits", type=_integer, default=bits,
-                           help=f"working precision in bits (default {bits})")
-    precision.add_argument("--max-bits", type=_integer, default=max_bits,
-                           help=f"precision ceiling for escalation (default {max_bits})")
+    precision.add_argument("--bits", type=_integer, default=DEFAULT_PRECISION.initial_bits,
+                           help="working precision in bits (default %(default)s)")
+    ceiling = argparse.ArgumentParser(add_help=False)  # and those whose verdicts climb
+    ceiling.add_argument("--max-bits", type=_integer, default=DEFAULT_PRECISION.max_bits,
+                         help="precision ceiling for escalation (default %(default)s)")
 
     parser = _Parser(
         prog="abundancy",
@@ -125,25 +125,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(_cmd_abundancy, help="abundancy index sigma(n)/n")
     p.add_argument("value")
 
-    p = command(_cmd_exponent, precision, help="abundancy exponent x(n) at relative precision; ignores --max-bits")
+    p = command(_cmd_exponent, precision, help="abundancy exponent x(n) at relative precision")
     p.add_argument("value")
 
-    p = command(_cmd_sandwich, precision, help="certify min(x(a),x(b)) < x(ab) < max(x(a),x(b))")
+    p = command(_cmd_sandwich, precision, ceiling, help="certify min(x(a),x(b)) < x(ab) < max(x(a),x(b))")
     p.add_argument("a")
     p.add_argument("b")
 
-    p = command(_cmd_check, precision, help="validate an odd-perfect-number candidate line")
+    p = command(_cmd_check, precision, ceiling, help="validate an odd-perfect-number candidate line")
     p.add_argument("candidate", nargs="+", help="e.g. q=5 k=1 n=3^2")
 
-    p = command(_cmd_bound, precision, help="certified lower bound L^(1/x(u)); ignores --max-bits")
+    p = command(_cmd_bound, precision, help="certified lower bound L^(1/x(u))")
     p.add_argument("--L", required=True, type=_exact_rational, help="exact rational, e.g. 8/5")
     p.add_argument("--u", required=True, type=_integer, help="odd prime")
 
-    p = command(_cmd_f, precision, help="Euler-prime bound f(q,u) = (q+1)/q + (2q/(q+1))^(1/x(u)); ignores --max-bits")
+    p = command(_cmd_f, precision, help="Euler-prime bound f(q,u) = (q+1)/q + (2q/(q+1))^(1/x(u))")
     p.add_argument("--q", required=True, type=_integer)
     p.add_argument("--u", required=True, type=_integer)
 
-    p = command(_cmd_scan, precision, help="certify f(q,u) against 1+sqrt(3) over primes q = 1 (mod 4)")
+    p = command(_cmd_scan, precision, ceiling, help="certify f(q,u) against 1+sqrt(3) over primes q = 1 (mod 4)")
     p.add_argument("--qmax", required=True, type=_integer)
     p.add_argument("--u", required=True, type=_integer)
     p.add_argument("--margin", type=_exact_rational, default=DEFAULT_MARGIN,
@@ -157,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", required=True, type=_integer,
                    help=f"largest exponent to test, at most {DESK_SCALE_CAP}")
 
-    p = command(_cmd_report, precision, help="full reproduction document")
+    p = command(_cmd_report, precision, ceiling, help="full reproduction document")
     p.add_argument("--seed", type=_integer, default=42)
     for field in dataclasses.fields(ReportSizes):
         p.add_argument("--" + field.name.replace("_", "-"), type=_integer, default=field.default)
@@ -165,9 +165,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cfg(args: argparse.Namespace) -> PrecisionConfig:
-    if max(args.bits, args.max_bits) > 16384:  # `bound` takes 0.2 s there, 1.6 s with a 3,800-digit --L
+    ceiling = max(args.bits, getattr(args, "max_bits", 0))  # only a climbing verdict's command has one
+    if ceiling > 16384:  # `bound` takes 0.2 s there, 1.6 s with a 3,800-digit --L
         raise ValueError("--bits and --max-bits must not exceed 16384")
-    return PrecisionConfig(args.bits, max(args.max_bits, args.bits))
+    return PrecisionConfig(args.bits, ceiling)
 
 
 def _require_size(what: str, bits: int) -> None:
@@ -206,7 +207,7 @@ def _cmd_abundancy(args) -> tuple[dict, str, int]:
 
 def _cmd_exponent(args) -> tuple[dict, str, int]:
     f = _parse(args.value)
-    x = abundancy_exponent(f, _cfg(args)).value.render()
+    x = abundancy_exponent(f, _cfg(args).initial_bits).value.render()
     return {"input": str(f), "exponent": x}, f"x({f}) = {x}", 0
 
 
@@ -231,7 +232,7 @@ def _cmd_check(args) -> tuple[dict, str, int]:
 
 
 def _cmd_bound(args) -> tuple[dict, str, int]:
-    value = index_lower_bound(args.L, args.u, _cfg(args)).render()
+    value = index_lower_bound(args.L, args.u, _cfg(args).initial_bits).render()
     L = render_exact(args.L)
     return {"L": L, "u": args.u, "bound": value}, f"({L})^(1/x({args.u})) = {value}", 0
 

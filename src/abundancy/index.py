@@ -125,9 +125,9 @@ def _log_quotient(lo1: int, hi1: int, lo2: int, hi2: int, bits: int) -> Interval
     return IntervalReal._of((lo2, hi1), (hi2, lo1), bits)
 
 
-def abundancy_exponent(f: Factorization, cfg: PrecisionConfig = DEFAULT_PRECISION) -> ExponentValue:
+def abundancy_exponent(f: Factorization, bits: int = DEFAULT_PRECISION.initial_bits) -> ExponentValue:
     """Enclosure of x(n) = ln(I(n^2))/ln(I(n)) = 1 + D/A in one evaluation at
-    cfg.initial_bits, however close to 1 it lies (cfg.max_bits plays no part).
+    `bits`, however close to 1 it lies.
 
     A = ln I(n) sums ln I(p^e) > ln(1 + 1/p) >= 2^-bits(p) over n's prime
     powers, and D = ln(I(n^2)/I(n)) sums ln(1 + δ) > δ/2 > 2^-(bits(p^(e+1)) + 2),
@@ -135,23 +135,23 @@ def abundancy_exponent(f: Factorization, cfg: PrecisionConfig = DEFAULT_PRECISIO
     bits (w = bits + GUARD_BITS, t = 4 + the least bits(p)) and D's at w + s
     (s = 4 + the least bits(p^(e+1)) >= t), both positive sums are known to a
     few units of 2^-w of themselves, so the exact 1 < x(n) < 2 always shows.
-    `bits` is that of D's logs, cfg.initial_bits + s. Undefined for n = 1.
+    The enclosure's bits are those of D's logs, bits + s. Undefined for n = 1.
     """
     if not f.factors:
         raise ValueError("abundancy exponent is undefined for 1")
-    w = cfg.initial_bits + GUARD_BITS
+    w = bits + GUARD_BITS
     s = 4 + min((p ** (e + 1)).bit_length() for p, e in f.factors)
     t = 4 + min(p.bit_length() for p, _ in f.factors)
     d = [_ln_scaled(p ** (2 * e + 1) - 1, (p ** (e + 1) - 1) * p**e, w + s) for p, e in f.factors]
     a = [_ln_prime_power_index(p, e, w + t) for p, e in f.factors]
     (dlo, dhi), (alo, ahi) = map(sum, zip(*d)), map(sum, zip(*a))
     alo, ahi = alo << (s - t), ahi << (s - t)  # D/A, both over 2^(w + s)
-    return ExponentValue(IntervalReal._of((ahi + dlo, ahi), (alo + dhi, alo), cfg.initial_bits + s), f)
+    return ExponentValue(IntervalReal._of((ahi + dlo, ahi), (alo + dhi, alo), bits + s), f)
 
 
-def prime_power_exponent(r: int, s: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> ExponentValue:
+def prime_power_exponent(r: int, s: int, bits: int = DEFAULT_PRECISION.initial_bits) -> ExponentValue:
     """x(r^s) for prime r and s >= 1 (checked by the Factorization)."""
-    return abundancy_exponent(Factorization(((r, s),)), cfg)
+    return abundancy_exponent(Factorization(((r, s),)), bits)
 
 
 class SandwichStatus(Enum):
@@ -203,21 +203,19 @@ def _sandwich_verdict(xs: tuple[IntervalReal, IntervalReal, IntervalReal]) -> Sa
 
 
 # 1/x(u) and the bounds built on it are cached like the logs, 512 entries
-# each. A candidate's u is its least prime, and candidates share it: 1,440
-# candidate_checks requests (seed 7, 4 rounds) hit index_lower_bound 1,437
-# times and missed on 3 keys, the only 3 calls of reciprocal_exponent.
+# each, on (u, bits) and (L, u, bits), so callers pass bits positionally
+# (lru_cache keys f(u) and f(u, 256) apart). Candidates share u, their least
+# prime: 1,440 candidate_checks requests (seed 7, 4 rounds) missed on 3 keys.
 @lru_cache(maxsize=512, typed=True)  # so that 3.0 does not hit the cached exponent of 3
-def reciprocal_exponent(u: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> IntervalReal:
+def reciprocal_exponent(u: int, bits: int = DEFAULT_PRECISION.initial_bits) -> IntervalReal:
     """Enclosure of 1/x(u) = A/(A + D) for an odd prime u in one evaluation at
-    cfg.initial_bits (cfg.max_bits plays no part), by abundancy_exponent's
-    relative rule: A = ln I(u) > 1/(u+1) >= 2^-bits(u) is taken at w + t bits
-    (w = bits + GUARD_BITS, t = 4 + bits(u)) and D = ln(I(u^2)/I(u)) >
-    1/(u^2+u+1) at w + s (s = 4 + bits(u^2)), so 1/2 < 1/x(u) < 1 always
-    shows. The ends A_lo/(A_lo + D_hi) and A_hi/(A_hi + D_lo) keep the one A
-    in numerator and denominator."""
+    `bits`, by abundancy_exponent's relative rule: A = ln I(u) > 1/(u+1) >=
+    2^-bits(u) is taken at w + t bits (w = bits + GUARD_BITS, t = 4 + bits(u))
+    and D = ln(I(u^2)/I(u)) > 1/(u^2+u+1) at w + s (s = 4 + bits(u^2)), so
+    1/2 < 1/x(u) < 1 always shows. The ends A_lo/(A_lo + D_hi) and
+    A_hi/(A_hi + D_lo) keep the one A in numerator and denominator."""
     if u < 3 or not is_prime(u):
         raise ValueError(f"u must be an odd prime, got {render_short(u)}")
-    bits = cfg.initial_bits
     t, s = 4 + u.bit_length(), 4 + (u * u).bit_length()
     a, d = ln_ratio(Fraction(u + 1, u), bits + t), ln_ratio(Fraction(u * u + u + 1, u * (u + 1)), bits + s)
     alo, ahi = a._lo[0] << (s - t), a._hi[0] << (s - t)  # onto D's scale 2^(w + s)
@@ -228,10 +226,10 @@ def reciprocal_exponent(u: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> Int
 def index_lower_bound(
     L: Fraction | int,
     u: int,
-    cfg: PrecisionConfig = DEFAULT_PRECISION,
+    bits: int = DEFAULT_PRECISION.initial_bits,
 ) -> IntervalReal:
     """Enclosure of L**(1/x(u)) for L > 1 and an odd prime u, evaluated once
-    at cfg.initial_bits.
+    at `bits`.
 
     Since x(u) < 2 this always exceeds the trivial bound sqrt(L). Used with
     L = 8/5 (root part of a candidate) and L = 2q/(q+1) (Euler-prime scans).
@@ -239,4 +237,4 @@ def index_lower_bound(
     if L <= 1:
         n, d = L.as_integer_ratio()  # a float below 1 too; pow_interval refuses one above
         raise ValueError(f"the bound collapses for L <= 1, got {render_short(n)}/{render_short(d)}")
-    return pow_interval(L, reciprocal_exponent(u, cfg), cfg.initial_bits)
+    return pow_interval(L, reciprocal_exponent(u, bits), bits)

@@ -368,7 +368,7 @@ def _side(num: int, den: int, t: int, tn: int, td: int) -> str | None:
 
 
 def _certify(
-    value: Callable[[PrecisionConfig], IntervalReal],
+    value: Callable[[int], IntervalReal],
     threshold: Callable[[int], IntervalReal | Fraction],
     passing: Comparison,
     cfg: PrecisionConfig,
@@ -385,7 +385,7 @@ def _certify(
         return CheckStatus.PASS if side is passing else CheckStatus.FAIL
 
     status, (enclosure, _) = escalate(
-        lambda bits: (value(PrecisionConfig(bits, bits)), threshold(bits)), verdict, cfg
+        lambda bits: (value(bits), threshold(bits)), verdict, cfg
     )
     return status or CheckStatus.UNDECIDED, enclosure
 
@@ -473,18 +473,19 @@ def _require_euler_prime(q: int) -> None:
 
 
 def euler_sum_bound(q: int, u: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> IntervalReal:
-    """Enclosure of f(q, u) = (q+1)/q + (2q/(q+1))**(1/x(u)): a lower bound
-    for I(q) + I(n) when q is the Euler prime and u the least prime of N,
-    evaluated once at cfg.initial_bits. The power is
-    index_lower_bound(2q/(q+1), u, cfg) written out only because
-    bench/test_bench.py requires opn to bind pow_interval."""
+    """Enclosure of f(q, u) = (q+1)/q + (2q/(q+1))**(1/x(u)), a lower bound for
+    I(q) + I(n) when q is the Euler prime and u the least prime of N, at
+    cfg.initial_bits: index_lower_bound(2q/(q+1), u, bits) + (q+1)/q, written
+    out and the one value to take a config only because bench/workloads.py and
+    bench/test_bench.py pass one and pin opn's pow_interval (ROADMAP item 27)."""
     _require_euler_prime(q)
-    return pow_interval(Fraction(2 * q, q + 1), reciprocal_exponent(u, cfg), cfg.initial_bits) + Fraction(q + 1, q)
+    bits = cfg.initial_bits
+    return pow_interval(Fraction(2 * q, q + 1), reciprocal_exponent(u, bits), bits) + Fraction(q + 1, q)
 
 
-def euler_sum_bound_limit(u: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> IntervalReal:
+def euler_sum_bound_limit(u: int, bits: int = DEFAULT_PRECISION.initial_bits) -> IntervalReal:
     """The q -> infinity limit 1 + 2**(1/x(u)) of f(q, u): index_lower_bound(2, u) + 1."""
-    return index_lower_bound(2, u, cfg) + 1
+    return index_lower_bound(2, u, bits) + 1
 
 
 @lru_cache(maxsize=None)
@@ -535,7 +536,7 @@ def ceiling_scan(
     for q in primes_up_to(q_limit):
         if q < 5 or q % 4 != 1:
             continue
-        status, bound = _certify(partial(euler_sum_bound, q, u),
+        status, bound = _certify(lambda bits: euler_sum_bound(q, u, PrecisionConfig(bits, bits)),
                                  lambda bits: ceiling_interval(bits) + margin, passing, cfg)
         # bound=bound binds this q's enclosure, where a closure would read the loop's last one
         witness = lambda bound=bound: (

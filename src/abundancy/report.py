@@ -138,15 +138,15 @@ def _reference_window(text: str) -> IntervalReal:
     return IntervalReal(value - ulp, value + ulp, DEFAULT_PRECISION.initial_bits)
 
 
-def reference_constants(cfg: PrecisionConfig = DEFAULT_PRECISION) -> tuple[ConstantEntry, ...]:
+def reference_constants(bits: int = DEFAULT_PRECISION.initial_bits) -> tuple[ConstantEntry, ...]:
     """Re-derive the five reference constants as certified enclosures, each
     checked against the decimal it is known by."""
     table = (
-        ("(8/5)^(ln(4/3)/ln(13/9))", "1.44440557", index_lower_bound(Fraction(8, 5), 3, cfg)),
-        ("ln(13/9)/ln(4/3)", "1.27823", prime_power_exponent(3, 1, cfg).value),
-        ("1+2^(ln(6/5)/ln(31/25))", "2.799", euler_sum_bound_limit(5, cfg)),
-        ("1+sqrt(3)", "2.732", ceiling_interval(cfg.initial_bits)),
-        ("1+2^(ln(4/3)/ln(13/9))", "2.7199", euler_sum_bound_limit(3, cfg)),
+        ("(8/5)^(ln(4/3)/ln(13/9))", "1.44440557", index_lower_bound(Fraction(8, 5), 3, bits)),
+        ("ln(13/9)/ln(4/3)", "1.27823", prime_power_exponent(3, 1, bits).value),
+        ("1+2^(ln(6/5)/ln(31/25))", "2.799", euler_sum_bound_limit(5, bits)),
+        ("1+sqrt(3)", "2.732", ceiling_interval(bits)),
+        ("1+2^(ln(4/3)/ln(13/9))", "2.7199", euler_sum_bound_limit(3, bits)),
     )
     return tuple(ConstantEntry(label, value, reference, value.overlaps(_reference_window(reference)))
                  for label, reference, value in table)
@@ -217,12 +217,12 @@ def _sandwich_suite(seed: int, sizes: ReportSizes, cfg: PrecisionConfig) -> Suit
     return SuiteSummary("sandwich corpus", sizes.sandwich_pairs, violated, undecided)
 
 
-def _monotonicity_suite(sizes: ReportSizes, cfg: PrecisionConfig) -> SuiteSummary:
+def _monotonicity_suite(sizes: ReportSizes, bits: int) -> SuiteSummary:
     """x(r^s) must decrease in s for each odd prime r, and x(p) along the odd
     primes: a certified increase is a failure, touching enclosures undecided."""
 
     def x(r: int, s: int) -> IntervalReal:
-        return prime_power_exponent(r, s, cfg).value
+        return prime_power_exponent(r, s, bits).value
 
     pairs: list[tuple[IntervalReal, IntervalReal]] = []
     for r in primes_up_to(sizes.grid_prime_limit):
@@ -275,11 +275,11 @@ def run_report(
     sizes: ReportSizes = ReportSizes(),
 ) -> ReproductionReport:
     """Build the full reproduction document. Deterministic in (seed, cfg, sizes)."""
-    constants = reference_constants(cfg)
+    constants = reference_constants(cfg.initial_bits)
     suites = (
         _oracle_suite(sizes),
         _sandwich_suite(seed, sizes, cfg),
-        _monotonicity_suite(sizes, cfg),
+        _monotonicity_suite(sizes, cfg.initial_bits),
         _order_suite(seed, sizes),
         _scan_suite(5, sizes, cfg),
         _scan_suite(3, sizes, cfg),

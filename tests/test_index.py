@@ -127,7 +127,7 @@ def _counted_is_prime(monkeypatch) -> list[int]:
 def test_a_reciprocal_exponent_miss_proves_u_once(monkeypatch):
     reciprocal_exponent.cache_clear()
     calls = _counted_is_prime(monkeypatch)
-    reciprocal_exponent(BIG_PRIME, PrecisionConfig(256, 256))
+    reciprocal_exponent(BIG_PRIME, 256)
     assert calls == [BIG_PRIME]  # I(u) and I(u^2) rest on that one proof
 
 
@@ -141,11 +141,9 @@ def test_the_sampler_proves_no_sieved_prime_and_keeps_its_draws(monkeypatch):
 
 def test_reciprocal_exponent_with_a_log_not_separated_from_zero_is_decided_at_once():
     # an absolute 256-bit enclosure of ln I(p) ~ 1/p would not be above zero;
-    # at relative precision 1/2 < 1/x(p) < 1 shows at the first rung, and the
-    # ceiling plays no part
+    # at relative precision 1/2 < 1/x(p) < 1 shows in the one evaluation
     for bits in (256, 1024):
-        y = reciprocal_exponent(BIG_PRIME, PrecisionConfig(bits, bits))
-        assert y == reciprocal_exponent(BIG_PRIME, PrecisionConfig(bits, 4096))
+        y = reciprocal_exponent(BIG_PRIME, bits)
         assert y.bits == bits and Fraction(1, 2) < y.lo and y.hi < 1
         assert y.width <= (1 - y.hi) / 2 ** (bits + 32)
     assert y.width < Fraction(1, 2**700)
@@ -212,9 +210,9 @@ def test_exponents_contain_mpmath_value(pair, bits):
     cfg = PrecisionConfig(bits, bits)
     result = sandwich_check(fa, fb, cfg)
     assert result.x_ab.bits == bits
-    # x(n) - 1 can be as small as p^-e, too close to 1 to certify at 8 bits,
-    # so the exponent may escalate: the oracle follows its deciding rung
-    exponent = abundancy_exponent(fa * fb, PrecisionConfig(bits, max(bits, 4096))).value
+    # x(n) - 1 can be as small as p^-e, far below 2^-8; the lone exponent, at
+    # relative precision, is labelled with its logs' bits, which the oracle follows
+    exponent = abundancy_exponent(fa * fb, bits).value
     for x, f in ((result.x_a, fa), (result.x_b, fb), (result.x_ab, fa * fb), (exponent, fa * fb)):
         prec = 2 * x.bits + 64
         ref = exponent_oracle(f, prec)
@@ -307,7 +305,7 @@ def test_exponent_at_relative_precision_contains_mpmath_value(case):
     # enclosure of ln I(n) is not even separated from zero when n holds a
     # 300-bit prime: only a relative one shows 1 < x < 2 at the first rung
     f, bits = case
-    x = abundancy_exponent(f, PrecisionConfig(bits, bits)).value
+    x = abundancy_exponent(f, bits).value
     assert 1 < x.lo and x.hi < 2
     assert x.width <= (x.lo - 1) / 2**bits
     prec = 2 * (f.value() ** 2).bit_length() + 2 * x.bits + 64
@@ -336,7 +334,7 @@ def _big_primes():
 def test_reciprocal_exponent_at_relative_precision_contains_mpmath_value(u, bits):
     # 1 - 1/x(u) is about 1/(2u), far below 2^-bits for a big u; the one
     # evaluation still shows 1/2 < 1/x(u) < 1, to a relative 2^-bits of 1 - 1/x(u)
-    y = reciprocal_exponent(u, PrecisionConfig(bits, bits))
+    y = reciprocal_exponent(u, bits)
     assert y.bits == bits and Fraction(1, 2) < y.lo and y.hi < 1
     assert y.width <= (1 - y.hi) / 2**bits
     prec = 2 * (u * u).bit_length() + 2 * bits + 64
@@ -552,7 +550,7 @@ def test_index_lower_bound_beats_trivial_sqrt():
 def test_reciprocal_exponent_is_inverse():
     # the exponent in f(q, u) is 1/x(u): their product must enclose 1
     for u in (3, 5, 7):
-        recip = reciprocal_exponent(u, PrecisionConfig(256, 256))
+        recip = reciprocal_exponent(u, 256)
         x = prime_power_exponent(u, 1).value
         assert (recip * x).contains(1)
 

@@ -1,3 +1,5 @@
+import importlib
+import inspect
 import math
 import operator
 import random
@@ -11,11 +13,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import BIG_PRIME, assert_consistent, separation
-from abundancy import index, interval
+from abundancy import index, interval, opn, report
 from abundancy.arith import Factorization, primes_up_to
 from abundancy.index import SandwichStatus, abundancy_exponent, index_lower_bound, sandwich_check
 from abundancy.opn import euler_sum_bound
 from abundancy.interval import (
+    DEFAULT_PRECISION,
     Comparison,
     IntervalReal,
     PrecisionConfig,
@@ -33,6 +36,47 @@ def test_precision_config_validation():
         PrecisionConfig(512, 256)
     assert list(PrecisionConfig(256, 1024).ladder()) == [256, 512, 1024]
     assert list(PrecisionConfig(256, 256).ladder()) == [256]
+
+
+# A value is evaluated once and takes `bits`; only a verdict, which climbs the
+# ladder, takes a PrecisionConfig. euler_sum_bound is the one value that takes
+# a config, as the benchmark passes it one, and escalate is the ladder itself.
+VALUES = (index.abundancy_exponent, index.prime_power_exponent, index.reciprocal_exponent,
+          index.index_lower_bound, opn.euler_sum_bound_limit, opn.ceiling_interval, report.reference_constants,
+          exp_interval, exp_ratio, ln_ratio, pow_interval, sqrt_ratio)
+VERDICTS = (index.sandwich_check, opn.validate_eulerian, opn.ceiling_scan, report.run_report)
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda f: f.__name__)
+def test_a_value_takes_bits_defaulting_to_the_first_rung(value):
+    parameters = inspect.signature(value).parameters
+    assert parameters["bits"].default == DEFAULT_PRECISION.initial_bits
+    assert parameters["bits"].annotation in (int, "int")
+
+
+@pytest.mark.parametrize("verdict", [*VERDICTS, opn.euler_sum_bound], ids=lambda f: f.__name__)
+def test_a_verdict_takes_a_precision_config(verdict):
+    parameters = inspect.signature(verdict).parameters
+    assert parameters["cfg"].default is DEFAULT_PRECISION and "bits" not in parameters
+    assert parameters["cfg"].annotation in (PrecisionConfig, "PrecisionConfig")
+
+
+def test_only_the_verdicts_and_the_named_exception_take_a_precision_config():
+    # over every public function of the package (an lru_cache's wrapped one)
+    configs, bits = set(), set()
+    for name in ("arith", "index", "interval", "mersenne", "opn", "report"):
+        module = importlib.import_module(f"abundancy.{name}")
+        for function in map(module.__dict__.get, module.__all__):
+            if not inspect.isfunction(inspect.unwrap(function)):
+                continue
+            parameters = inspect.signature(function).parameters
+            if any(p.default is DEFAULT_PRECISION or p.annotation in (PrecisionConfig, "PrecisionConfig")
+                   for p in parameters.values()):
+                configs.add(function)
+            if "bits" in parameters:
+                bits.add(function)
+    assert configs == {*VERDICTS, opn.euler_sum_bound, escalate}
+    assert bits == set(VALUES)
 
 
 def test_interval_invariant():

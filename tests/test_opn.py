@@ -211,7 +211,7 @@ def test_certify_truth_table():
     # a constant enclosure against the threshold 0 at every rung of 64..256 bits
     def certify(lo, hi, passing):
         return opn._certify(
-            lambda cfg: IntervalReal(Fraction(lo), Fraction(hi), cfg.initial_bits),
+            lambda bits: IntervalReal(Fraction(lo), Fraction(hi), bits),
             lambda bits: Fraction(0),
             passing,
             PrecisionConfig(64, 256),
@@ -232,15 +232,15 @@ def test_certify_truth_table():
 
 def test_certify_climbs_until_value_and_threshold_separate():
     # 1/1000 within 2^-(bits/16) of it, against 0: separated only at 256 bits
-    def value(cfg):
-        radius = Fraction(1, 2 ** (cfg.initial_bits // 16))
-        return IntervalReal(Fraction(1, 1000) - radius, Fraction(1, 1000) + radius, cfg.initial_bits)
+    def value(bits):
+        radius = Fraction(1, 2 ** (bits // 16))
+        return IntervalReal(Fraction(1, 1000) - radius, Fraction(1, 1000) + radius, bits)
 
     thresholds = []
     status, enclosure = opn._certify(
         value, lambda bits: thresholds.append(bits) or Fraction(0), Comparison.GREATER, PrecisionConfig(64, 1024)
     )
-    assert status is CheckStatus.PASS and enclosure == value(PrecisionConfig(256, 256))
+    assert status is CheckStatus.PASS and enclosure == value(256)
     assert thresholds == [64, 128, 256]
 
 
@@ -641,22 +641,20 @@ def test_each_scan_row_renders_its_own_enclosure():
 
 
 def test_reciprocal_exponent_and_the_bounds_are_evaluated_at_the_first_rung():
-    # 1/x(BIG_PRIME) shows 1/2 < 1/x < 1 at 256 bits, whatever the ceiling, and
-    # each bound is evaluated once at cfg.initial_bits
-    y = reciprocal_exponent(BIG_PRIME, PrecisionConfig(256, 4096))
+    # 1/x(BIG_PRIME) shows 1/2 < 1/x < 1 at 256 bits, and each bound is
+    # evaluated once at the bits asked (euler_sum_bound's cfg.initial_bits)
+    y = reciprocal_exponent(BIG_PRIME, 256)
     assert y.bits == 256 and Fraction(1, 2) < y.lo and y.hi < 1
-    for cfg in (PrecisionConfig(256, 4096), PrecisionConfig(256, 256)):
-        assert reciprocal_exponent(BIG_PRIME, cfg) == y
-        bounds = (
-            index_lower_bound(Fraction(8, 5), BIG_PRIME, cfg),
-            euler_sum_bound(5, BIG_PRIME, cfg),
-            euler_sum_bound_limit(BIG_PRIME, cfg),
-        )
-        assert [b.bits for b in bounds] == [256] * 3
-        assert all(b.width < Fraction(1, 2**280) for b in bounds)
-        assert bounds[0] == pow_interval(Fraction(8, 5), y)
-        assert bounds[1] == pow_interval(Fraction(5, 3), y) + Fraction(6, 5)
-        assert bounds[2] == pow_interval(2, y) + 1
+    bounds = (
+        index_lower_bound(Fraction(8, 5), BIG_PRIME, 256),
+        euler_sum_bound(5, BIG_PRIME, DEFAULT_PRECISION),
+        euler_sum_bound_limit(BIG_PRIME, 256),
+    )
+    assert [b.bits for b in bounds] == [256] * 3
+    assert all(b.width < Fraction(1, 2**280) for b in bounds)
+    assert bounds[0] == pow_interval(Fraction(8, 5), y)
+    assert bounds[1] == pow_interval(Fraction(5, 3), y) + Fraction(6, 5)
+    assert bounds[2] == pow_interval(2, y) + 1
 
 
 def test_reciprocal_exponent_and_the_bounds_never_escalate(monkeypatch):
@@ -666,12 +664,11 @@ def test_reciprocal_exponent_and_the_bounds_never_escalate(monkeypatch):
         monkeypatch.setattr(module, "escalate", lambda *args: ladders.append(args))
     reciprocal_exponent.cache_clear()
     index_lower_bound.cache_clear()
-    cfg = PrecisionConfig(256, 4096)
     for u in (3, 5, 7919, BIG_PRIME):
-        assert reciprocal_exponent(u, cfg).bits == 256
-        assert index_lower_bound(Fraction(8, 5), u, cfg).bits == 256
-        assert euler_sum_bound(13, u, cfg).bits == 256
-        assert euler_sum_bound_limit(u, cfg).bits == 256
+        assert reciprocal_exponent(u, 256).bits == 256
+        assert index_lower_bound(Fraction(8, 5), u, 256).bits == 256
+        assert euler_sum_bound(13, u, PrecisionConfig(256, 4096)).bits == 256
+        assert euler_sum_bound_limit(u, 256).bits == 256
     assert ladders == []
 
 
@@ -822,7 +819,7 @@ def test_exponent_equals_reciprocal_exponent():
     from abundancy.index import prime_power_exponent
 
     for u in (3, 5):
-        recip = reciprocal_exponent(u, PrecisionConfig(256, 256))
+        recip = reciprocal_exponent(u, 256)
         x = prime_power_exponent(u, 1).value
         assert (recip * x).contains(1)
 

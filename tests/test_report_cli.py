@@ -16,7 +16,7 @@ from pathlib import Path
 
 import abundancy
 from conftest import BIG_PRIME, exponent_oracle
-from abundancy import arith, cli, mersenne, opn, report
+from abundancy import arith, cli, index, mersenne, opn, report
 from abundancy.arith import Factorization
 from abundancy.cli import main
 from abundancy.index import ExponentValue, SandwichStatus
@@ -107,13 +107,13 @@ def test_monotonicity_suite_counts_increases_and_overlaps(monkeypatch):
         (5, 2): (Fraction(11, 10), Fraction(12, 10)),  # certified decrease
     }
 
-    def fake(r, s, cfg):
-        enclosure = IntervalReal(*crafted[(r, s)], cfg.initial_bits)
+    def fake(r, s, bits):
+        enclosure = IntervalReal(*crafted[(r, s)], bits)
         return ExponentValue(enclosure, Factorization(((r, s),)))
 
     monkeypatch.setattr(report, "prime_power_exponent", fake)
     sizes = ReportSizes(grid_prime_limit=5, grid_exponent_max=2, chain_prime_limit=5)
-    summary = report._monotonicity_suite(sizes, PrecisionConfig())
+    summary = report._monotonicity_suite(sizes, DEFAULT_PRECISION.initial_bits)
     assert summary == SuiteSummary("monotonicity grids", 3, 1, 1)
 
 
@@ -327,8 +327,8 @@ def test_a_failed_or_undecided_case_makes_the_report_unclean(capsys, monkeypatch
 def test_a_failed_or_undecided_scan_limit_makes_the_report_unclean(capsys, monkeypatch):
     # the u = 5 limit reads 2, below the ceiling (FAIL); the u = 3 limit is the
     # ceiling itself (UNDECIDED); the report's own constants are left alone
-    def limit(u, cfg):
-        return IntervalReal.exact(2, cfg.initial_bits) if u == 5 else opn.ceiling_interval(cfg.initial_bits)
+    def limit(u, bits):
+        return IntervalReal.exact(2, bits) if u == 5 else opn.ceiling_interval(bits)
 
     monkeypatch.setattr(opn, "euler_sum_bound_limit", limit)
     sizes = dataclasses.replace(SMALL, oracle_limit=50, sandwich_pairs=5, order_candidates=5, mersenne_limit=31)
@@ -396,10 +396,9 @@ def test_cli_names_malformed_text(capsys, argv, shown):
 
 def test_cli_respects_bits_flag(capsys):
     # an exponent's logs are taken at --bits + 4 + bits(p^(e+1)) bits, 64 + 4 + 4
-    # for x(3); --max-bits does not move them
+    # for x(3)
     code, out = run_cli(capsys, "exponent", "3", "--bits", "64")
     assert code == 0 and out.endswith("@72b\n")
-    assert run_cli(capsys, "exponent", "3", "--bits", "64", "--max-bits", "64") == (code, out)
 
 
 def test_cli_precision_and_margin_defaults_are_the_library_defaults():
@@ -418,19 +417,18 @@ def test_cli_exponent_of_big_prime_escalates(capsys):
 
 def test_cli_exponent_with_a_log_not_separated_from_zero_prints_the_range(capsys, monkeypatch):
     # an absolute 256-bit enclosure of ln I(p) ~ 1/p would not be above zero;
-    # at relative precision the range printed under a 256-bit ceiling lies
-    # strictly inside (1, 2), holds the oracle's value and ignores the ceiling
+    # at relative precision the range printed lies strictly inside (1, 2) and
+    # holds the oracle's value
     returned = []
     original = cli.abundancy_exponent
 
-    def spy(f, cfg):
-        returned.append(original(f, cfg))
+    def spy(f, bits):
+        returned.append(original(f, bits))
         return returned[-1]
 
     monkeypatch.setattr(cli, "abundancy_exponent", spy)
-    code, out = run_cli(capsys, "exponent", str(BIG_PRIME), "--max-bits", "256")
+    code, out = run_cli(capsys, "exponent", str(BIG_PRIME))
     assert code == 0 and out.endswith(" = 1.000000000 ± 5e-179 @861b\n")
-    assert run_cli(capsys, "exponent", str(BIG_PRIME)) == (code, out)
     x = returned[0].value
     assert 1 < x.lo and x.hi < 2 and x.width < (x.lo - 1) / 2**256
     prec = 2 * x.bits + 64
@@ -444,8 +442,8 @@ def test_cli_exponent_with_a_log_not_separated_from_zero_prints_the_range(capsys
 ])
 def test_cli_bound_with_a_log_not_separated_from_zero_prints_an_enclosure(capsys, monkeypatch, argv, name, reference):
     # an absolute 256-bit ln I(BIG_PRIME) would not be above zero; 1/x(BIG_PRIME),
-    # taken at relative precision, decides at --bits, so --max-bits plays no
-    # part and the bound printed holds the true value to about 2^-284
+    # taken at relative precision, decides at --bits, and the bound printed
+    # holds the true value to about 2^-284
     returned = []
     original = getattr(cli, name)
 
@@ -459,11 +457,9 @@ def test_cli_bound_with_a_log_not_separated_from_zero_prints_an_enclosure(capsys
         y = mpmath.log1p(1 / u) / mpmath.log1p(1 / u + 1 / u**2)
         man, exp = reference(y).man_exp
     ref = Fraction(man) * Fraction(2) ** exp
-    for extra in ((), ("--max-bits", "256")):
-        code, out = run_cli(capsys, *argv, "--u", str(BIG_PRIME), *extra)
-        assert code == 0 and out.endswith(f" = {returned[-1].render()}\n") and out.endswith("@256b\n")
-        assert returned[-1].lo < ref < returned[-1].hi
-    assert returned[0] == returned[1] and returned[0].width < Fraction(1, 2**280)
+    code, out = run_cli(capsys, *argv, "--u", str(BIG_PRIME))
+    assert code == 0 and out.endswith(f" = {returned[0].render()}\n") and out.endswith("@256b\n")
+    assert returned[0].lo < ref < returned[0].hi and returned[0].width < Fraction(1, 2**280)
 
 
 def test_cli_exponent_at_the_ceiling_prints_the_last_enclosure(capsys, monkeypatch):
@@ -473,8 +469,8 @@ def test_cli_exponent_at_the_ceiling_prints_the_last_enclosure(capsys, monkeypat
     returned = []
     original = cli.abundancy_exponent
 
-    def spy(f, cfg):
-        returned.append(original(f, cfg))
+    def spy(f, bits):
+        returned.append(original(f, bits))
         return returned[-1]
 
     monkeypatch.setattr(cli, "abundancy_exponent", spy)
@@ -545,7 +541,7 @@ def test_cli_reads_a_bare_integer_as_int_does(capsys, argv):
 
 @pytest.mark.parametrize("flag", ["--bits", "--max-bits"])
 def test_cli_rejects_precision_above_cap(capsys, flag):
-    code = main(["bound", "--L", "8/5", "--u", "3", flag, "16385"])
+    code = main(["sandwich", "3", "5", flag, "16385"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == "error: --bits and --max-bits must not exceed 16384\n"
@@ -559,12 +555,18 @@ PRECISION_COMMANDS = {
 }
 
 
+# the four whose verdicts climb the precision ladder, and so read --max-bits
+CLIMBING_COMMANDS = ("sandwich", "check", "scan", "report")
+
+
 def test_cli_precision_commands_keep_both_flags_their_defaults_and_the_cap(capsys):
+    # each keeps --bits; only the climbing four keep --max-bits
     parser = cli.build_parser()
     for command, argv in PRECISION_COMMANDS.items():
         args = parser.parse_args([command, *argv])
-        assert (args.bits, args.max_bits) == (256, 4096)
-        for flag in ("--bits", "--max-bits"):
+        climbs = command in CLIMBING_COMMANDS
+        assert (args.bits, getattr(args, "max_bits", None)) == (256, 4096 if climbs else None)
+        for flag in ("--bits", "--max-bits")[:1 + climbs]:
             assert main([command, *argv, flag, "16385"]) == 2
             assert capsys.readouterr().err == "error: --bits and --max-bits must not exceed 16384\n"
 
@@ -572,14 +574,22 @@ def test_cli_precision_commands_keep_both_flags_their_defaults_and_the_cap(capsy
 @pytest.mark.parametrize("flag", ["--bits", "--max-bits"])
 @pytest.mark.parametrize("argv", [
     ["sigma", "45"], ["abundancy", "45"], ["classify", "13"], ["mersenne", "--limit", "7"],
+    *([command, *argv] for command, argv in PRECISION_COMMANDS.items()),
 ])
 def test_cli_commands_that_read_no_precision_refuse_the_precision_flags(capsys, argv, flag):
-    # these four are exact: a precision flag there would be read by nothing, so no cap would apply
+    # the four exact commands refuse both flags: there a precision flag would be
+    # read by nothing, so no cap would apply. exponent, bound and f evaluate a
+    # value once and refuse --max-bits, which only a climbing verdict reads.
+    # Every flag a command accepts meets the cap.
+    command = f"abundancy {argv[0]}"
+    if argv[0] in CLIMBING_COMMANDS or (argv[0] in PRECISION_COMMANDS and flag == "--bits"):
+        assert main([*argv, flag, "20000"]) == 2
+        assert capsys.readouterr().err == "error: --bits and --max-bits must not exceed 16384\n"
+        return
     with pytest.raises(SystemExit) as exit_info:
         main([*argv, flag, "20000"])
     assert exit_info.value.code == 2
     usage, *_, line = capsys.readouterr().err.splitlines()
-    command = f"abundancy {argv[0]}"
     assert usage.startswith(f"usage: {command} ") and line.startswith(f"{command}: error: ")
     assert flag in line and len(line) < 200
 
@@ -820,6 +830,23 @@ def test_cli_report_takes_a_mersenne_limit_below_two(capsys, limit):
     assert (mersenne["cases"], mersenne["failures"], mersenne["undecided"]) == (0, 0, 0)
 
 
+def test_a_value_asked_at_the_same_bits_is_computed_and_cached_once(capsys):
+    # the index-bound check of a candidate with u = 3 (under the default
+    # ceiling, climbing from 256 bits), the bound and f commands and a direct
+    # call all ask for 1/x(3) at 256 bits, and all but f for (8/5)^(1/x(3)):
+    # one key each, as the ceiling of a verdict is no part of a value's key
+    for cached in (index.reciprocal_exponent, index.index_lower_bound):
+        cached.cache_clear()
+    candidate = opn.EulerianCandidate(13, 1, Factorization(((3, 2),)))
+    assert opn.validate_eulerian(candidate).status_of("I(n) > index lower bound") is opn.CheckStatus.PASS
+    assert main(["bound", "--L", "8/5", "--u", "3"]) == 0
+    assert main(["f", "--q", "13", "--u", "3"]) == 0
+    assert index.index_lower_bound(Fraction(8, 5), 3, 256).bits == 256
+    assert capsys.readouterr().err == ""
+    assert index.index_lower_bound.cache_info().misses == 1
+    assert index.reciprocal_exponent.cache_info().misses == 1
+
+
 def test_precision_config_guard():
     with pytest.raises(ValueError):
         PrecisionConfig(0, 10)
@@ -835,7 +862,7 @@ CLI_BATTERY = [
     ["sigma", str(10000000019 * 20000000089)],
     ["abundancy", "45"], ["abundancy", "3^2*5", "--json"],
     ["exponent", "45"], ["exponent", "3^2*5", "--json"], ["exponent", "3^5000"],
-    ["exponent", str(2**300 + 157), "--max-bits", "256"],  # the least prime above 2^300
+    ["exponent", str(2**300 + 157)],  # the least prime above 2^300
     ["sandwich", "3", "5"], ["sandwich", "9", "25", "--json"], ["sandwich", "3", "9"],
     ["check", "q=5", "k=1", "n=3^2"], ["check", "q=5", "k=1", "n=3^2", "--json"],
     ["check", "q=5", "k=1", "n=3^2", "q=13"],
