@@ -200,9 +200,9 @@ def lucas_lehmer(p: int) -> bool:
     composite p short-circuits to False since 2^p - 1 is then composite.
     Before the recurrence, a trial-factoring pre-pass tries the only possible
     factors of 2^p - 1, q = 2kp + 1 with q = +-1 (mod 8), below 2p^2 and
-    below 2^p - 1 itself (so 7 and 127 are not their own witnesses); a
-    divisor found is an exact composite verdict. Every True is a full
-    Lucas-Lehmer proof.
+    below 2^p - 1 itself (so 7 and 127 are not their own witnesses), smallest
+    first, so that most composite 2^p - 1 fall to its first block; a divisor
+    found is an exact composite verdict. Every True is a full Lucas-Lehmer proof.
     """
     if operator.index(p) < 2:
         raise ValueError(f"exponent must be >= 2, got {p}")
@@ -225,21 +225,21 @@ def lucas_lehmer(p: int) -> bool:
 def _small_mersenne_factor(p: int) -> int | None:
     """A proper divisor of 2^p - 1 (odd prime p) among its only possible prime
     factors q = 2kp + 1 = +-1 (mod 8), k = 0 or 3p (mod 4), below min(2p^2,
-    2^p - 1), or None: their product, folded mod 2^p - 1 in blocks of about p
-    bits, meets 2^p - 1 in one gcd (all of it only at p = 11, 2047 = 23 * 89)."""
+    2^p - 1), or None: their product, folded mod 2^p - 1 in ascending blocks of
+    about p bits, meets 2^p - 1 in a gcd after the first block and after the
+    last (all of it only at p = 11, 2047 = 23 * 89)."""
     m = (1 << p) - 1
     ranges = [range(2 * k * p + 1, min(2 * p * p, m), 8 * p) for k in (4, 3 * p & 3)]
-    candidates = itertools.chain(*ranges)
-    size = p // (2 * p * p).bit_length() + 1  # candidates in a block of about p bits
+    size = p // (2 * p * p).bit_length() // 2 + 1  # candidates of each class in a block
+    starts = range(0, len(ranges[1]), size)  # ranges[1] starts lower, so it is the longer
     acc = 1
-    for _ in range(0, sum(map(len, ranges)), size):
-        acc *= prod(itertools.islice(candidates, size))
+    for i in starts:
+        acc *= prod(ranges[0][i : i + size]) * prod(ranges[1][i : i + size])
         acc = (acc & m) + (acc >> p)
         acc = (acc & m) + (acc >> p)
-    g = gcd(m, acc)
-    if g == m:
-        return next(q for q in itertools.chain(*ranges) if m % q == 0)
-    return g if g > 1 else None
+        if i in (0, starts[-1]) and (g := gcd(m, acc)) > 1:
+            return g if g < m else next(q for q in itertools.chain(*ranges) if m % q == 0)
+    return None
 
 
 @dataclass(frozen=True)
