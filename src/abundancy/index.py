@@ -203,38 +203,50 @@ def _sandwich_verdict(xs: tuple[IntervalReal, IntervalReal, IntervalReal]) -> Sa
 
 
 # 1/x(u) and the bounds built on it are cached like the logs, 512 entries
-# each, on (u, bits) and (L, u, bits), so callers pass bits positionally
-# (lru_cache keys f(u) and f(u, 256) apart). Candidates share u, their least
-# prime: 1,440 candidate_checks requests (seed 7, 4 rounds) missed on 3 keys.
+# each, on (u, bits) and (L, u, bits) with bits filled in, so one value is one
+# entry. Candidates share u, their least prime: 1,440 candidate_checks
+# requests (seed 7, 4 rounds) missed on 3 keys.
 @lru_cache(maxsize=512, typed=True)  # so that 3.0 does not hit the cached exponent of 3
+def _reciprocal_exponent(u: int, bits: int) -> IntervalReal:
+    if u < 3 or not is_prime(u):
+        raise ValueError(f"u must be an odd prime, got {render_short(u)}")
+    t, s = 4 + u.bit_length(), 4 + (u * u).bit_length()
+    a, d = ln_ratio(Fraction(u + 1, u), bits + t), ln_ratio(Fraction(u * u + u + 1, u * (u + 1)), bits + s)
+    v = bits + GUARD_BITS + s
+    alo, ahi = a._lo[0] << (s - t), a._hi[0] << (s - t)  # onto D's scale 2^v
+    lo, hi, scale = (alo << v) // (alo + d._hi[0]), -((-ahi << v) // (ahi + d._lo[0])), 1 << v
+    return IntervalReal._of((lo, scale), (hi, scale), bits)
+
+
 def reciprocal_exponent(u: int, bits: int = DEFAULT_PRECISION.initial_bits) -> IntervalReal:
     """Enclosure of 1/x(u) = A/(A + D) for an odd prime u in one evaluation at
     `bits`, by abundancy_exponent's relative rule: A = ln I(u) > 1/(u+1) >=
     2^-bits(u) is taken at w + t bits (w = bits + GUARD_BITS, t = 4 + bits(u))
     and D = ln(I(u^2)/I(u)) > 1/(u^2+u+1) at w + s (s = 4 + bits(u^2)), so
-    1/2 < 1/x(u) < 1 always shows. The ends A_lo/(A_lo + D_hi) and
-    A_hi/(A_hi + D_lo) keep the one A in numerator and denominator."""
-    if u < 3 or not is_prime(u):
-        raise ValueError(f"u must be an odd prime, got {render_short(u)}")
-    t, s = 4 + u.bit_length(), 4 + (u * u).bit_length()
-    a, d = ln_ratio(Fraction(u + 1, u), bits + t), ln_ratio(Fraction(u * u + u + 1, u * (u + 1)), bits + s)
-    alo, ahi = a._lo[0] << (s - t), a._hi[0] << (s - t)  # onto D's scale 2^(w + s)
-    return IntervalReal._of((alo, alo + d._hi[0]), (ahi, ahi + d._lo[0]), bits)
+    1/2 < 1/x(u) < 1 always shows. Its ends are A_lo/(A_lo + D_hi) rounded
+    down and A_hi/(A_hi + D_lo) rounded up, dyadics over 2^(w + s), so that
+    `pow_interval` scales by them with shifts."""
+    return _reciprocal_exponent(u, bits)
 
 
 @lru_cache(maxsize=512, typed=True)  # so that 2.0 does not hit the cached bound of 2
-def index_lower_bound(
-    L: Fraction | int,
-    u: int,
-    bits: int = DEFAULT_PRECISION.initial_bits,
-) -> IntervalReal:
+def _index_lower_bound(L: Fraction | int, u: int, bits: int) -> IntervalReal:
+    if L <= 1:
+        n, d = L.as_integer_ratio()  # a float below 1 too; pow_interval refuses one above
+        raise ValueError(f"the bound collapses for L <= 1, got {render_short(n)}/{render_short(d)}")
+    return pow_interval(L, reciprocal_exponent(u, bits), bits)
+
+
+def index_lower_bound(L: Fraction | int, u: int, bits: int = DEFAULT_PRECISION.initial_bits) -> IntervalReal:
     """Enclosure of L**(1/x(u)) for L > 1 and an odd prime u, evaluated once
     at `bits`.
 
     Since x(u) < 2 this always exceeds the trivial bound sqrt(L). Used with
     L = 8/5 (root part of a candidate) and L = 2q/(q+1) (Euler-prime scans).
     """
-    if L <= 1:
-        n, d = L.as_integer_ratio()  # a float below 1 too; pow_interval refuses one above
-        raise ValueError(f"the bound collapses for L <= 1, got {render_short(n)}/{render_short(d)}")
-    return pow_interval(L, reciprocal_exponent(u, bits), bits)
+    return _index_lower_bound(L, u, bits)
+
+
+for _public, _body in ((reciprocal_exponent, _reciprocal_exponent), (index_lower_bound, _index_lower_bound)):
+    _public.cache_info, _public.cache_clear = _body.cache_info, _body.cache_clear  # each reads its body's cache
+del _public, _body

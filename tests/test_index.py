@@ -328,6 +328,20 @@ def _big_primes():
     return sorted(mersenne + found + [BIG_PRIME])
 
 
+@pytest.mark.parametrize("u", [3, 13, BIG_PRIME])
+@pytest.mark.parametrize("bits", [64, 256, 4096])
+def test_reciprocal_exponent_rounds_its_ratio_ends_outward_over_one_power_of_two(u, bits):
+    # A_lo/(A_lo + D_hi) rounded down and A_hi/(A_hi + D_lo) rounded up, both
+    # over 2^v with v = bits + GUARD_BITS + 4 + bits(u^2), from the same logs
+    t, s = 4 + u.bit_length(), 4 + (u * u).bit_length()
+    a = ln_ratio(Fraction(u + 1, u), bits + t)
+    d = ln_ratio(Fraction(u * u + u + 1, u * (u + 1)), bits + s)
+    y, ulp = reciprocal_exponent(u, bits), Fraction(1, 2 ** (bits + GUARD_BITS + s))
+    assert y._lo[1] == y._hi[1] == 1 / ulp
+    assert y.lo <= a.lo / (a.lo + d.hi) < y.lo + ulp
+    assert y.hi - ulp < a.hi / (a.hi + d.lo) <= y.hi
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(st.sampled_from(primes_up_to(1000)[1:]), st.integers(0, 14).map(lambda i: _big_primes()[i])),
        st.integers(8, 1024))

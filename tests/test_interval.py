@@ -170,6 +170,63 @@ def test_pow_is_exp_of_the_exponent_times_ln_ratio(base, bits):
     assert pow_interval(base, y, bits) == exp_interval(y * ln_ratio(base, bits), bits)
 
 
+def _dyadic(lo: int, hi: int, v: int, bits: int) -> IntervalReal:
+    """[lo, hi] / 2^v with both ends over the one scale, as reciprocal_exponent gives them."""
+    scale = 1 << v
+    return IntervalReal._of((lo, scale), (hi, scale), bits)
+
+
+@st.composite
+def _dyadic_exponents(draw):
+    bits = draw(st.sampled_from([64, 512, 4096]))
+    v = bits + draw(st.integers(0, 48))
+    lo = draw(st.integers(-3 << v, 3 << v))
+    width = draw(st.one_of(st.integers(0, 1 << 8), st.integers(0, 1 << v)))  # one chain, or two
+    return bits, _dyadic(lo, lo + width, v, bits)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.fractions(Fraction(1, 1000), 1000, max_denominator=1000), _dyadic_exponents())
+@example(Fraction(8, 5), (4096, _dyadic(-(1 << 4100), 1 << 4099, 4102, 4096)))  # straddling 0
+@example(Fraction(3, 7), (512, _dyadic(-(5 << 540), -(5 << 540) + 1, 542, 512)))  # negative, narrow
+@example(Fraction(999, 1000), (64, _dyadic(3 << 100, 5 << 100, 101, 64)))  # positive, wide
+def test_pow_with_a_dyadic_exponent_contains_mpmath_and_is_exp_of_the_product(base, drawn):
+    bits, y = drawn
+    out = pow_interval(base, y, bits)
+    assert out == exp_interval(y * ln_ratio(base, bits), bits)
+    prec = 2 * bits
+    for end in (y.lo, y.hi):
+        ref = _reference(lambda: mpmath.power(mpmath.mpf(base.numerator) / base.denominator,
+                                              mpmath.mpf(end.numerator) / end.denominator), prec)
+        slack = ref / 2 ** (prec - 16)  # the oracle's own rounding
+        assert out.lo <= ref + slack and ref - slack <= out.hi, (base, end, bits)
+
+
+@pytest.mark.parametrize("i", [1, 3 << 40, 5 << 90])  # x = i 2^-w, below ln 2
+@pytest.mark.parametrize("sign", [1, -1])
+def test_the_shift_path_keeps_the_inexact_bit_and_rounds_the_width_up(i, sign):
+    # x exactly on the 2^-w grid (a multiple of the reduction's 2^-(w+s)), and
+    # one unit of 2^-m further from 0, as dyadics over 2^m (m > w + s): each
+    # equals the long-division path's on the same value over 3 2^m, and only
+    # the unit further out (rest > 0) moves the outer end, outward
+    w, m = 96, 300
+    on = (sign * i) << (m - w)
+    outs = []
+    for xn in (on, on + sign):
+        assert interval._exp_scaled(xn, 1 << m, w) == interval._exp_scaled(3 * xn, 3 << m, w)
+        outs.append(interval._exp_scaled(xn, 1 << m, w))
+    (lo, hi), (lo_out, hi_out) = outs
+    if sign > 0:
+        assert lo_out == lo and hi_out > hi
+    else:  # exp(-|x|) takes the reciprocals of exp(|x|)'s ends
+        assert lo_out < lo and hi_out == hi
+    # [on, on + 1] is one unit of 2^-m wide: ceil((b - a) 2^w) is 1, not 0
+    shared = interval._exp_between(on, 1 << m, on + 1, 1 << m, w)
+    assert shared == interval._exp_between(3 * on, 3 << m, 5 * (on + 1), 5 << m, w)
+    assert shared[0] == lo and shared[1] > hi
+    assert interval._divmod(-1, 1 << m) == (-1, (1 << m) - 1) and interval._cdiv(1, 1 << m) == 1
+
+
 # exponents of every sign pattern: points, [-, +], [0, +], [-, 0], [+, +], [-, -]
 POW_EXPONENTS = [
     IntervalReal(Fraction(a), Fraction(b), 64)

@@ -657,6 +657,21 @@ def test_reciprocal_exponent_and_the_bounds_are_evaluated_at_the_first_rung():
     assert bounds[2] == pow_interval(2, y) + 1
 
 
+def test_a_value_asked_with_and_without_its_default_bits_is_one_cache_entry():
+    # README's bound leaves bits to its default, and the candidate's index
+    # bound check (u = 3, decided at 256 bits) passes it: one key each
+    reciprocal_exponent.cache_clear()
+    index_lower_bound.cache_clear()
+    index_lower_bound(Fraction(8, 5), 3)
+    report = validate_eulerian(EulerianCandidate(13, 1, Factorization(((3, 2), (5, 1)))))
+    assert report.status_of("I(n) > index lower bound") is CheckStatus.PASS
+    assert reciprocal_exponent(3) is reciprocal_exponent(3, 256)
+    assert index_lower_bound.cache_info().misses == 1 and index_lower_bound.cache_info().hits == 1
+    assert reciprocal_exponent.cache_info().misses == 1
+    index_lower_bound.cache_clear()
+    assert index_lower_bound.cache_info().currsize == 0
+
+
 def test_reciprocal_exponent_and_the_bounds_never_escalate(monkeypatch):
     # only verdicts climb the ladder: sandwich_check and opn._certify
     ladders = []
