@@ -10,10 +10,11 @@ floored chain at a few more bits, whose value is a lower bound, and add to it
 an analytic bound on what its floors, its truncated series and, for exp, the
 squarings of argument halving can have lost (midpoint-radius accounting, as
 in Johansson's Arb, IEEE TC 2017); both ends are then rounded outward to w
-bits. The exp chain sums its Taylor series by rectangular splitting, so most
-of its terms cost a division by a small integer instead of a full-width
-product. A power keeps the log of its base as scaled integers up to the exp
-chain, and picks the products with the exponent's ends by their signs.
+bits. The exp chain sums its Taylor series in bit-burst levels, each term a
+product by a short chunk of the argument and a division by a small integer,
+and halves the argument only as far as it needs. A power keeps the log of its
+base as scaled integers up to the exp chain, and picks the products with the
+exponent's ends by their signs.
 Containment is therefore unconditional. Every exact rational, an end or an
 evaluator's argument, is read by `_ratio` as an int or a Fraction, never a
 float. Only text is rounded: correctly, by `decimal`, from a short quotient.
@@ -339,62 +340,58 @@ def _ln_scaled(num: int, den: int, w: int) -> tuple[int, int]:
     return 2 * alo + e * l2lo, 2 * ahi + e * l2hi  # e >= 1 here
 
 
+def _exp_level(n: int, q: int, v: int) -> tuple[int, int]:
+    """(s, e) with s <= exp(x) 2^v < s + e for x = n/2^q <= 1/2, q <= v: one
+    floored Taylor series whose products are all by the short integer n.
+    A_0 = 2^v, A_k = floor(floor(A_(k-1) n / 2^q) / k) = floor(A_(k-1) x / k),
+    s = A_0 + ... + A_N for the first N >= 1 with A_N < 2^p, p = q - bits(n),
+    so x < 2^-p. In units of 2^-v: A_1 = n 2^(v-q) is exact and A_k is short
+    by δ_k < 1 + δ_(k-1) x/k, so δ_k < 1/(1 - x/2) <= 1 + x (k >= 2), and the
+    terms lose less than (N - 1)(1 + x) < N + ((N - 1) >> p). Of the terms
+    left out, the first is below (A_N + δ_N) x/(N + 1) < (2^p + x) x/2 <= 5/8
+    and each later one at most x/(N + 2) <= 1/6 of the one before, so they
+    sum to less than 3/4. Hence e = N + ((N - 1) >> p) + 1, about twice what
+    a long series loses (a floor loses half a unit on average)."""
+    p = q - n.bit_length()
+    bound = 1 << p
+    a = s = 1 << v
+    k = 0
+    while a >= bound:
+        k += 1
+        a = (a * n >> q) // k
+        s += a
+    return s, k + ((k - 1) >> p) + 1
+
+
+def _times(y: int, e: int, s: int, d: int, v: int) -> tuple[int, int]:
+    """The product of y <= Y <= y + e and s <= S <= s + d, all over 2^v:
+    floor(y s / 2^v) <= Y S / 2^v <= (y s + e (s + d) + d y) / 2^v, and the
+    floor loses less than 1, so the error is 1 + ceil((e (s + d) + d y) /
+    2^v); a square, (s, d) = (y, e), takes 1 + ceil(e (2y + e) / 2^v)."""
+    return y * s >> v, 1 - (-(e * (s + d) + d * y) >> v)
+
+
 def _exp_chain(t: int, v: int, h: int) -> tuple[int, int]:
     """(y, e) with y <= exp(t/2^v)^(2^h) 2^v <= y + e, for 0 <= x = t/2^v <= 1/2,
-    from one floored Taylor chain by rectangular splitting (Smith, Math. Comp.
-    1989; Brent and Zimmermann, Modern Computer Arithmetic, 4.4.3) into u =
-    max(1, isqrt(isqrt(v))) parallel sums. Term k = mu + i, 0 <= i < u, is
-    x^i A_k with A_k = x^(mu)/k!, all scaled by 2^v: inside a block A_k is
-    floor(A_(k-1) / k), at a block's start floor(floor(A_(k-1) T_u / 2^v) / k).
-    S_i sums the A_k of its class, and y = S_0 + sum floor(S_i T_i / 2^v) over
-    the table T_1 = t, T_i = floor(T_(i-1) t / 2^v). So the chain makes u - 1
-    wide products for the table, one per block and u - 1 for the sums.
-
-    Deficits, in units of 2^-v: each T_i is short by less than 1/(1 - x) <= 2.
-    A division by k leaves A_k short by less than δ_(k-1)/k + 1, a block's
-    start by less than (δ_(k-1) x^u + 3)/k + 1 (as A_(k-1) <= 2^v), so every
-    A_k is short by less than 4. Each floor(S_i T_i / 2^v) then loses less
-    than 4 n_i + 5 for its n_i terms, since their exact sum is below
-    e^x 2^v < 2^(v+1). The chain stops at its first term whose bit lengths
-    show A_k T_i < 2^(v+1) (T_0 = 2^v, so k >= 1). Its exact value is below
-    (A_k + 4)(T_i + 2) / 2^v < 7 units (below 4 for i = 0, the only class
-    when v < 16), and each later term is at most x/2 <= 1/4 of the one
-    before, so they sum to less than 7/3 < 3. After N terms the sum is short
-    by less than 4N + 5(u - 1) + 3. A floored square floor(y^2 / 2^v)
-    of a y short by at most e is short by at most 1 + ceil(e (2y + e) / 2^v).
-
-    The allowances are loose, and no test input comes near them (a floor
-    loses half a unit on average). For u >= 2, x^u <= 1/4 and the same steps
-    keep every A_k short by less than 20/7; a class i >= 1 enters times
-    x^i <= 1/2, and its product's other losses are below 1 + 3.3/i! (T_1 = t
-    is exact, and its exact sum is below e^x 2^v / i!). For u = 1 each A_k is
-    short by less than 2. So e exceeds the loss by more than 4 units
-    (8N/7 + 4(u - 1) - 2, or 2N + 1 for u = 1; N >= 2): enough for a unit
-    less per term, four less per sum, or no tail allowance; and a squaring
-    that floored its error term would map a slack s >= 1 to at least 2s - 1,
-    as y >= 2^v. The soundness of those sites rests on this argument."""
-    u = max(1, isqrt(isqrt(v)))
-    powers = [1 << v, t]
-    for _ in range(u - 1):
-        powers.append(powers[-1] * t >> v)
-    room = [v + 1 - p.bit_length() for p in powers]
-    sums = [0] * u
-    a = 1 << v
-    k = i = 0
-    while True:
-        sums[i] += a
-        if a.bit_length() <= room[i]:
-            break
-        k += 1
-        i = k % u
-        if i == 0:
-            a = a * powers[u] >> v
-        a //= k
-    y = sums[0] + sum(s * p >> v for s, p in zip(sums[1:], powers[1:]))
-    e = 4 * (k + 1) + 5 * (u - 1) + 3
+    by bit-burst levels (Brent 1976; Brent and Zimmermann, Modern Computer
+    Arithmetic, 4.9.2): exp(x) is the product of the exp(x_j), where x_0 holds
+    x's first 128 bits below the point and each later x_j the bits after the
+    end b of the one before, up to 4b, or up to v once fewer than b would be
+    left (bits 129-512, 513-2048, 2049-v at v = 4158). Each level is one
+    `_exp_level` series in the short integer x_j 2^(its end), of about v/b
+    terms; one whose x_j is 0 is skipped, but x_0's always runs (t = 0 gives
+    (2^v, 2)). `_times` multiplies the levels' values, then makes the h
+    squarings, and carries the error bound through each product."""
+    b = min(v, 128)
+    y, e = _exp_level(t >> (v - b), b, v)
+    while b < v:
+        end = 4 * b if 5 * b <= v else v
+        n = t >> (v - end) & ((1 << (end - b)) - 1)
+        if n:
+            y, e = _times(y, e, *_exp_level(n, end, v), v)
+        b = end
     for _ in range(h):
-        e = 1 - (-e * (2 * y + e) >> v)
-        y = y * y >> v
+        y, e = _times(y, e, y, e, v)
     return y, e
 
 
@@ -405,14 +402,17 @@ def _grow(y: int, d: int, w: int) -> int:
 
 def _exp_scaled(xn: int, xd: int, w: int) -> tuple[int, int]:
     """Enclosure of exp(xn/xd) scaled by 2^w (any sign of xn, xd > 0), from
-    one Taylor chain.
+    one chain.
 
     Reduction x = k ln 2 + r with r in [r_lo, r_hi] / 2^w; then argument halving
-    (Brent and Zimmermann, Modern Computer Arithmetic, 4.3-4.4): the chain runs
-    on r_lo / 2^h, h = isqrt(w) // 2, at v = w + c bits, c = h + 4 + bits(w),
-    where it is r_lo shifted left by c - h, exactly. Its error after the h
-    squarings, about 2^(h+1) (4N + 5u) for N terms in u sums (about 2^(h+10)
-    at 4096 bits), stays below 2^c, a unit of 2^-w. The upper end
+    (Brent and Zimmermann, Modern Computer Arithmetic, 4.3-4.4) only as far
+    as r needs: r_lo / 2^w has m leading zero bits below the point, and the
+    chain runs on r_lo / 2^(w+h), h = max(0, bits(w) - m), which is below
+    2^-max(m, bits(w)) <= 1/2, at v = w + c bits, c = h + 4 + bits(w), where
+    it is r_lo shifted left by c - h, exactly. Its error before the
+    squarings is about the number of terms it sums, about v/bits(w) (fewer
+    than 2^9 at 4096 bits), and each squaring about doubles it, so it stays
+    below 2^(h + 2 + bits(w)) < 2^c, a unit of 2^-w. The upper end
     grows by r_hi - r_lo; both ends are rounded outward to w bits and shifted
     by k. Negative x takes the reciprocals of both bounds of exp(-x).
     """
@@ -429,7 +429,7 @@ def _exp_scaled(xn: int, xd: int, w: int) -> tuple[int, int]:
     k = xs_lo // l2hi
     r_lo = (xs_lo - k * l2hi) >> s  # in [0, l2hi >> s] by choice of k
     r_hi = -((k * l2lo - xs_lo - (rest > 0)) >> s)
-    h = isqrt(w) // 2
+    h = max(0, w.bit_length() - (w - r_lo.bit_length()))
     c = h + 4 + w.bit_length()
     y, e = _exp_chain(r_lo << (c - h), w + c, h)
     return (y >> c) << k, -(-_grow(y + e, r_hi - r_lo, w) >> c) << k

@@ -937,16 +937,107 @@ def test_atanh_chain_declares_at_least_its_deficit_and_its_tail():
             assert ref - head - slack <= tail, (z, w)
 
 
+def _chain_arguments(w, rng):
+    """(t, v, h) as `_exp_scaled` picks them for reduced arguments r / 2^w
+    with m = 0 to w leading zero bits below the point: for each m the least,
+    the greatest and a random r with exactly m of them (r = 0 for m = w)."""
+    for m in sorted({0, 1, 2, w.bit_length() - 1, w.bit_length(), w.bit_length() + 1, 20, 130, w // 2, w - 1, w}):
+        if m > w:
+            continue
+        rs = [0] if m == w else [1 << (w - m - 1), (1 << (w - m)) - 1, rng.randrange(1 << (w - m - 1), 1 << (w - m))]
+        h = max(0, w.bit_length() - m)
+        c = h + 4 + w.bit_length()
+        for r in rs:
+            yield r << (c - h), w + c, h
+
+
 def test_exp_chain_declares_at_least_its_deficit():
-    # (t, v, h) as the kernel picks them at w, and halvings from none to 8
+    # (t, v, h) as the kernel picks them at w, for arguments with 0 to w
+    # leading zero bits, and halvings from none to 8 at the 1/2 cap
     rng = random.Random(12)
     for w in SWEEP_W:
-        for h in sorted({0, 1, 3, 8, isqrt(w) // 2}):
-            v = w + h + 4 + w.bit_length()
-            for t in (0, 1, 2**v // 2 ** (h + 1), rng.randrange(2**v // 2 ** (h + 1))):
-                y, e = interval._exp_chain(t, v, h)
-                ref, slack = _scaled_reference(lambda: mpmath.exp(mpmath.mpf(t) * 2**h / 2**v), v)
-                assert y <= ref + slack and ref - slack <= y + e, (t, v, h)
+        cases = [*_chain_arguments(w, rng)]
+        cases += [(1 << (v - 1), v, h) for h in (0, 1, 3, 8) for v in [w + h + 4 + w.bit_length()]]
+        for t, v, h in cases:
+            y, e = interval._exp_chain(t, v, h)
+            ref, slack = _scaled_reference(lambda: mpmath.exp(mpmath.mpf(t) * 2**h / 2**v), v)
+            assert y <= ref + slack and ref - slack <= y + e, (t, v, h)
+
+
+def _exp_series_deficit(n, q, v, s):
+    """exp(x) 2^v - s for x = n/2^q < 1, as a Fraction short of the true
+    deficit by less than 2^-64: the Taylor sum to the K-th term, the first
+    below 2^-70 (each later one is at most half the one before), exactly over
+    K! 2^(qK), where the k-th term is 2^v c_k with c_k = c_(k-1) n / (k 2^q)."""
+    p, K, bits = q - n.bit_length(), 0, v
+    while bits >= -70:  # 2^bits bounds the K-th term: log2 k! >= sum of (bits(j) - 1)
+        K += 1
+        bits -= p + K.bit_length() - 1
+    c = total = math.factorial(K) << (q * K)
+    for k in range(1, K + 1):
+        c, rest = divmod(c * n, k << q)
+        assert rest == 0
+        total += c
+    return Fraction(total << v, math.factorial(K) << (q * K)) - s
+
+
+# The chain's levels at w = 288, 1056 and 4128, as it cuts them (bits 1-128,
+# 129-512, 513-2048, 2049 to v) at the kernel's h = bits(w) for an argument
+# without leading zero bits; the first level's chunk has its h leading zeros.
+EXP_LEVELS = [
+    (min(q, v), b, v, h)
+    for w in (288, 1056, 4128)
+    for h in [w.bit_length()]
+    for v in [w + 2 * h + 4]
+    for b, q in ((0, 128), (128, 512), (512, 2048), (2048, v))
+    if b < v
+]
+
+
+def test_exp_level_declares_at_least_its_deficit():
+    # each level's series against its exact Taylor sum, on 40 drawn chunks,
+    # and on the 1/2 cap at small v: the declared e = N + ((N - 1) >> p) + 1
+    # holds, and on a level of more than 10 terms it is less than twice the
+    # loss of its worst chunk, so a halved allowance fails (a level of a few
+    # terms loses less than a unit per two terms, and its + 1 dominates)
+    rng = random.Random(48)
+    for q, b, v, h in EXP_LEVELS:
+        lead = h if b == 0 else 0
+        worst = Fraction(0)
+        for _ in range(40):
+            n = rng.randrange(1 << (q - b - lead - 1), 1 << (q - b - lead))
+            s, e = interval._exp_level(n, q, v)
+            deficit = _exp_series_deficit(n, q, v, s)
+            assert 0 <= deficit and deficit + Fraction(1, 2**64) < e, (n, q, v)
+            worst = max(worst, deficit)
+        if e >= 12:
+            assert worst > Fraction(e, 2), (q, b, v, e, worst)
+    for v in (1, 2, 3, 8, 20, 64):
+        for q in {1, min(v, 7), v}:
+            for n in (1 << (q - 1), (1 << (q - 1)) - 1 or 1):
+                s, e = interval._exp_level(n, q, v)
+                deficit = _exp_series_deficit(n, q, v, s)
+                assert 0 <= deficit and deficit + Fraction(1, 2**64) < e, (n, q, v)
+
+
+def test_times_declares_at_least_its_product_error():
+    # y s one short of a multiple of 2^v, so its floor loses almost a unit,
+    # and e (s + d) + d y not a multiple of 2^v, so its ceiling gains: then
+    # the true product can exceed the result by more than 1 + floor((e (s +
+    # d) + d y) / 2^v) and by more than half the declared error
+    rng = random.Random(7)
+    for v in (2, 8, 64, 310, 4158):
+        for e, d in ((0, 0), (1, 0), (0, 1), (3, 5), (rng.randrange(1, 2**20), rng.randrange(1, 2**20))):
+            y = rng.randrange(1 << v, 2 << v) | 1
+            s = (-pow(y, -1, 1 << v)) % (1 << v) + (1 << v)
+            x = e * (s + d) + d * y
+            if x % (1 << v) == 1:
+                continue  # the ceiling then gains too little to tell
+            z, err = interval._times(y, e, s, d, v)
+            assert z << v <= y * s
+            deficit = Fraction((y + e) * (s + d), 2**v) - z
+            assert deficit <= err, (v, e, d)
+            assert deficit > Fraction(err, 2) and (x == 0 or deficit > 1 + (x >> v)), (v, e, d)
 
 
 def _chain_products(t, v, h, over, chain=interval._exp_chain):
@@ -974,32 +1065,42 @@ def _chain_products(t, v, h, over, chain=interval._exp_chain):
         def __floordiv__(self, d):
             return Traced(int(self) // d)
 
+        def __and__(self, mask):
+            return Traced(int(self) & mask)
+
     y, e = chain(Traced(t), v, h)
     return y, e, len(products)
 
 
-def test_exp_chain_edge_cases():
-    # the smallest v (u = 1 below v = 16), t = 0, t = 1 (x = 2^-v: its table
-    # T_2 = 0 ends the chain inside its first block when u > 2) and x at the
-    # 1/2 cap (the most terms and blocks); at h = 0 a chain that ends inside
-    # its first block makes 2(u - 1) products, the table's and the sums'
-    for v in [*range(1, 20), 309, 4177]:
-        u = max(1, isqrt(isqrt(v)))
+def test_exp_chain_edge_cases(monkeypatch):
+    # the smallest v, t = 0 (exp(0): y = 2^v exactly, and e = 2 from the
+    # first level's one term), t = 1 (x = 2^-v: its one bit lies in the last
+    # level, past the first's 128 bits) and x at the 1/2 cap (only the first
+    # level's chunk is not 0): a level whose chunk is 0 is skipped, so the
+    # chain multiplies one value per further level and one per squaring
+    times = interval._times
+    calls = []
+    monkeypatch.setattr(interval, "_times", lambda *args: calls.append(1) or times(*args))
+    for v in [*range(1, 20), 128, 129, 310, 4158]:
         for h in (0, 1, 3):
-            for t, first_block in ((0, u > 1), (1, u > 2), (2 ** (v - 1), False)):
-                y, e, products = _chain_products(t, v, h, -1)
+            for t, levels in ((0, 1), (1, 1 + (v > 128)), (2 ** (v - 1), 1)):
+                calls.clear()
+                y, e = interval._exp_chain(t, v, h)
                 ref, slack = _scaled_reference(lambda: mpmath.exp(mpmath.mpf(t) * 2**h / 2**v), v)
                 assert y <= ref + slack and ref - slack <= y + e, (t, v, h)
-                assert t or y == 2**v, (v, h)  # exp(0) = 1 exactly
-                if h == 0:
-                    assert (products == 2 * (u - 1)) == first_block, (t, v, products)
+                assert len(calls) == levels - 1 + h, (t, v, h)
+        assert interval._exp_chain(0, v, 0) == (2**v, 2)
+    # so exp(0) is exactly [1, 1 + 2^-w] at every w: no halving, and 2 < 2^c
+    for w in SWEEP_W:
+        assert interval._exp_scaled(0, 1, w) == (2**w, 2**w + 1)
 
 
 def test_exp_chain_makes_few_wide_products(monkeypatch):
     # products with both operands over v/2 bits in the chain of exp(693147/10^6),
-    # just below ln 2 where the chain is longest: the table, one per block of
-    # u terms, the u - 1 sums and the h squarings, not one per Taylor term
-    # (22/44/89 for a chain with one product per term)
+    # just below ln 2: the h = bits(w) squarings, one per level past the first
+    # and the last level's few terms, whose chunk is wider than v/2; every
+    # other term is a product by a chunk of at most v/2 bits, not one per
+    # Taylor term
     kernel = interval._exp_chain
     counts = []
 
@@ -1008,7 +1109,7 @@ def test_exp_chain_makes_few_wide_products(monkeypatch):
         counts.append(products)
         return y, e
 
-    for w, expected in ((288, 18), (1056, 30), (4128, 53)):
+    for w, expected in ((288, 12), (1056, 15), (4128, 18)):
         untraced = interval._exp_scaled(693147, 10**6, w)
         counts.clear()
         monkeypatch.setattr(interval, "_exp_chain", counted)
@@ -1049,6 +1150,36 @@ def test_exp_interval_endpoints_contain_mpmath(ends, bits):
         scale = max(Fraction(1), ref)
         assert outward * (bound - ref) >= -scale / 2 ** (prec - 8)
         assert outward * (bound - ref) <= scale / 2**bits
+
+
+@st.composite
+def _exp_arguments(draw):
+    """(bits, x): any precision from 8 to 4096 bits, and x of either sign with
+    |x| = m / (d 2^(64+j)) for a 64-bit m, so from below 2^-w (j = w) up to
+    ln 2 (j = 0) and beyond it to about 2^9, over a power of two or not."""
+    bits = draw(st.one_of(st.integers(8, 4096), st.sampled_from([256, 1024, 4096])))
+    j = draw(st.integers(-9, bits + interval.GUARD_BITS))
+    m = draw(st.integers(2**63, 2**64 - 1))
+    d = draw(st.sampled_from([1, 3, 10**6 + 3]))
+    return bits, draw(st.sampled_from([1, -1])) * Fraction(m, d << (64 + j))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_exp_arguments(), st.sampled_from([2, Fraction(8, 5), Fraction(1, 3), Fraction(10**6 + 1, 10**6)]))
+def test_exp_ratio_and_pow_interval_contain_mpmath(drawn, base):
+    # exp(x) and base^x, whose exp chain runs on x ln(base): within a factor
+    # 1.1 of x, or far below it for base 1 + 10^-6; against mpmath at
+    # 2 bits + 64, past the enclosure's width of about 2^-bits
+    bits, x = drawn
+    prec = 2 * bits + 64
+    for out, evaluate in (
+        (exp_ratio(x, bits), lambda: mpmath.exp(mpmath.mpf(x.numerator) / x.denominator)),
+        (pow_interval(base, IntervalReal.exact(x, bits), bits),
+         lambda: mpmath.power(mpmath.mpf(base.numerator) / base.denominator, mpmath.mpf(x.numerator) / x.denominator)),
+    ):
+        ref = _reference(evaluate, prec)
+        slack = ref / 2 ** (prec - 16)  # the oracle's own rounding
+        assert out.lo <= ref + slack and ref - slack <= out.hi, (x, base, bits)
 
 
 @settings(max_examples=60, deadline=None)
